@@ -13,15 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .linalg import rank, rank_of_rows
-from .model import (
-    Complex,
-    Network,
-    NetworkError,
-    Reaction,
-    Species,
-    stoichiometric_matrix,
-)
+from .linalg import _eliminate
+from .model import Complex, Network, NetworkError, Reaction, Species
 
 
 class EmptySubsetError(ValueError):
@@ -81,6 +74,10 @@ class DeficiencyVerdict:
 
 
 def _undirected_components(n: int, edges: Iterable[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """Vertex sets of the components of an undirected graph on range(n).
+
+    Each set is sorted and the sets are ordered by their smallest vertex.
+    """
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -173,6 +170,11 @@ def terminal_strong_linkage_classes(net: Network) -> list[tuple[int, ...]]:
     return [scc for k, scc in enumerate(sccs) if terminal[k]]
 
 
+def _reaction_rank(net: Network, reactions: Iterable[int]) -> int:
+    """Rank of the span of the given reactions' vectors."""
+    return len(_eliminate([net.sparse_reaction_vector(i) for i in reactions])[0])
+
+
 def _irreversible_count(net: Network) -> int:
     pairs = {(rx.reactant, rx.product) for rx in net.reactions}
     return sum(1 for rx in net.reactions if (rx.product, rx.reactant) not in pairs)
@@ -183,7 +185,7 @@ def network_numbers(net: Network) -> NetworkNumbers:
     l = len(linkage_classes(net))
     sl = len(strong_linkage_classes(net))
     t = len(terminal_strong_linkage_classes(net))
-    s = rank(stoichiometric_matrix(net))
+    s = _reaction_rank(net, range(net.reaction_count))
     n = net.complex_count
     return NetworkNumbers(
         species_count=net.species_count,
@@ -292,12 +294,8 @@ def _linkage_class_deficiencies(net: Network) -> list[int]:
     deficiencies = []
     for cls in linkage_classes(net):
         members = set(cls)
-        vectors = [
-            net.reaction_vector(i)
-            for i, rx in enumerate(net.reactions)
-            if rx.reactant in members
-        ]
-        deficiencies.append(len(cls) - 1 - rank_of_rows(vectors))
+        reactions = [i for i, rx in enumerate(net.reactions) if rx.reactant in members]
+        deficiencies.append(len(cls) - 1 - _reaction_rank(net, reactions))
     return deficiencies
 
 
@@ -383,8 +381,8 @@ class Kinetics:
             raise ValueError(f"unknown kinetics kind {self.kind!r}")
         if not self.rates:
             raise ValueError("at least one rate constant required")
-        if any(not (k > 0) for k in self.rates):
-            raise ValueError("rate constants must be strictly positive")
+        if any(not (0 < k < math.inf) for k in self.rates):
+            raise ValueError("rate constants must be finite and strictly positive")
         if len(self.orders) != len(self.rates):
             raise DimensionError("one kinetic order row per reaction required")
         widths = {len(row) for row in self.orders}
@@ -429,20 +427,34 @@ def _fluxes(net: Network, kinetics: Kinetics, x: Sequence[float]) -> list[float]
         )
     if any(not (xi > 0) for xi in x):
         raise NonPositivePointError("all concentrations must be strictly positive")
-    return [
+    if any(xi == math.inf for xi in x):
+        raise ValueError("all concentrations must be finite")
+    return _finite(
         k * math.prod(xi ** f for xi, f in zip(x, row))
         for k, row in zip(kinetics.rates, kinetics.orders)
-    ]
+    )
+
+
+def _finite(values: Iterable[float]) -> list[float]:
+    # Float arithmetic overflows to inf without raising; make it raise, as
+    # ``**`` already does, so no verdict is read off an infinite value.
+    out = list(values)
+    if not all(map(math.isfinite, out)):
+        raise OverflowError("rate evaluation overflowed the floating-point range")
+    return out
+
+
+def _formation_rate(net: Network, fluxes: Sequence[float]) -> tuple[float, ...]:
+    f = [0.0] * net.species_count
+    for i, flux in enumerate(fluxes):
+        for s, c in net.sparse_reaction_vector(i):
+            f[s] += c * flux
+    return tuple(_finite(f))
 
 
 def sfrf(net: Network, kinetics: Kinetics, x: Sequence[float]) -> tuple[float, ...]:
     """Species formation rate function: stoichiometric matrix times the fluxes."""
-    fluxes = _fluxes(net, kinetics, x)
-    vectors = [net.reaction_vector(i) for i in range(net.reaction_count)]
-    return tuple(
-        sum(vec[s] * flux for vec, flux in zip(vectors, fluxes))
-        for s in range(net.species_count)
-    )
+    return _formation_rate(net, _fluxes(net, kinetics, x))
 
 
 def is_steady_state(
@@ -455,6 +467,6 @@ def is_steady_state(
     if tol < 0 or math.isnan(tol):
         raise ValueError("tolerance must be nonnegative")
     fluxes = _fluxes(net, kinetics, x)
-    f = sfrf(net, kinetics, x)
+    f = _formation_rate(net, fluxes)
     scale = max(1.0, max(abs(v) for v in fluxes))
     return max(abs(v) for v in f) <= tol * scale

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -129,6 +130,8 @@ def _parse_assignments(spec: str, what: str) -> dict[str, float]:
             value = float(raw.strip())
         except ValueError:
             raise _UsageError(f"invalid number {raw.strip()!r} for {name!r}") from None
+        if not math.isfinite(value):
+            raise _UsageError(f"non-finite number {raw.strip()!r} for {name!r} in --{what}")
         if name in values:
             raise _UsageError(f"{name!r} assigned twice in --{what}")
         values[name] = value
@@ -229,6 +232,10 @@ def _cmd_steady_state(args: argparse.Namespace, net: Network) -> int:
         steady = is_steady_state(net, kinetics, x, tol=args.tol)
     except (DimensionError, NonPositivePointError, ValueError) as exc:
         raise _UsageError(str(exc)) from None
+    except OverflowError:
+        raise _UsageError(
+            "the rates overflow the floating-point range at this point"
+        ) from None
     formatted = ", ".join(
         f"{name}: {value + 0.0:.12g}" for name, value in zip(names, f)
     )  # +0.0 folds negative zero into zero

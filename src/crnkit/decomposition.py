@@ -19,16 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Literal, Sequence
 
-from .linalg import (
-    BasisSelection,
-    RationalMatrix,
-    _insert_into_echelon,
-    coordinates,
-    rank,
-    rank_of_rows,
-    select_basis_rows,
-)
-from .model import Network, incidence_matrix, stoichiometric_matrix
+from .analysis import _reaction_rank, _undirected_components
+from .linalg import BasisSelection, _Echelon, _eliminate
+from .model import Network
 
 BRUTE_FORCE_REACTION_LIMIT = 12  # Bell(12) ~ 4.2M partitions
 
@@ -137,17 +130,12 @@ def _canonical_partition(
     return tuple(canon)
 
 
-def _part_incidence_rank(net: Network, part: Sequence[int]) -> int:
-    # Incidence matrix of the subnetwork induced by `part`, over only the
-    # complexes those reactions touch (inherited order).
-    touched = sorted({c for i in part for c in (net.reactions[i].reactant, net.reactions[i].product)})
-    row_of = {c: k for k, c in enumerate(touched)}
-    rows = [[0] * len(part) for _ in touched]
-    for j, i in enumerate(part):
-        rx = net.reactions[i]
-        rows[row_of[rx.reactant]][j] = -1
-        rows[row_of[rx.product]][j] = 1
-    return rank(RationalMatrix(rows))
+def _incidence_rank(net: Network, part: Sequence[int]) -> int:
+    # An incidence matrix has rank n - l: the complexes its reactions touch
+    # minus the linkage classes they form.  An untouched complex is a
+    # component of its own, so counting over all complexes gives the same n - l.
+    edges = [(net.reactions[i].reactant, net.reactions[i].product) for i in part]
+    return net.complex_count - len(_undirected_components(net.complex_count, edges))
 
 
 def verify_decomposition(net: Network, parts: Iterable[Iterable[int]]) -> IndependenceReport:
@@ -157,11 +145,10 @@ def verify_decomposition(net: Network, parts: Iterable[Iterable[int]]) -> Indepe
     parts overlap, leave a gap, or contain an empty part.
     """
     canon = _canonical_partition(parts, net.reaction_count)
-    vectors = [net.reaction_vector(i) for i in range(net.reaction_count)]
-    network_rank = rank_of_rows(vectors)
-    part_ranks = tuple(rank_of_rows([vectors[i] for i in part]) for part in canon)
-    incidence_network_rank = rank(incidence_matrix(net))
-    incidence_part_ranks = tuple(_part_incidence_rank(net, part) for part in canon)
+    network_rank = _reaction_rank(net, range(net.reaction_count))
+    part_ranks = tuple(_reaction_rank(net, part) for part in canon)
+    incidence_network_rank = _incidence_rank(net, range(net.reaction_count))
+    incidence_part_ranks = tuple(_incidence_rank(net, part) for part in canon)
     return IndependenceReport(
         network_rank=network_rank,
         part_ranks=part_ranks,
@@ -172,18 +159,23 @@ def verify_decomposition(net: Network, parts: Iterable[Iterable[int]]) -> Indepe
     )
 
 
-def _basis_coordinates(
-    net: Network, basis: BasisSelection
-) -> dict[int, tuple[Fraction, ...]]:
-    """Coordinates of every non-basis reaction vector in the basis rows."""
-    nt = stoichiometric_matrix(net).transpose()
-    basis_rows = [nt.row(i) for i in basis.basis_rows]
-    in_basis = set(basis.basis_rows)
-    return {
-        k: coordinates(nt.row(k), basis_rows)
-        for k in range(nt.rows)
-        if k not in in_basis
-    }
+def _coordinate_graph(
+    net: Network, basis_rows: Sequence[int], coords: dict[int, dict[int, Fraction]]
+) -> CoordinateGraph:
+    edges: set[tuple[int, int]] = set()
+    for c in coords.values():
+        nonzero = sorted(c)
+        edges.update(
+            (nonzero[a], nonzero[b])
+            for a in range(len(nonzero))
+            for b in range(a + 1, len(nonzero))
+        )
+    labels = tuple(net.reaction_label(i) for i in basis_rows)
+    return CoordinateGraph(len(basis_rows), frozenset(edges), labels)
+
+
+def _reaction_rows(net: Network) -> list[tuple[tuple[int, int], ...]]:
+    return [net.sparse_reaction_vector(i) for i in range(net.reaction_count)]
 
 
 def build_coordinate_graph(net: Network, basis: BasisSelection) -> CoordinateGraph:
@@ -192,36 +184,52 @@ def build_coordinate_graph(net: Network, basis: BasisSelection) -> CoordinateGra
     For each non-basis reaction vector, an edge joins every pair of basis
     vertices at which its (unique, exact) coordinates are nonzero.
     """
-    edges: set[tuple[int, int]] = set()
-    for coeffs in _basis_coordinates(net, basis).values():
-        nonzero = [v for v, a in enumerate(coeffs) if a != 0]
-        edges.update(
-            (nonzero[a], nonzero[b])
-            for a in range(len(nonzero))
-            for b in range(a + 1, len(nonzero))
-        )
-    labels = tuple(net.reaction_label(i) for i in basis.basis_rows)
-    return CoordinateGraph(basis.rank, frozenset(edges), labels)
+    basis_rows, coords = _eliminate(_reaction_rows(net), basis.basis_rows)
+    return _coordinate_graph(net, basis_rows, coords)
 
 
 def connected_components(graph: CoordinateGraph) -> list[tuple[int, ...]]:
     """Vertex sets of the undirected components, ordered by smallest vertex."""
-    parent = list(range(graph.vertex_count))
+    return _undirected_components(graph.vertex_count, graph.edges)
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for i, j in graph.edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-    groups: dict[int, list[int]] = {}
-    for v in range(graph.vertex_count):
-        groups.setdefault(find(v), []).append(v)
-    return sorted((tuple(sorted(g)) for g in groups.values()), key=lambda g: g[0])
+@dataclass(frozen=True)
+class _Finest:
+    """The finder's work for one network: graph, components, and verified parts.
+
+    ``parts`` is the single whole-set part when the graph is connected.
+    """
+
+    graph: CoordinateGraph
+    components: list[tuple[int, ...]]
+    parts: tuple[tuple[int, ...], ...]
+    independence: IndependenceReport
+
+
+def _finest(net: Network) -> _Finest:
+    """One elimination pass, the coordinate graph, and the verified finest parts."""
+    basis_rows, coords = _eliminate(_reaction_rows(net))
+    graph = _coordinate_graph(net, basis_rows, coords)
+    components = connected_components(graph)
+    if len(components) <= 1:
+        parts: tuple[tuple[int, ...], ...] = (tuple(range(net.reaction_count)),)
+    else:
+        component_of = {v: ci for ci, comp in enumerate(components) for v in comp}
+        members: list[set[int]] = [set() for _ in components]
+        for vertex, row_index in enumerate(basis_rows):
+            members[component_of[vertex]].add(row_index)
+        for row_index, c in coords.items():
+            owners = {component_of[v] for v in c}
+            if len(owners) != 1:
+                raise InternalError(
+                    f"reaction {row_index} spans several coordinate-graph components"
+                )
+            members[owners.pop()].add(row_index)
+        parts = tuple(tuple(sorted(p)) for p in sorted(members, key=min))
+    independence = verify_decomposition(net, parts)
+    if not independence.independent:
+        raise InternalError("constructed decomposition failed independence verification")
+    return _Finest(graph, components, parts, independence)
 
 
 def find_independent_decomposition(net: Network) -> Decomposition | None:
@@ -233,30 +241,10 @@ def find_independent_decomposition(net: Network) -> Decomposition | None:
     whose nonzero coordinates all sit in that component.  The result is
     verified independent before being returned.
     """
-    nt = stoichiometric_matrix(net).transpose()
-    basis = select_basis_rows(nt)
-    graph = build_coordinate_graph(net, basis)
-    components = connected_components(graph)
-    if len(components) <= 1:
+    finest = _finest(net)
+    if len(finest.components) <= 1:
         return None
-
-    component_of = {v: ci for ci, comp in enumerate(components) for v in comp}
-    members: list[set[int]] = [set() for _ in components]
-    for vertex, row_index in enumerate(basis.basis_rows):
-        members[component_of[vertex]].add(row_index)
-    for row_index, coeffs in _basis_coordinates(net, basis).items():
-        owners = {component_of[v] for v, a in enumerate(coeffs) if a != 0}
-        if len(owners) != 1:
-            raise InternalError(
-                f"reaction {row_index} spans several coordinate-graph components"
-            )
-        members[owners.pop()].add(row_index)
-
-    parts = tuple(tuple(sorted(p)) for p in sorted(members, key=min))
-    report = verify_decomposition(net, parts)
-    if not report.independent:
-        raise InternalError("constructed decomposition failed independence verification")
-    return Decomposition(parts, report.part_ranks)
+    return Decomposition(finest.parts, finest.independence.part_ranks)
 
 
 def iter_set_partitions(
@@ -295,21 +283,19 @@ class _SubsetRankCache:
     one vector into the echelon basis of ``mask`` minus its highest bit.
     """
 
-    def __init__(self, vectors: Sequence[Sequence[int]]):
+    def __init__(self, vectors: Sequence[Iterable[tuple[int, int]]]):
         self._vectors = vectors
-        self._echelon: dict[int, tuple[tuple[int, tuple[Fraction, ...]], ...]] = {0: ()}
-        self._rank: dict[int, int] = {0: 0}
+        self._echelon: dict[int, _Echelon] = {0: _Echelon()}
 
     def rank(self, mask: int) -> int:
-        if mask not in self._rank:
+        if mask not in self._echelon:
             high = mask.bit_length() - 1
             base = mask ^ (1 << high)
             self.rank(base)  # ensure base echelon exists
-            echelon = list(self._echelon[base])
-            _insert_into_echelon(echelon, self._vectors[high])
-            self._echelon[mask] = tuple(echelon)
-            self._rank[mask] = len(echelon)
-        return self._rank[mask]
+            echelon = self._echelon[base].copy()
+            echelon.add(self._vectors[high])
+            self._echelon[mask] = echelon
+        return self._echelon[mask].rank
 
 
 def brute_force_decompositions(net: Network, max_parts: int) -> list[Decomposition]:
@@ -328,8 +314,7 @@ def brute_force_decompositions(net: Network, max_parts: int) -> list[Decompositi
         )
     if max_parts < 1:
         raise ValueError("max_parts must be at least 1")
-    vectors = [net.reaction_vector(i) for i in range(r)]
-    cache = _SubsetRankCache(vectors)
+    cache = _SubsetRankCache(_reaction_rows(net))
     total = cache.rank((1 << r) - 1)
     found: list[Decomposition] = []
     for partition in iter_set_partitions(r, max_parts):

@@ -1,16 +1,21 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Everything in this module computes with `fractions.Fraction`, so rank,
 row-basis selection, and coordinate extraction are decided exactly: there
-is no tolerance anywhere.  The matrices that show up in reaction-network
-analysis are tiny (tens of rows), so dense arithmetic is entirely adequate.
+is no tolerance anywhere.  One sparse elimination pass answers all three: it
+scans the rows in order, keeps each row (column -> nonzero entry) that is not
+spanned by the rows before it as a basis row, and records for every echelon
+row the exact combination of basis rows it equals.  The greedy basis, the
+rank, and the coordinates of every non-basis row fall out of that single
+scan.  `rref` is a separate dense implementation kept as an independent
+reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Rational = Fraction
 RationalLike = Union[int, Fraction]
@@ -126,63 +131,122 @@ def rref(matrix: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
     return RationalMatrix(m), tuple(pivots)
 
 
+class _Echelon:
+    """Row echelon form grown one row at a time, with provenance.
+
+    Every stored row is sparse (column -> nonzero `Fraction`), has a pivot
+    column of its own at its smallest nonzero column, scaled to 1, and
+    remembers the exact combination of basis rows it equals (basis position
+    -> coefficient).  Stored rows are never mutated, so `copy` may share them.
+    """
+
+    __slots__ = ("_pivots", "rank")
+
+    def __init__(self) -> None:
+        self._pivots: dict[int, tuple[dict[int, Fraction], dict[int, Fraction]]] = {}
+        self.rank = 0
+
+    def copy(self) -> "_Echelon":
+        twin = _Echelon()
+        twin._pivots = dict(self._pivots)
+        twin.rank = self.rank
+        return twin
+
+    def add(
+        self, row: Mapping[int, RationalLike] | Iterable[tuple[int, RationalLike]]
+    ) -> dict[int, Fraction] | None:
+        """Reduce ``row``; return its basis coordinates, or None if it joins the basis.
+
+        Coordinates are sparse (basis position -> nonzero coefficient).  A row
+        that joins the basis becomes basis position ``rank - 1``.
+        """
+        row = dict(row)
+        combo: dict[int, Fraction] = {}
+        pivots = self._pivots
+        while row:
+            col = min(row)
+            stored = pivots.get(col)
+            if stored is None:
+                break
+            prow, pcombo = stored
+            f = row[col]
+            _axpy(row, -f, prow)
+            _axpy(combo, f, pcombo)
+        if not row:
+            return combo
+        inv = 1 / Fraction(row[col])
+        prov = {j: -a * inv for j, a in combo.items()}
+        prov[self.rank] = inv
+        pivots[col] = ({j: v * inv for j, v in row.items()}, prov)
+        self.rank += 1
+        return None
+
+
+def _axpy(y: dict[int, Fraction], a: Fraction, x: Mapping[int, Fraction]) -> None:
+    """``y += a * x`` on sparse rows, dropping entries that cancel."""
+    for j, v in x.items():
+        s = y.get(j, 0) + a * v
+        if s:
+            y[j] = s
+        else:
+            del y[j]
+
+
+def _eliminate(
+    rows: Sequence[Mapping[int, RationalLike] | Iterable[tuple[int, RationalLike]]],
+    basis: Iterable[int] | None = None,
+) -> tuple[tuple[int, ...], dict[int, dict[int, Fraction]]]:
+    """One exact elimination pass: the basis rows and every other row's coordinates.
+
+    Without ``basis``, rows are scanned in order and each row not spanned by
+    the earlier ones joins the basis, which gives the greedy basis.  With
+    ``basis``, those rows go first and must be linearly independent
+    (`ValueError` otherwise), then the rest must lie in their span
+    (`NotInSpanError` otherwise).  Returns the basis row indices in basis
+    order and, for each non-basis row index, its sparse coordinates over the
+    basis positions.
+    """
+    echelon = _Echelon()
+    chosen: list[int] = []
+    coords: dict[int, dict[int, Fraction]] = {}
+    if basis is None:
+        order: Iterable[int] = range(len(rows))
+    else:
+        chosen = list(basis)
+        for i in chosen:
+            if echelon.add(rows[i]) is not None:
+                raise ValueError("basis rows are linearly dependent")
+        leading = set(chosen)
+        order = (i for i in range(len(rows)) if i not in leading)
+    for i in order:
+        c = echelon.add(rows[i])
+        if c is not None:
+            coords[i] = c
+        elif basis is None:
+            chosen.append(i)
+        else:
+            raise NotInSpanError(f"row {i} is not in the span of the basis rows")
+    return tuple(chosen), coords
+
+
+def _sparse(row: Iterable[RationalLike]) -> dict[int, Fraction]:
+    return {j: x for j, x in enumerate(map(Fraction, row)) if x}
+
+
 def rank(matrix: RationalMatrix) -> int:
     """Exact rank of the matrix."""
-    return len(rref(matrix)[1])
-
-
-def _reduce_row(
-    row: list[Fraction], echelon: list[tuple[int, tuple[Fraction, ...]]]
-) -> list[Fraction]:
-    # echelon rows are normalized (leading 1) and sorted by pivot column.
-    for pcol, erow in echelon:
-        c = row[pcol]
-        if c:
-            row = [a - c * b for a, b in zip(row, erow)]
-    return row
-
-
-def _first_nonzero(row: Sequence[Fraction]) -> int | None:
-    for j, v in enumerate(row):
-        if v:
-            return j
-    return None
-
-
-def _insert_into_echelon(
-    echelon: list[tuple[int, tuple[Fraction, ...]]], row: Sequence[RationalLike]
-) -> bool:
-    """Reduce ``row`` against ``echelon``; insert if independent.
-
-    Returns True when the row enlarged the span.  ``echelon`` is mutated.
-    """
-    reduced = _reduce_row([Fraction(v) for v in row], echelon)
-    p = _first_nonzero(reduced)
-    if p is None:
-        return False
-    pv = reduced[p]
-    normalized = tuple(x / pv for x in reduced)
-    echelon.append((p, normalized))
-    echelon.sort(key=lambda t: t[0])
-    return True
+    return select_basis_rows(matrix).rank
 
 
 def rank_of_rows(rows: Iterable[Sequence[RationalLike]]) -> int:
     """Rank of the span of the given row vectors (no matrix object needed)."""
-    echelon: list[tuple[int, tuple[Fraction, ...]]] = []
-    for row in rows:
-        _insert_into_echelon(echelon, row)
-    return len(echelon)
+    return len(_eliminate([_sparse(row) for row in rows])[0])
 
 
 def select_basis_rows(matrix: RationalMatrix) -> BasisSelection:
     """Greedy scan in row order: keep each row not spanned by earlier picks."""
-    echelon: list[tuple[int, tuple[Fraction, ...]]] = []
-    chosen: list[int] = []
-    for i in range(matrix.rows):
-        if _insert_into_echelon(echelon, matrix.row(i)):
-            chosen.append(i)
-    return BasisSelection(tuple(chosen), len(chosen))
+    chosen = _eliminate([_sparse(matrix.row(i)) for i in range(matrix.rows)])[0]
+    return BasisSelection(chosen, len(chosen))
 
 
 def coordinates(
@@ -198,31 +262,10 @@ def coordinates(
     if isinstance(basis, RationalMatrix):
         basis_rows = [basis.row(j) for j in range(basis.rows)]
     else:
-        basis_rows = [tuple(Fraction(v) for v in row) for row in basis]
-    p = len(basis_rows)
-    v = [Fraction(x) for x in vector]
-    m = len(v)
-    if any(len(row) != m for row in basis_rows):
+        basis_rows = list(basis)
+    if any(len(row) != len(vector) for row in basis_rows):
         raise ValueError("basis row length does not match vector length")
-
-    # Solve B^T a = v on the augmented m x (p+1) system.
-    aug = [[basis_rows[j][i] for j in range(p)] + [v[i]] for i in range(m)]
-    pivot_row_of_col: dict[int, int] = {}
-    r = 0
-    for c in range(p):
-        pivot_row = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if pivot_row is None:
-            raise ValueError("basis rows are linearly dependent")
-        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        pv = aug[r][c]
-        if pv != 1:
-            aug[r] = [x / pv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivot_row_of_col[c] = r
-        r += 1
-    if any(aug[i][p] != 0 for i in range(r, m)):
-        raise NotInSpanError("vector is not in the span of the basis rows")
-    return tuple(aug[pivot_row_of_col[c]][p] for c in range(p))
+    p = len(basis_rows)
+    rows = [_sparse(row) for row in basis_rows] + [_sparse(vector)]
+    coeffs = _eliminate(rows, range(p))[1][p]
+    return tuple(Fraction(coeffs.get(j, 0)) for j in range(p))

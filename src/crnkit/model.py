@@ -152,7 +152,7 @@ class Network:
     explicit label get the positional default ``R<k>`` (1-based).
     """
 
-    __slots__ = ("_species", "_complexes", "_reactions", "_labels")
+    __slots__ = ("_species", "_complexes", "_reactions", "_labels", "_vectors")
 
     def __init__(
         self,
@@ -168,6 +168,13 @@ class Network:
             for i, rx in enumerate(self._reactions)
         )
         self._validate()
+        self._vectors = tuple(self._sparse_vector(rx) for rx in self._reactions)
+
+    def _sparse_vector(self, rx: Reaction) -> tuple[tuple[int, int], ...]:
+        diff = self._complexes[rx.product].coefficients
+        for i, c in self._complexes[rx.reactant].terms:
+            diff[i] = diff.get(i, 0) - c
+        return tuple(sorted((i, c) for i, c in diff.items() if c))
 
     def _validate(self) -> None:
         if not self._reactions:
@@ -253,10 +260,14 @@ class Network:
 
     def reaction_vector(self, i: int) -> tuple[int, ...]:
         """Product complex minus reactant complex, over the species order."""
-        rx = self._reactions[i]
-        a = self._complexes[rx.reactant].vector(self.species_count)
-        b = self._complexes[rx.product].vector(self.species_count)
-        return tuple(pb - pa for pa, pb in zip(a, b))
+        v = [0] * self.species_count
+        for s, c in self._vectors[i]:
+            v[s] = c
+        return tuple(v)
+
+    def sparse_reaction_vector(self, i: int) -> tuple[tuple[int, int], ...]:
+        """The reaction vector as sorted (species index, nonzero change) pairs."""
+        return self._vectors[i]
 
     def complex_string(self, complex_index: int) -> str:
         return self._complexes[complex_index].format(self.species_names)
@@ -311,7 +322,11 @@ def incidence_matrix(net: Network) -> RationalMatrix:
 def stoichiometric_matrix(net: Network) -> RationalMatrix:
     """Species x reactions matrix, the product of molecularity and incidence.
 
-    Column j equals the reaction vector of reaction j (product complex minus
+    Column j is the reaction vector of reaction j (product complex minus
     reactant complex).
     """
-    return molecularity_matrix(net) @ incidence_matrix(net)
+    rows = [[0] * net.reaction_count for _ in range(net.species_count)]
+    for j in range(net.reaction_count):
+        for i, c in net.sparse_reaction_vector(j):
+            rows[i][j] = c
+    return RationalMatrix(rows)

@@ -88,7 +88,14 @@ def parse_network(text: str) -> Network:
             m = _TERM_RE.match(term)
             if not m:
                 raise DslSyntaxError(f"invalid term {term!r}", line_no)
-            coeff = int(m.group(1)) if m.group(1) else 1
+            digits = m.group(1)
+            try:
+                coeff = int(digits) if digits else 1
+            except ValueError:  # beyond the interpreter's int/str conversion limit
+                raise DslSyntaxError(
+                    f"stoichiometric coefficient with {len(digits)} digits is too large",
+                    line_no,
+                ) from None
             if coeff < 1:
                 raise DslSyntaxError(
                     f"stoichiometric coefficient must be positive in {term!r}", line_no
@@ -184,9 +191,17 @@ def parse_network(text: str) -> Network:
 
 
 def parse_file(path: str | os.PathLike[str]) -> Network:
-    """Parse a ``.crn`` file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_network(fh.read())
+    """Parse a ``.crn`` file (UTF-8 text)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DslSyntaxError(
+            f"file is not valid UTF-8 text (byte {exc.start})",
+            data.count(b"\n", 0, exc.start) + 1,
+        ) from None
+    return parse_network(text)
 
 
 def to_dsl(net: Network) -> str:

@@ -18,15 +18,8 @@ from .analysis import (
     network_numbers,
     subnetwork,
 )
-from .decomposition import (
-    IndependenceReport,
-    build_coordinate_graph,
-    connected_components,
-    find_independent_decomposition,
-    verify_decomposition,
-)
-from .linalg import select_basis_rows
-from .model import Network, stoichiometric_matrix
+from .decomposition import IndependenceReport, _finest
+from .model import Network
 
 SCHEMA_VERSION = "1"
 
@@ -189,36 +182,24 @@ class AnalysisReport:
 
 def build_report(net: Network) -> AnalysisReport:
     """Run the whole pipeline on a network and assemble the report."""
-    basis = select_basis_rows(stoichiometric_matrix(net).transpose())
-    graph = build_coordinate_graph(net, basis)
-    components = connected_components(graph)
-    decomposition = find_independent_decomposition(net)
-
-    if decomposition is None:
-        index_parts: tuple[tuple[int, ...], ...] = (tuple(range(net.reaction_count)),)
-        trivial = True
-    else:
-        index_parts = decomposition.parts
-        trivial = False
+    finest = _finest(net)
     label_parts = tuple(
-        tuple(net.reaction_label(i) for i in part) for part in index_parts
+        tuple(net.reaction_label(i) for i in part) for part in finest.parts
     )
-    independence = verify_decomposition(net, index_parts)
-
-    part_nets = [subnetwork(net, part) for part in index_parts]
+    part_nets = [subnetwork(net, part) for part in finest.parts]
     part_numbers = tuple(network_numbers(sub) for sub in part_nets)
     part_verdicts = tuple(
         (deficiency_zero_check(sub), deficiency_one_check(sub)) for sub in part_nets
     )
     return AnalysisReport(
         network=network_numbers(net),
-        trivial=trivial,
+        trivial=len(finest.components) <= 1,
         parts=label_parts,
         part_numbers=part_numbers,
-        independence=independence,
-        graph_vertices=graph.vertex_labels,
-        graph_edges=tuple(sorted(graph.edges)),
-        graph_components=tuple(components),
+        independence=finest.independence,
+        graph_vertices=finest.graph.vertex_labels,
+        graph_edges=tuple(sorted(finest.graph.edges)),
+        graph_components=tuple(finest.components),
         network_verdicts=(deficiency_zero_check(net), deficiency_one_check(net)),
         part_verdicts=part_verdicts,
     )

@@ -59,6 +59,44 @@ def random_network(rng, max_species=4, max_reactions=6, max_coeff=2):
         return Network(species, complexes, reactions)
 
 
+def random_sparse_network(rng, reactions, species, blocks=1):
+    """A network of exactly ``reactions`` reactions over ``species`` species.
+
+    Complexes hold 0-2 species with coefficients 1-2.  With ``blocks > 1``
+    the species and reactions are split into that many disjoint blocks
+    (the zero complex is left out so blocks share nothing), and the
+    reactions are shuffled.
+    """
+    assert species >= 2 * blocks
+    pairs = []
+    seen = set()
+    smallest = 0 if blocks == 1 else 1
+    for b in range(blocks):
+        names = range(b * species // blocks, (b + 1) * species // blocks)
+
+        def draw():
+            size = rng.randint(smallest, 2)
+            return tuple(sorted((s, rng.randint(1, 2)) for s in rng.sample(names, size)))
+
+        while len(pairs) < (b + 1) * reactions // blocks:
+            pair = (draw(), draw())
+            if pair[0] != pair[1] and pair not in seen:
+                seen.add(pair)
+                pairs.append(pair)
+    rng.shuffle(pairs)
+    complex_index = {}
+    for pair in pairs:
+        for c in pair:
+            complex_index.setdefault(c, len(complex_index))
+    used = sorted({s for c in complex_index for s, _ in c})
+    rename = {s: k for k, s in enumerate(used)}
+    return Network(
+        [Species(f"S{rename[s] + 1}", rename[s]) for s in used],
+        [Complex({rename[s]: v for s, v in c}) for c in complex_index],
+        [Reaction(complex_index[a], complex_index[b]) for a, b in pairs],
+    )
+
+
 def all_independent_partitions(net):
     return brute_force_decompositions(net, max_parts=net.reaction_count)
 

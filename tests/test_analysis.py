@@ -265,6 +265,11 @@ class TestKinetics:
         with pytest.raises(ValueError):
             Kinetics.mass_action(mass_action_demo, [1, 0, 1, 1])
 
+    def test_rates_must_be_finite(self, mass_action_demo):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                Kinetics.mass_action(mass_action_demo, [1, bad, 1, 1])
+
     def test_rate_count_must_match(self, mass_action_demo):
         with pytest.raises(DimensionError):
             Kinetics.mass_action(mass_action_demo, [1, 1, 1])
@@ -306,6 +311,22 @@ class TestSfrf:
             sfrf(mass_action_demo, kin, [1, 1, 0, 1])
         with pytest.raises(NonPositivePointError):
             sfrf(mass_action_demo, kin, [1, 1, -2, 1])
+
+
+    def test_infinite_point_rejected(self, mass_action_demo):
+        kin = Kinetics.mass_action(mass_action_demo, [1, 1, 3, 1])
+        with pytest.raises(ValueError):
+            sfrf(mass_action_demo, kin, [1, 1, math.inf, 1])
+
+    def test_overflow_raises_instead_of_returning_inf(self):
+        net = parse_network("R1: A -> B\nR2: 2 B -> 0\n")
+        kin = Kinetics.mass_action(net, [1e300, 1.0])
+        with pytest.raises(OverflowError):  # k * x overflows silently in floats
+            sfrf(net, kin, [1e300, 1.0])
+        with pytest.raises(OverflowError):  # x ** 2 raises by itself
+            sfrf(net, Kinetics.mass_action(net, [1.0, 1.0]), [1.0, 1e200])
+        with pytest.raises(OverflowError):
+            is_steady_state(net, kin, [1e300, 1.0], tol=math.inf)
 
 
 class TestIsSteadyState:

@@ -297,6 +297,74 @@ class TestAnalyze:
         assert data["coordinate_graph"]["vertices"] == ["R1", "R2", "R3", "R4", "R8"]
 
 
+class TestNonFiniteKinetics:
+    @pytest.mark.parametrize(
+        "rates,point",
+        [
+            ("R1=1", "A=inf,B=1"),
+            ("R1=1", "A=nan,B=1"),
+            ("R1=inf", "A=1,B=1"),
+            ("R1=1e400", "A=1,B=1"),  # parses to inf
+        ],
+    )
+    def test_non_finite_values_are_usage_errors(self, capsys, tmp_path, rates, point):
+        f = tmp_path / "ab.crn"
+        f.write_text("A -> B\n")
+        code, out, err = run(capsys, "steady-state", str(f), "--rates", rates, "--point", point)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: non-finite number")
+
+    @pytest.mark.parametrize(
+        "source,rates,point",
+        [
+            ("2A -> 0\n0 -> A\n", "R1=1,R2=1", "A=1e200"),  # x ** 2 raises
+            ("A -> B\n", "R1=1e300", "A=1e300,B=1"),  # k * x is inf silently
+            ("A -> 2B\n", "R1=1", "A=1e308,B=1"),  # 2 * flux is inf silently
+        ],
+    )
+    def test_overflow_is_a_usage_error(self, capsys, tmp_path, source, rates, point):
+        f = tmp_path / "net.crn"
+        f.write_text(source)
+        code, out, err = run(capsys, "steady-state", str(f), "--rates", rates, "--point", point)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "overflow" in err
+
+    def test_large_finite_point_still_evaluates(self, capsys, tmp_path):
+        f = tmp_path / "net.crn"
+        f.write_text("2A -> 0\n0 -> A\n")
+        code, out, _ = run(capsys, "steady-state", str(f), "--rates", "R1=1,R2=2", "--point", "A=1")
+        assert code == 0
+        assert out == "f(x) = (A: 0)\nsteady state\n"
+
+
+class TestBadInputFiles:
+    def test_non_utf8_file(self, capsys, tmp_path):
+        f = tmp_path / "bad.crn"
+        f.write_bytes(b"R1: A -> B\n\xff\xfe A -> C\n")
+        code, out, err = run(capsys, "analyze", str(f))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: line 2:") and "UTF-8" in err
+
+    def test_coefficient_beyond_int_conversion_limit(self, capsys, tmp_path):
+        f = tmp_path / "big.crn"
+        f.write_text("R1: A -> B\nR2: " + "9" * 5000 + " A -> C\n")
+        code, out, err = run(capsys, "analyze", str(f))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: line 2:") and "5000 digits" in err
+        assert len(err) < 200
+
+    def test_crlf_line_endings_still_parse(self, capsys, tmp_path):
+        f = tmp_path / "crlf.crn"
+        f.write_bytes(b"R1: A -> B\r\nR2: B -> C\r\n")
+        code, out, _ = run(capsys, "decompose", str(f))
+        assert code == 0
+        assert out == "P1: R1\nP2: R2\n"
+
+
 class TestErrorsAndExitCodes:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "analyze", "does_not_exist.crn")
@@ -326,13 +394,17 @@ class TestErrorsAndExitCodes:
         assert code == 1
 
     def test_internal_verification_failure_exits_two(self, capsys, networks_dir, monkeypatch):
-        import crnkit.report
-        from crnkit import InternalError
+        # The finder verifies its own output; force that verification to fail.
+        import dataclasses
 
-        def boom(net):
-            raise InternalError("forced for the exit-code contract")
+        import crnkit.decomposition
 
-        monkeypatch.setattr(crnkit.report, "find_independent_decomposition", boom)
+        real = crnkit.decomposition.verify_decomposition
+
+        def refuted(net, parts):
+            return dataclasses.replace(real(net, parts), independent=False)
+
+        monkeypatch.setattr(crnkit.decomposition, "verify_decomposition", refuted)
         code, _, err = run(capsys, "analyze", path(networks_dir, "baccam.crn"))
         assert code == 2
         assert err.startswith("internal error:")
