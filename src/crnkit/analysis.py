@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .linalg import _eliminate
@@ -161,7 +162,10 @@ def strong_linkage_classes(net: Network) -> list[tuple[int, ...]]:
 
 def terminal_strong_linkage_classes(net: Network) -> list[tuple[int, ...]]:
     """Strong linkage classes with no reaction leaving them."""
-    sccs = strong_linkage_classes(net)
+    return _terminal(net, strong_linkage_classes(net))
+
+
+def _terminal(net: Network, sccs: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     scc_of: dict[int, int] = {c: k for k, scc in enumerate(sccs) for c in scc}
     terminal = [True] * len(sccs)
     for rx in net.reactions:
@@ -180,25 +184,61 @@ def _irreversible_count(net: Network) -> int:
     return sum(1 for rx in net.reactions if (rx.product, rx.reactant) not in pairs)
 
 
+class _Structure:
+    """The structural facts of one network, each computed at most once.
+
+    The public numbers and deficiency checks read one of these, and a report
+    builds one per network and per part.  ``rank`` is the network rank when
+    the caller already knows it; otherwise it is eliminated here.
+    """
+
+    def __init__(self, net: Network, rank: int | None = None):
+        self.net = net
+        self.linkage_classes = linkage_classes(net)
+        self.strong_linkage_classes = strong_linkage_classes(net)
+        self.terminal_strong_linkage_classes = _terminal(net, self.strong_linkage_classes)
+        if rank is None:
+            rank = _reaction_rank(net, range(net.reaction_count))
+        n = net.complex_count
+        l = len(self.linkage_classes)
+        sl = len(self.strong_linkage_classes)
+        self.numbers = NetworkNumbers(
+            species_count=net.species_count,
+            complex_count=n,
+            reaction_count=net.reaction_count,
+            irreversible_reaction_count=_irreversible_count(net),
+            linkage_class_count=l,
+            strong_linkage_class_count=sl,
+            terminal_strong_linkage_class_count=len(self.terminal_strong_linkage_classes),
+            rank=rank,
+            deficiency=n - l - rank,
+            weakly_reversible=sl == l,
+        )
+
+    @cached_property
+    def class_deficiencies(self) -> list[int]:
+        """Deficiency of each linkage class: n_i - 1 - s_i over the class's reactions."""
+        classes = self.linkage_classes
+        if len(classes) == 1:
+            return [self.numbers.deficiency]
+        class_of = {c: k for k, cls in enumerate(classes) for c in cls}
+        members: list[list[int]] = [[] for _ in classes]
+        for i, rx in enumerate(self.net.reactions):
+            members[class_of[rx.reactant]].append(i)
+        return [
+            len(cls) - 1 - _reaction_rank(self.net, reactions)
+            for cls, reactions in zip(classes, members)
+        ]
+
+    @cached_property
+    def verdicts(self) -> tuple[DeficiencyVerdict, DeficiencyVerdict]:
+        """The deficiency-zero and deficiency-one verdicts."""
+        return _deficiency_zero_verdict(self.numbers), _deficiency_one_verdict(self)
+
+
 def network_numbers(net: Network) -> NetworkNumbers:
     """Compute the full structural summary of a network."""
-    l = len(linkage_classes(net))
-    sl = len(strong_linkage_classes(net))
-    t = len(terminal_strong_linkage_classes(net))
-    s = _reaction_rank(net, range(net.reaction_count))
-    n = net.complex_count
-    return NetworkNumbers(
-        species_count=net.species_count,
-        complex_count=n,
-        reaction_count=net.reaction_count,
-        irreversible_reaction_count=_irreversible_count(net),
-        linkage_class_count=l,
-        strong_linkage_class_count=sl,
-        terminal_strong_linkage_class_count=t,
-        rank=s,
-        deficiency=n - l - s,
-        weakly_reversible=sl == l,
-    )
+    return _Structure(net).numbers
 
 
 def subnetwork(net: Network, reactions: Iterable[int]) -> Network:
@@ -250,7 +290,10 @@ def deficiency_zero_check(net: Network) -> DeficiencyVerdict:
     weakly reversible means, under mass action kinetics, exactly one steady
     state per positive stoichiometric compatibility class.
     """
-    nn = network_numbers(net)
+    return _deficiency_zero_verdict(_Structure(net).numbers)
+
+
+def _deficiency_zero_verdict(nn: NetworkNumbers) -> DeficiencyVerdict:
     is_zero = nn.deficiency == 0
     conditions = (
         ("deficiency is zero", is_zero),
@@ -289,16 +332,6 @@ def deficiency_zero_check(net: Network) -> DeficiencyVerdict:
     )
 
 
-def _linkage_class_deficiencies(net: Network) -> list[int]:
-    """Deficiency of each linkage class: n_i - 1 - s_i over the class's reactions."""
-    deficiencies = []
-    for cls in linkage_classes(net):
-        members = set(cls)
-        reactions = [i for i, rx in enumerate(net.reactions) if rx.reactant in members]
-        deficiencies.append(len(cls) - 1 - _reaction_rank(net, reactions))
-    return deficiencies
-
-
 def deficiency_one_check(net: Network) -> DeficiencyVerdict:
     """Structural deficiency-one theorem verdict (mass action kinetics).
 
@@ -308,13 +341,16 @@ def deficiency_one_check(net: Network) -> DeficiencyVerdict:
     there is at most one steady state per positive stoichiometric
     compatibility class (exactly one if also weakly reversible).
     """
-    nn = network_numbers(net)
-    classes = linkage_classes(net)
-    class_of = {c: k for k, cls in enumerate(classes) for c in cls}
-    terminal_per_class = [0] * len(classes)
-    for scc in terminal_strong_linkage_classes(net):
+    return _deficiency_one_verdict(_Structure(net))
+
+
+def _deficiency_one_verdict(st: _Structure) -> DeficiencyVerdict:
+    nn = st.numbers
+    class_of = {c: k for k, cls in enumerate(st.linkage_classes) for c in cls}
+    terminal_per_class = [0] * len(st.linkage_classes)
+    for scc in st.terminal_strong_linkage_classes:
         terminal_per_class[class_of[scc[0]]] += 1
-    class_deficiencies = _linkage_class_deficiencies(net)
+    class_deficiencies = st.class_deficiencies
 
     one_terminal = all(t == 1 for t in terminal_per_class)
     small_deficiencies = all(d <= 1 for d in class_deficiencies)

@@ -146,9 +146,13 @@ def verify_decomposition(net: Network, parts: Iterable[Iterable[int]]) -> Indepe
     """
     canon = _canonical_partition(parts, net.reaction_count)
     network_rank = _reaction_rank(net, range(net.reaction_count))
-    part_ranks = tuple(_reaction_rank(net, part) for part in canon)
     incidence_network_rank = _incidence_rank(net, range(net.reaction_count))
-    incidence_part_ranks = tuple(_incidence_rank(net, part) for part in canon)
+    if len(canon) == 1:
+        # A validated single part is the whole reaction set.
+        part_ranks, incidence_part_ranks = (network_rank,), (incidence_network_rank,)
+    else:
+        part_ranks = tuple(_reaction_rank(net, part) for part in canon)
+        incidence_part_ranks = tuple(_incidence_rank(net, part) for part in canon)
     return IndependenceReport(
         network_rank=network_rank,
         part_ranks=part_ranks,

@@ -10,14 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .analysis import (
-    DeficiencyVerdict,
-    NetworkNumbers,
-    deficiency_one_check,
-    deficiency_zero_check,
-    network_numbers,
-    subnetwork,
-)
+from .analysis import DeficiencyVerdict, NetworkNumbers, _Structure, subnetwork
 from .decomposition import IndependenceReport, _finest
 from .model import Network
 
@@ -183,25 +176,24 @@ class AnalysisReport:
 def build_report(net: Network) -> AnalysisReport:
     """Run the whole pipeline on a network and assemble the report."""
     finest = _finest(net)
-    label_parts = tuple(
-        tuple(net.reaction_label(i) for i in part) for part in finest.parts
-    )
-    part_nets = [subnetwork(net, part) for part in finest.parts]
-    part_numbers = tuple(network_numbers(sub) for sub in part_nets)
-    part_verdicts = tuple(
-        (deficiency_zero_check(sub), deficiency_one_check(sub)) for sub in part_nets
-    )
+    whole = _Structure(net, finest.independence.network_rank)
+    # A part equal to the whole network (the trivial decomposition of a
+    # network without unused species) shares the network's structure.
+    parts = []
+    for part, rank in zip(finest.parts, finest.independence.part_ranks):
+        sub = subnetwork(net, part)
+        parts.append(whole if sub == net else _Structure(sub, rank))
     return AnalysisReport(
-        network=network_numbers(net),
+        network=whole.numbers,
         trivial=len(finest.components) <= 1,
-        parts=label_parts,
-        part_numbers=part_numbers,
+        parts=tuple(tuple(net.reaction_label(i) for i in part) for part in finest.parts),
+        part_numbers=tuple(st.numbers for st in parts),
         independence=finest.independence,
         graph_vertices=finest.graph.vertex_labels,
         graph_edges=tuple(sorted(finest.graph.edges)),
         graph_components=tuple(finest.components),
-        network_verdicts=(deficiency_zero_check(net), deficiency_one_check(net)),
-        part_verdicts=part_verdicts,
+        network_verdicts=whole.verdicts,
+        part_verdicts=tuple(st.verdicts for st in parts),
     )
 
 

@@ -249,10 +249,10 @@ class TestDeficiencyOne:
         assert verdict.conclusion == CONCLUSION_AT_MOST_ONE
 
     def test_per_class_deficiencies(self, baccam, handel):
-        from crnkit.analysis import _linkage_class_deficiencies
+        from crnkit.analysis import _Structure
 
-        assert _linkage_class_deficiencies(baccam) == [1]
-        assert _linkage_class_deficiencies(handel) == [2, 3]
+        assert _Structure(baccam).class_deficiencies == [1]
+        assert _Structure(handel).class_deficiencies == [2, 3]
 
 
 class TestKinetics:
