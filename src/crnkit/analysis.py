@@ -295,40 +295,32 @@ def deficiency_zero_check(net: Network) -> DeficiencyVerdict:
 
 def _deficiency_zero_verdict(nn: NetworkNumbers) -> DeficiencyVerdict:
     is_zero = nn.deficiency == 0
-    conditions = (
-        ("deficiency is zero", is_zero),
-        ("weakly reversible", nn.weakly_reversible),
-    )
     if not is_zero:
-        return DeficiencyVerdict(
-            theorem="deficiency-zero",
-            applicable=False,
-            conditions=conditions,
-            conclusion=CONCLUSION_NOT_APPLICABLE,
-            statement=f"deficiency is {nn.deficiency}, not zero; the theorem does not apply",
+        conclusion = CONCLUSION_NOT_APPLICABLE
+        statement = f"deficiency is {nn.deficiency}, not zero; the theorem does not apply"
+    elif not nn.weakly_reversible:
+        conclusion = CONCLUSION_NO_POSITIVE_STEADY_STATE
+        statement = (
+            "deficiency zero and not weakly reversible: for arbitrary kinetics the "
+            "system admits no positive steady state and no cyclic composition "
+            "trajectory containing a positive composition"
         )
-    if not nn.weakly_reversible:
-        return DeficiencyVerdict(
-            theorem="deficiency-zero",
-            applicable=True,
-            conditions=conditions,
-            conclusion=CONCLUSION_NO_POSITIVE_STEADY_STATE,
-            statement=(
-                "deficiency zero and not weakly reversible: for arbitrary kinetics the "
-                "system admits no positive steady state and no cyclic composition "
-                "trajectory containing a positive composition"
-            ),
-        )
-    return DeficiencyVerdict(
-        theorem="deficiency-zero",
-        applicable=True,
-        conditions=conditions,
-        conclusion=CONCLUSION_EXACTLY_ONE,
-        statement=(
+    else:
+        conclusion = CONCLUSION_EXACTLY_ONE
+        statement = (
             "deficiency zero and weakly reversible: under mass action kinetics each "
             "positive stoichiometric compatibility class contains exactly one steady "
             "state, and that steady state is asymptotically stable"
+        )
+    return DeficiencyVerdict(
+        theorem="deficiency-zero",
+        applicable=is_zero,
+        conditions=(
+            ("deficiency is zero", is_zero),
+            ("weakly reversible", nn.weakly_reversible),
         ),
+        conclusion=conclusion,
+        statement=statement,
     )
 
 
@@ -364,34 +356,27 @@ def _deficiency_one_verdict(st: _Structure) -> DeficiencyVerdict:
     applicable = one_terminal and small_deficiencies and sums_match
     if not applicable:
         failed = [name for name, holds in conditions[:3] if not holds]
-        return DeficiencyVerdict(
-            theorem="deficiency-one",
-            applicable=False,
-            conditions=conditions,
-            conclusion=CONCLUSION_NOT_APPLICABLE,
-            statement="hypotheses fail (" + "; ".join(failed) + "); the theorem does not apply",
+        conclusion = CONCLUSION_NOT_APPLICABLE
+        statement = "hypotheses fail (" + "; ".join(failed) + "); the theorem does not apply"
+    elif nn.weakly_reversible:
+        conclusion = CONCLUSION_EXACTLY_ONE
+        statement = (
+            "all hypotheses hold and the network is weakly reversible: under mass "
+            "action kinetics there is exactly one steady state in each positive "
+            "stoichiometric compatibility class"
         )
-    if nn.weakly_reversible:
-        return DeficiencyVerdict(
-            theorem="deficiency-one",
-            applicable=True,
-            conditions=conditions,
-            conclusion=CONCLUSION_EXACTLY_ONE,
-            statement=(
-                "all hypotheses hold and the network is weakly reversible: under mass "
-                "action kinetics there is exactly one steady state in each positive "
-                "stoichiometric compatibility class"
-            ),
+    else:
+        conclusion = CONCLUSION_AT_MOST_ONE
+        statement = (
+            "all hypotheses hold: under mass action kinetics there is no more than one "
+            "steady state in each positive stoichiometric compatibility class"
         )
     return DeficiencyVerdict(
         theorem="deficiency-one",
-        applicable=True,
+        applicable=applicable,
         conditions=conditions,
-        conclusion=CONCLUSION_AT_MOST_ONE,
-        statement=(
-            "all hypotheses hold: under mass action kinetics there is no more than one "
-            "steady state in each positive stoichiometric compatibility class"
-        ),
+        conclusion=conclusion,
+        statement=statement,
     )
 
 

@@ -32,7 +32,9 @@ from .parser import parse_file
 from .report import (
     build_report,
     format_numbers_table,
+    independence_to_dict,
     numbers_to_dict,
+    rank_condition_lines,
     render_text,
     rank_equation,
 )
@@ -122,10 +124,10 @@ def _parse_assignments(spec: str, what: str) -> dict[str, float]:
         item = chunk.strip()
         if not item:
             continue
-        if "=" not in item:
-            raise _UsageError(f"expected NAME=VALUE in --{what}, got {item!r}")
-        name, _, raw = item.partition("=")
+        name, equals, raw = item.partition("=")
         name = name.strip()
+        if not equals or not name:
+            raise _UsageError(f"expected NAME=VALUE in --{what}, got {item!r}")
         try:
             value = float(raw.strip())
         except ValueError:
@@ -183,20 +185,13 @@ def _cmd_decompose(args: argparse.Namespace, net: Network) -> int:
 def _cmd_check(args: argparse.Namespace, net: Network) -> int:
     parts = _parse_parts(args.parts, net)
     rep = verify_decomposition(net, parts)
-    eq = rank_equation(rep.network_rank, list(rep.part_ranks))
-    verdict = "independent" if rep.independent else "not independent"
-    print(f"rank condition: {eq} ({verdict})")
-    inc_eq = rank_equation(rep.incidence_network_rank, list(rep.incidence_part_ranks))
-    inc_verdict = (
-        "incidence independent" if rep.incidence_independent else "not incidence independent"
-    )
-    print(f"incidence rank condition: {inc_eq} ({inc_verdict})")
+    print("\n".join(rank_condition_lines(independence_to_dict(rep))))
     return EXIT_OK if rep.independent else EXIT_NEGATIVE
 
 
 def _cmd_numbers(args: argparse.Namespace, net: Network) -> int:
     columns = [("N", numbers_to_dict(network_numbers(net)))]
-    if args.parts:
+    if args.parts is not None:
         parts = _parse_parts(args.parts, net)
         for k, part in enumerate(parts, 1):
             columns.append(
@@ -254,23 +249,14 @@ _HANDLERS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        net = parse_file(args.file)
-    except (NetworkError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = _build_parser().parse_args(argv)
+        try:
+            net = parse_file(args.file)
+        except OSError as exc:
+            raise _UsageError(exc) from None
         return _HANDLERS[args.command](args, net)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (NetworkError, PartitionError) as exc:
+    except (_UsageError, NetworkError, PartitionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InternalError as exc:

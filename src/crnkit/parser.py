@@ -180,10 +180,6 @@ def parse_network(text: str) -> Network:
                 )
             rx = Reaction(rx.reactant, rx.product, default)
         resolved.append(rx)
-    labels = [rx.label for rx in resolved]
-    if len(set(labels)) != len(labels):
-        dup = sorted({x for x in labels if labels.count(x) > 1})
-        raise DuplicateLabelError(f"duplicate reaction labels: {', '.join(map(str, dup))}")
 
     species = [Species(name, idx) for name, idx in species_index.items()]
     complexes = [Complex(cm) for cm in complex_maps]
@@ -191,7 +187,7 @@ def parse_network(text: str) -> Network:
 
 
 def parse_file(path: str | os.PathLike[str]) -> Network:
-    """Parse a ``.crn`` file (UTF-8 text)."""
+    """Parse a ``.crn`` file (UTF-8 text, with or without a byte-order mark)."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -201,7 +197,7 @@ def parse_file(path: str | os.PathLike[str]) -> Network:
             f"file is not valid UTF-8 text (byte {exc.start})",
             data.count(b"\n", 0, exc.start) + 1,
         ) from None
-    return parse_network(text)
+    return parse_network(text.removeprefix("\ufeff"))
 
 
 def to_dsl(net: Network) -> str:

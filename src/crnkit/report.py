@@ -7,7 +7,7 @@ the same values, so the two output formats can never disagree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Mapping
 
 from .analysis import DeficiencyVerdict, NetworkNumbers, _Structure, subnetwork
@@ -27,33 +27,21 @@ NUMBERS_ROWS: tuple[tuple[str, str, str], ...] = (
     ("deficiency", "deficiency", "deficiency"),
 )
 
-_EXTRA_NUMBER_KEYS: tuple[tuple[str, str], ...] = (
+# (dict key, attribute) of every network number, in JSON key order.
+_NUMBER_KEYS: tuple[tuple[str, str], ...] = (
+    *((key, attr) for _, key, attr in NUMBERS_ROWS),
     ("strong_linkage_classes", "strong_linkage_class_count"),
     ("terminal_strong_linkage_classes", "terminal_strong_linkage_class_count"),
+    ("weakly_reversible", "weakly_reversible"),
 )
 
 
 def numbers_to_dict(nn: NetworkNumbers) -> dict[str, Any]:
-    d: dict[str, Any] = {key: getattr(nn, attr) for _, key, attr in NUMBERS_ROWS}
-    for key, attr in _EXTRA_NUMBER_KEYS:
-        d[key] = getattr(nn, attr)
-    d["weakly_reversible"] = nn.weakly_reversible
-    return d
+    return {key: getattr(nn, attr) for key, attr in _NUMBER_KEYS}
 
 
 def numbers_from_dict(d: Mapping[str, Any]) -> NetworkNumbers:
-    return NetworkNumbers(
-        species_count=d["species"],
-        complex_count=d["complexes"],
-        reaction_count=d["reactions"],
-        irreversible_reaction_count=d["irreversible_reactions"],
-        linkage_class_count=d["linkage_classes"],
-        strong_linkage_class_count=d["strong_linkage_classes"],
-        terminal_strong_linkage_class_count=d["terminal_strong_linkage_classes"],
-        rank=d["rank_of_network"],
-        deficiency=d["deficiency"],
-        weakly_reversible=d["weakly_reversible"],
-    )
+    return NetworkNumbers(**{attr: d[key] for key, attr in _NUMBER_KEYS})
 
 
 def verdict_to_dict(v: DeficiencyVerdict) -> dict[str, Any]:
@@ -77,24 +65,15 @@ def verdict_from_dict(d: Mapping[str, Any]) -> DeficiencyVerdict:
 
 
 def independence_to_dict(rep: IndependenceReport) -> dict[str, Any]:
-    return {
-        "network_rank": rep.network_rank,
-        "part_ranks": list(rep.part_ranks),
-        "independent": rep.independent,
-        "incidence_network_rank": rep.incidence_network_rank,
-        "incidence_part_ranks": list(rep.incidence_part_ranks),
-        "incidence_independent": rep.incidence_independent,
-    }
+    # The keys are the field names; the rank tuples become JSON lists.
+    values = ((f.name, getattr(rep, f.name)) for f in fields(rep))
+    return {name: list(v) if isinstance(v, tuple) else v for name, v in values}
 
 
 def independence_from_dict(d: Mapping[str, Any]) -> IndependenceReport:
+    values = ((f.name, d[f.name]) for f in fields(IndependenceReport))
     return IndependenceReport(
-        network_rank=d["network_rank"],
-        part_ranks=tuple(d["part_ranks"]),
-        independent=d["independent"],
-        incidence_network_rank=d["incidence_network_rank"],
-        incidence_part_ranks=tuple(d["incidence_part_ranks"]),
-        incidence_independent=d["incidence_independent"],
+        **{name: tuple(v) if isinstance(v, list) else v for name, v in values}
     )
 
 
@@ -217,6 +196,16 @@ def rank_equation(total: int, parts: list[int]) -> str:
     return f"{total} = {' + '.join(str(p) for p in parts)}" if parts else str(total)
 
 
+def rank_condition_lines(rep: Mapping[str, Any]) -> list[str]:
+    """The rank and incidence-rank conditions of an independence dict, one line each."""
+    lines = []
+    for key, word in (("", ""), ("incidence_", "incidence ")):
+        eq = rank_equation(rep[key + "network_rank"], rep[key + "part_ranks"])
+        negation = "" if rep[key + "independent"] else "not "
+        lines.append(f"{word}rank condition: {eq} ({negation}{word}independent)")
+    return lines
+
+
 def render_text(report_dict: Mapping[str, Any]) -> str:
     """Deterministic plain-text rendering of a report dict."""
     decomp = report_dict["decomposition"]
@@ -230,14 +219,7 @@ def render_text(report_dict: Mapping[str, Any]) -> str:
         out.append(f"independent decomposition: {len(decomp['parts'])} parts")
         for k, part in enumerate(decomp["parts"], 1):
             out.append(f"  P{k}: {', '.join(part)}")
-    eq = rank_equation(decomp["network_rank"], decomp["part_ranks"])
-    verdict = "independent" if decomp["independent"] else "not independent"
-    out.append(f"rank condition: {eq} ({verdict})")
-    inc_eq = rank_equation(decomp["incidence_network_rank"], decomp["incidence_part_ranks"])
-    inc_verdict = (
-        "incidence independent" if decomp["incidence_independent"] else "not incidence independent"
-    )
-    out.append(f"incidence rank condition: {inc_eq} ({inc_verdict})")
+    out.extend(rank_condition_lines(decomp))
     out.append("")
 
     out.append("coordinate graph:")

@@ -6,6 +6,7 @@ import pytest
 
 from crnkit.cli import main
 from crnkit.report import render_text
+from conftest import ALL_NETWORK_FILES
 
 FEEDFORWARD = "R1: 0 -> X1\nR2: X1 -> X2\nR3: X2 + X3 -> X1 + X3\nR4: X2 -> X3\n"
 
@@ -102,6 +103,22 @@ class TestCheck:
         assert err.startswith("error:")
 
 
+    @pytest.mark.parametrize("file", ALL_NETWORK_FILES, ids=lambda f: f.name)
+    def test_rank_lines_match_analyze(self, capsys, file):
+        _, analyze_out, _ = run(capsys, "analyze", str(file))
+        _, json_out, _ = run(capsys, "analyze", str(file), "--format", "json")
+        parts = json.loads(json_out)["decomposition"]["parts"]
+        code, check_out, _ = run(
+            capsys, "check", str(file), "--parts", "|".join(",".join(p) for p in parts)
+        )
+        assert code == 0
+        rank_lines = [
+            line for line in analyze_out.splitlines() if "rank condition:" in line
+        ]
+        assert len(rank_lines) == 2
+        assert check_out.splitlines() == rank_lines
+
+
 class TestNumbers:
     def test_baccam_delayed_table(self, capsys, networks_dir):
         code, out, _ = run(
@@ -145,6 +162,15 @@ class TestNumbers:
             "rank of network",
             "deficiency",
         ]
+
+
+    def test_empty_parts_is_a_usage_error(self, capsys, networks_dir):
+        code, out, err = run(
+            capsys, "numbers", path(networks_dir, "baccam.crn"), "--parts", ""
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: empty part in --parts\n"
 
 
 class TestSteadyState:
@@ -211,6 +237,28 @@ class TestSteadyState:
         )
         assert code == 1
         assert err.startswith("error:")
+
+
+    @pytest.mark.parametrize(
+        "rates,point,bad",
+        [
+            ("R1=1,R2=1,R3=3,R4=1,=3", "X1=2,X2=3,X3=3,X4=2", "--rates, got '=3'"),
+            ("R1=1,R2=1,R3=3,R4=1", "X1=2,X2=3,X3=3,X4=2, = 1", "--point, got '= 1'"),
+        ],
+    )
+    def test_empty_name_is_a_usage_error(self, capsys, networks_dir, rates, point, bad):
+        code, out, err = run(
+            capsys,
+            "steady-state",
+            path(networks_dir, "mass_action_demo.crn"),
+            "--rates",
+            rates,
+            "--point",
+            point,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: expected NAME=VALUE in {bad}\n"
 
 
 class TestAnalyze:

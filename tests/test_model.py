@@ -4,6 +4,7 @@ import pytest
 
 from crnkit import (
     Complex,
+    DuplicateLabelError,
     EmptyNetworkError,
     Network,
     NetworkError,
@@ -166,6 +167,14 @@ class TestNetworkValidation:
                 [Species("A", 0), Species("B", 1)],
                 [Complex({0: 1}), Complex({1: 1}), Complex({0: 2})],
                 [Reaction(0, 1)],
+            )
+
+    def test_duplicate_labels_rejected(self):
+        with pytest.raises(DuplicateLabelError):
+            Network(
+                [Species("A", 0), Species("B", 1)],
+                [Complex({0: 1}), Complex({1: 1})],
+                [Reaction(0, 1, "R1"), Reaction(1, 0, "R1")],
             )
 
     def test_complex_coefficients_must_be_positive_integers(self):

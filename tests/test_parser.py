@@ -8,6 +8,7 @@ from crnkit import (
     DuplicateReactionError,
     EmptyNetworkError,
     SelfLoopError,
+    parse_file,
     parse_network,
     to_dsl,
 )
@@ -112,6 +113,21 @@ class TestErrors:
         with pytest.raises(DuplicateLabelError):
             parse_network("A -> B\nR1: B -> C\n")
 
+    @pytest.mark.parametrize(
+        "source,line",
+        [
+            ("R1: A -> B\nR1: B -> C\n", 2),
+            ("A -> B\nR1: B -> C\n", 2),
+            ("bind: A <-> B\nbindf: B -> C\n", 2),
+            ("bindf: B -> C\nbind: A <-> B\n", 2),
+            ("R3: C -> D\nA <-> B\nB -> C\n", 1),
+        ],
+    )
+    def test_every_label_collision_names_its_line(self, source, line):
+        with pytest.raises(DuplicateLabelError) as err:
+            parse_network(source)
+        assert err.value.line == line
+
     def test_empty_input(self):
         with pytest.raises(EmptyNetworkError):
             parse_network("")
@@ -170,3 +186,20 @@ class TestRoundTrip:
     def test_round_trip_with_reversible_pair(self):
         net = parse_network("bind: A + B <-> C\n")
         assert parse_network(to_dsl(net)) == net
+
+
+class TestFiles:
+    def test_byte_order_mark_and_crlf(self, tmp_path):
+        plain = tmp_path / "plain.crn"
+        plain.write_bytes(b"R1: A -> B\nR2: B <-> C\n")
+        bom = tmp_path / "bom.crn"
+        bom.write_bytes(b"\xef\xbb\xbfR1: A -> B\r\nR2: B <-> C\r\n")
+        assert parse_file(bom) == parse_file(plain)
+
+    def test_non_utf8_error_after_byte_order_mark_keeps_its_position(self, tmp_path):
+        f = tmp_path / "bad.crn"
+        f.write_bytes(b"\xef\xbb\xbfR1: A -> B\n\xff -> C\n")
+        with pytest.raises(DslSyntaxError) as err:
+            parse_file(f)
+        assert err.value.line == 2
+        assert "(byte 14)" in str(err.value)
