@@ -483,11 +483,12 @@ def is_steady_state(
 ) -> bool:
     """Whether the formation rate vanishes at ``x``, relative to flux size.
 
-    True when ``max|f(x)| <= tol * max(1, max|K(x)|)``.
+    True when ``max|f(x)| <= tol * max|K(x)|``: the tolerance scales with
+    the largest reaction flux, however small the fluxes are.
     """
     if tol < 0 or math.isnan(tol):
         raise ValueError("tolerance must be nonnegative")
     fluxes = _fluxes(net, kinetics, x)
-    f = _formation_rate(net, fluxes)
-    scale = max(1.0, max(abs(v) for v in fluxes))
-    return max(abs(v) for v in f) <= tol * scale
+    residual = max(abs(v) for v in _formation_rate(net, fluxes))
+    # An exact zero passes even when every flux underflowed to 0 (inf * 0 is nan).
+    return residual == 0 or residual <= tol * max(fluxes)

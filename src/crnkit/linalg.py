@@ -1,20 +1,22 @@
 """Exact linear algebra over the rationals.
 
-Everything in this module computes with `fractions.Fraction`, so rank,
-row-basis selection, and coordinate extraction are decided exactly: there
-is no tolerance anywhere.  One sparse elimination pass answers all three: it
-scans the rows in order, keeps each row (column -> nonzero entry) that is not
-spanned by the rows before it as a basis row, and records for every echelon
-row the exact combination of basis rows it equals.  The greedy basis, the
-rank, and the coordinates of every non-basis row fall out of that single
-scan.  `rref` is a separate dense implementation kept as an independent
-reference.
+Rank, row-basis selection and coordinate extraction are decided by exact
+fraction-free integer elimination: there is no tolerance anywhere, and no
+`fractions.Fraction` arithmetic inside the elimination loop.  One sparse
+pass answers all three: it scans the rows in order, clears each row's
+denominators, keeps each row that is not spanned by the rows before it as a
+basis row, and records for every echelon row the integer combination of
+basis rows it equals.  The greedy basis, the rank, and the coordinates of
+every non-basis row fall out of that single scan; coordinates come back as
+exact `Fraction`s.  `RationalMatrix` and `rref` compute with `Fraction`;
+`rref` is a separate dense implementation kept as an independent reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 Rational = Fraction
@@ -132,18 +134,20 @@ def rref(matrix: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
 
 
 class _Echelon:
-    """Row echelon form grown one row at a time, with provenance.
+    """Row echelon form grown one row at a time, in integers, with provenance.
 
-    Every stored row is sparse (column -> nonzero `Fraction`), has a pivot
-    column of its own at its smallest nonzero column, scaled to 1, and
-    remembers the exact combination of basis rows it equals (basis position
-    -> coefficient).  Stored rows are never mutated, so `copy` may share them.
+    Every stored row is sparse (column -> nonzero `int`), has a positive
+    pivot of its own at its smallest nonzero column, and carries a tag (basis
+    position -> nonzero `int`) with ``row == sum(tag[j] * basis_row[j])``.
+    Row and tag together have content 1 (the gcd of all their entries), which
+    keeps coefficients from growing.  Stored rows are never mutated, so
+    `copy` may share them.
     """
 
     __slots__ = ("_pivots", "rank")
 
     def __init__(self) -> None:
-        self._pivots: dict[int, tuple[dict[int, Fraction], dict[int, Fraction]]] = {}
+        self._pivots: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
         self.rank = 0
 
     def copy(self) -> "_Echelon":
@@ -159,37 +163,53 @@ class _Echelon:
 
         Coordinates are sparse (basis position -> nonzero coefficient).  A row
         that joins the basis becomes basis position ``rank - 1``.
+
+        The row is cleared of denominators and reduced fraction-free: the
+        working vector ``w`` always equals ``scale * row + sum(tag[j] *
+        basis_row[j])``, so when it vanishes the coordinates are
+        ``-tag[j] / scale``.
         """
         row = dict(row)
-        combo: dict[int, Fraction] = {}
+        scale = lcm(*[x.denominator for x in row.values()])
+        w = {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
+        tag: dict[int, int] = {}
         pivots = self._pivots
-        while row:
-            col = min(row)
+        while w:
+            col = min(w)
             stored = pivots.get(col)
             if stored is None:
                 break
-            prow, pcombo = stored
-            f = row[col]
-            _axpy(row, -f, prow)
-            _axpy(combo, f, pcombo)
-        if not row:
-            return combo
-        inv = 1 / Fraction(row[col])
-        prov = {j: -a * inv for j, a in combo.items()}
-        prov[self.rank] = inv
-        pivots[col] = ({j: v * inv for j, v in row.items()}, prov)
+            prow, ptag = stored
+            a = prow[col]
+            f = w[col]
+            g = gcd(a, f)
+            if g != 1:
+                a //= g
+                f //= g
+            # (w, tag, scale) <- a * (w, tag, scale) - f * (prow, ptag, 0)
+            for y, x in ((w, prow), (tag, ptag)):
+                if a != 1:
+                    for j in y:
+                        y[j] *= a
+                for j, v in x.items():
+                    v = y.get(j, 0) - f * v
+                    if v:
+                        y[j] = v
+                    else:
+                        del y[j]
+            scale *= a
+        if not w:
+            return {j: Fraction(-x, scale) for j, x in tag.items()}
+        tag[self.rank] = scale
+        g = gcd(*w.values(), *tag.values())
+        if w[col] < 0:
+            g = -g
+        if g != 1:
+            w = {j: x // g for j, x in w.items()}
+            tag = {j: x // g for j, x in tag.items()}
+        pivots[col] = (w, tag)
         self.rank += 1
         return None
-
-
-def _axpy(y: dict[int, Fraction], a: Fraction, x: Mapping[int, Fraction]) -> None:
-    """``y += a * x`` on sparse rows, dropping entries that cancel."""
-    for j, v in x.items():
-        s = y.get(j, 0) + a * v
-        if s:
-            y[j] = s
-        else:
-            del y[j]
 
 
 def _eliminate(

@@ -215,6 +215,15 @@ class TestSteadyState:
         )
         assert code == 0
 
+    def test_small_fluxes_are_not_a_steady_state(self, capsys, tmp_path):
+        # Every flux is below the tolerance, but f(x) is as large as the flux
+        # itself; `analyze` proves this network has no positive steady state.
+        f = tmp_path / "ab.crn"
+        f.write_text("R1: A -> B\n")
+        code, out, _ = run(capsys, "steady-state", str(f), "--rates", "R1=1", "--point", "A=1e-12,B=1")
+        assert code == 3
+        assert out == "f(x) = (A: -1e-12, B: 1e-12)\nnot a steady state\n"
+
     @pytest.mark.parametrize(
         "rates,point",
         [
@@ -273,9 +282,14 @@ class TestAnalyze:
         import subprocess
         import sys
 
+        import crnkit
+
+        # The child imports the crnkit under test, installed or not.
+        src = os.path.dirname(os.path.dirname(crnkit.__file__))
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         outputs = []
         for seed in ("0", "424242"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath)
             for fmt in ("text", "json"):
                 proc = subprocess.run(
                     [

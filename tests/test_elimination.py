@@ -1,12 +1,14 @@
 """The sparse elimination pass against independent dense oracles.
 
 Rank, basis coordinates, the coordinate graph, and the part ranks of
-`verify_decomposition` all come from one sparse elimination.  Here they are
-checked on seeded random networks of up to 60 reactions against `rref` (a
-separate dense implementation), exact recomposition, and the matrix product
-N = Y * Ia.
+`verify_decomposition` all come from one sparse fraction-free integer
+elimination.  Here they are checked on seeded random networks of up to 60
+reactions, and on seeded rational rows (mixed denominators, entries beyond
+2**200), against `rref` (a separate dense `Fraction` implementation), exact
+recomposition, and the matrix product N = Y * Ia.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -28,6 +30,8 @@ from crnkit import (
     subnetwork,
     verify_decomposition,
 )
+from crnkit.decomposition import _reaction_rows, _SubsetRankCache
+from crnkit.linalg import _Echelon, _eliminate
 from netgen import random_network, random_sparse_network
 
 
@@ -109,3 +113,113 @@ class TestAgainstDenseOracles:
                 assert rep.incidence_part_ranks[k] == rref_rank(incidence_matrix(sub))
         if found:
             assert found.part_ranks == verify_decomposition(net, found.parts).part_ranks
+
+
+def rational_rows(rng, nrows, ncols, dim, huge):
+    """Seeded sparse rational rows spanning a space of dimension at most ``dim``.
+
+    Entries have mixed denominators; with ``huge`` they reach 2**200 and
+    beyond.  Each row is a rational combination of one to three of ``dim``
+    generators, so rank deficiency and non-basis rows are common.
+    """
+
+    def entry():
+        if rng.random() < 0.4:
+            return Fraction(0)
+        num = rng.choice([-1, 1]) * rng.randint(1, 9)
+        if huge:
+            num *= rng.randint(2**200, 2**210)
+        return Fraction(num, rng.choice([1, 2, 3, 4, 6, 7, 9, 10, 12]))
+
+    gens = [[entry() for _ in range(ncols)] for _ in range(dim)]
+    rows = []
+    for _ in range(nrows):
+        picked = rng.sample(gens, rng.randint(1, min(3, dim)))
+        coeffs = [Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 8)) for _ in picked]
+        rows.append(tuple(sum((a * g[c] for a, g in zip(coeffs, picked)), Fraction(0))
+                          for c in range(ncols)))
+    return rows
+
+
+RATIONAL_CASES = [
+    rational_rows(random.Random(seed), nrows, ncols, dim, huge)
+    for seed, (nrows, ncols, dim) in enumerate([(8, 5, 3), (14, 9, 6), (20, 12, 9), (12, 12, 12)])
+    for huge in (False, True)
+]
+
+
+def test_rational_cases_cover_the_range():
+    dens = {x.denominator for rows in RATIONAL_CASES for row in rows for x in row}
+    assert len(dens) > 10
+    assert max(abs(x) for rows in RATIONAL_CASES for row in rows for x in row) >= 2**200
+    ranks = [rref_rank(RationalMatrix(rows)) for rows in RATIONAL_CASES]
+    assert any(r < len(rows) for r, rows in zip(ranks, RATIONAL_CASES))
+
+
+def rows_id(rows):
+    size = "huge" if any(abs(x) >= 2**200 for row in rows for x in row) else "small"
+    return f"{len(rows)}x{len(rows[0])}-{size}"
+
+
+@pytest.mark.parametrize("rows", RATIONAL_CASES, ids=rows_id)
+class TestRationalRows:
+    def test_rank_and_greedy_basis_agree_with_rref(self, rows):
+        m = RationalMatrix(rows)
+        expected = rref_rank(m)
+        assert rank(m) == expected
+        assert rank(m.transpose()) == expected
+        assert rank_of_rows(rows) == expected
+        selection = select_basis_rows(m)
+        assert selection.rank == expected
+        # The greedy row basis is the pivot columns of the transpose's rref.
+        assert selection.basis_rows == rref(m.transpose())[1]
+
+    def test_coordinates_recompose_exactly(self, rows):
+        chosen = select_basis_rows(RationalMatrix(rows)).basis_rows
+        basis_rows = [rows[i] for i in chosen]
+        for k, row in enumerate(rows):
+            a = coordinates(row, basis_rows)
+            if k in chosen:
+                assert a == tuple(int(i == k) for i in chosen)
+            recomposed = tuple(
+                sum((aj * b[c] for aj, b in zip(a, basis_rows)), Fraction(0))
+                for c in range(len(row))
+            )
+            assert recomposed == row
+
+
+@pytest.mark.parametrize("case", range(len(NETWORKS) + len(RATIONAL_CASES)))
+def test_stored_echelon_rows_are_primitive_integer_rows(case):
+    # Content 1 (of row and tag together) is the guard against coefficient growth.
+    if case < len(NETWORKS):
+        rows = [dict(r) for r in _reaction_rows(NETWORKS[case])]
+    else:
+        rows = [{j: x for j, x in enumerate(r) if x} for r in RATIONAL_CASES[case - len(NETWORKS)]]
+    echelon = _Echelon()
+    basis = [row for row in rows if echelon.add(row) is None]
+    assert len(echelon._pivots) == echelon.rank == len(basis)
+    for col, (row, tag) in echelon._pivots.items():
+        assert min(row) == col and row[col] > 0
+        values = list(row.values()) + list(tag.values())
+        assert all(type(x) is int and x for x in values)
+        assert math.gcd(*values) == 1
+        combo = {}
+        for j, t in tag.items():
+            for c, x in basis[j].items():
+                combo[c] = combo.get(c, 0) + t * x
+        assert {c: x for c, x in combo.items() if x} == row
+
+
+def test_subset_rank_cache_matches_fresh_elimination_for_every_mask():
+    net = random_sparse_network(random.Random(10), 10, 6)
+    rows = _reaction_rows(net)
+    assert len(rows) == 10
+    cache = _SubsetRankCache(rows)
+    ranks = set()
+    for mask in range(1 << 10):
+        subset = [rows[i] for i in range(10) if mask >> i & 1]
+        fresh = len(_eliminate(subset)[0])
+        assert cache.rank(mask) == fresh
+        ranks.add(fresh)
+    assert ranks == set(range(rank_of_rows(net.reaction_vector(i) for i in range(10)) + 1))
+    assert max(ranks) < 10
