@@ -10,17 +10,18 @@ non-basis reaction vector uses both basis vectors with nonzero coefficients.
 A connected graph means only the trivial decomposition exists; otherwise the
 connected components induce the finest independent partition this
 construction yields, with every non-basis reaction joining the component
-that carries its nonzero coordinates.
+that carries its nonzero coordinates.  The finder gets both at once from
+one union-find that joins each non-basis reaction to the basis reactions of
+its integer relation; only `linalg.coordinates` builds `Fraction`s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Literal, Sequence
 
 from .analysis import _reaction_rank, _undirected_components
-from .linalg import BasisSelection, _Echelon, _eliminate
+from .linalg import BasisSelection, Relation, _Echelon, _eliminate
 from .model import Network
 
 BRUTE_FORCE_REACTION_LIMIT = 12  # Bell(12) ~ 4.2M partitions
@@ -164,11 +165,11 @@ def verify_decomposition(net: Network, parts: Iterable[Iterable[int]]) -> Indepe
 
 
 def _coordinate_graph(
-    net: Network, basis_rows: Sequence[int], coords: dict[int, dict[int, Fraction]]
+    net: Network, basis_rows: Sequence[int], relations: dict[int, Relation]
 ) -> CoordinateGraph:
     edges: set[tuple[int, int]] = set()
-    for c in coords.values():
-        nonzero = sorted(c)
+    for tag, _ in relations.values():
+        nonzero = sorted(tag)
         edges.update(
             (nonzero[a], nonzero[b])
             for a in range(len(nonzero))
@@ -188,8 +189,7 @@ def build_coordinate_graph(net: Network, basis: BasisSelection) -> CoordinateGra
     For each non-basis reaction vector, an edge joins every pair of basis
     vertices at which its (unique, exact) coordinates are nonzero.
     """
-    basis_rows, coords = _eliminate(_reaction_rows(net), basis.basis_rows)
-    return _coordinate_graph(net, basis_rows, coords)
+    return _coordinate_graph(net, *_eliminate(_reaction_rows(net), basis.basis_rows))
 
 
 def connected_components(graph: CoordinateGraph) -> list[tuple[int, ...]]:
@@ -201,7 +201,8 @@ def connected_components(graph: CoordinateGraph) -> list[tuple[int, ...]]:
 class _Finest:
     """The finder's work for one network: graph, components, and verified parts.
 
-    ``parts`` is the single whole-set part when the graph is connected.
+    ``components[k]`` lists the graph vertices of ``parts[k]``; ``parts`` is
+    the single whole-set part when the graph is connected.
     """
 
     graph: CoordinateGraph
@@ -211,25 +212,19 @@ class _Finest:
 
 
 def _finest(net: Network) -> _Finest:
-    """One elimination pass, the coordinate graph, and the verified finest parts."""
-    basis_rows, coords = _eliminate(_reaction_rows(net))
-    graph = _coordinate_graph(net, basis_rows, coords)
-    components = connected_components(graph)
-    if len(components) <= 1:
-        parts: tuple[tuple[int, ...], ...] = (tuple(range(net.reaction_count)),)
-    else:
-        component_of = {v: ci for ci, comp in enumerate(components) for v in comp}
-        members: list[set[int]] = [set() for _ in components]
-        for vertex, row_index in enumerate(basis_rows):
-            members[component_of[vertex]].add(row_index)
-        for row_index, c in coords.items():
-            owners = {component_of[v] for v in c}
-            if len(owners) != 1:
-                raise InternalError(
-                    f"reaction {row_index} spans several coordinate-graph components"
-                )
-            members[owners.pop()].add(row_index)
-        parts = tuple(tuple(sorted(p)) for p in sorted(members, key=min))
+    """One elimination pass and one union-find: the graph and the verified finest parts.
+
+    Joining each non-basis reaction to the basis reactions of its relation
+    gives the coordinate graph's connectivity and places every reaction.
+    """
+    basis_rows, relations = _eliminate(_reaction_rows(net))
+    graph = _coordinate_graph(net, basis_rows, relations)
+    joins = ((i, basis_rows[j]) for i, (tag, _) in relations.items() for j in tag)
+    parts = tuple(_undirected_components(net.reaction_count, joins))
+    # Relations use only earlier basis reactions, so each part starts with a
+    # basis reaction and the components come out in the parts' order.
+    position = {row: j for j, row in enumerate(basis_rows)}
+    components = [tuple(position[i] for i in part if i in position) for part in parts]
     independence = verify_decomposition(net, parts)
     if not independence.independent:
         raise InternalError("constructed decomposition failed independence verification")
@@ -242,8 +237,9 @@ def find_independent_decomposition(net: Network) -> Decomposition | None:
     Returns None when the coordinate graph is connected (only the trivial
     decomposition exists).  Otherwise each connected component yields one
     part: the component's basis reactions plus every non-basis reaction
-    whose nonzero coordinates all sit in that component.  The result is
-    verified independent before being returned.
+    whose nonzero coordinates all sit in that component, found by joining it
+    to the basis reactions of its integer relation.  The result is verified
+    independent before being returned.
     """
     finest = _finest(net)
     if len(finest.components) <= 1:

@@ -5,11 +5,11 @@ fraction-free integer elimination: there is no tolerance anywhere, and no
 `fractions.Fraction` arithmetic inside the elimination loop.  One sparse
 pass answers all three: it scans the rows in order, clears each row's
 denominators, keeps each row that is not spanned by the rows before it as a
-basis row, and records for every echelon row the integer combination of
-basis rows it equals.  The greedy basis, the rank, and the coordinates of
-every non-basis row fall out of that single scan; coordinates come back as
-exact `Fraction`s.  `RationalMatrix` and `rref` compute with `Fraction`;
-`rref` is a separate dense implementation kept as an independent reference.
+basis row, and hands back every other row's integer relation to the basis
+rows.  The greedy basis, the rank, and which coordinates are nonzero fall out
+of that single scan; only `coordinates` turns relations into `Fraction`s.
+`RationalMatrix` and `rref` compute with `Fraction`; `rref` is a separate
+dense implementation kept as an independent reference.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 Rational = Fraction
 RationalLike = Union[int, Fraction]
+Relation = tuple[dict[int, int], int]  # (tag, scale), see `_Echelon.add`
 
 
 class NotInSpanError(ValueError):
@@ -158,16 +159,13 @@ class _Echelon:
 
     def add(
         self, row: Mapping[int, RationalLike] | Iterable[tuple[int, RationalLike]]
-    ) -> dict[int, Fraction] | None:
-        """Reduce ``row``; return its basis coordinates, or None if it joins the basis.
+    ) -> Relation | None:
+        """Reduce ``row``; return its relation ``(tag, scale)``, or None if it joins the basis.
 
-        Coordinates are sparse (basis position -> nonzero coefficient).  A row
-        that joins the basis becomes basis position ``rank - 1``.
-
-        The row is cleared of denominators and reduced fraction-free: the
-        working vector ``w`` always equals ``scale * row + sum(tag[j] *
-        basis_row[j])``, so when it vanishes the coordinates are
-        ``-tag[j] / scale``.
+        A row that joins the basis becomes basis position ``rank - 1``.  The
+        row is cleared of denominators and reduced fraction-free, keeping
+        ``w == scale * row + sum(tag[j] * basis_row[j])`` with ``scale > 0``;
+        when ``w`` vanishes, the row's coordinates are ``-tag[j] / scale``.
         """
         row = dict(row)
         scale = lcm(*[x.denominator for x in row.values()])
@@ -199,7 +197,7 @@ class _Echelon:
                         del y[j]
             scale *= a
         if not w:
-            return {j: Fraction(-x, scale) for j, x in tag.items()}
+            return tag, scale
         tag[self.rank] = scale
         g = gcd(*w.values(), *tag.values())
         if w[col] < 0:
@@ -215,20 +213,20 @@ class _Echelon:
 def _eliminate(
     rows: Sequence[Mapping[int, RationalLike] | Iterable[tuple[int, RationalLike]]],
     basis: Iterable[int] | None = None,
-) -> tuple[tuple[int, ...], dict[int, dict[int, Fraction]]]:
-    """One exact elimination pass: the basis rows and every other row's coordinates.
+) -> tuple[tuple[int, ...], dict[int, Relation]]:
+    """One exact elimination pass: the basis rows and every other row's relation.
 
     Without ``basis``, rows are scanned in order and each row not spanned by
     the earlier ones joins the basis, which gives the greedy basis.  With
     ``basis``, those rows go first and must be linearly independent
     (`ValueError` otherwise), then the rest must lie in their span
     (`NotInSpanError` otherwise).  Returns the basis row indices in basis
-    order and, for each non-basis row index, its sparse coordinates over the
-    basis positions.
+    order and, for each non-basis row index, its `_Echelon.add` relation
+    over the basis positions.
     """
     echelon = _Echelon()
     chosen: list[int] = []
-    coords: dict[int, dict[int, Fraction]] = {}
+    relations: dict[int, Relation] = {}
     if basis is None:
         order: Iterable[int] = range(len(rows))
     else:
@@ -239,14 +237,14 @@ def _eliminate(
         leading = set(chosen)
         order = (i for i in range(len(rows)) if i not in leading)
     for i in order:
-        c = echelon.add(rows[i])
-        if c is not None:
-            coords[i] = c
+        relation = echelon.add(rows[i])
+        if relation is not None:
+            relations[i] = relation
         elif basis is None:
             chosen.append(i)
         else:
             raise NotInSpanError(f"row {i} is not in the span of the basis rows")
-    return tuple(chosen), coords
+    return tuple(chosen), relations
 
 
 def _sparse(row: Iterable[RationalLike]) -> dict[int, Fraction]:
@@ -259,7 +257,10 @@ def rank(matrix: RationalMatrix) -> int:
 
 
 def rank_of_rows(rows: Iterable[Sequence[RationalLike]]) -> int:
-    """Rank of the span of the given row vectors (no matrix object needed)."""
+    """Rank of the span of the given equal-length row vectors (`ValueError` if not)."""
+    rows = list(rows)
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("all rows must have the same length")
     return len(_eliminate([_sparse(row) for row in rows])[0])
 
 
@@ -287,5 +288,5 @@ def coordinates(
         raise ValueError("basis row length does not match vector length")
     p = len(basis_rows)
     rows = [_sparse(row) for row in basis_rows] + [_sparse(vector)]
-    coeffs = _eliminate(rows, range(p))[1][p]
-    return tuple(Fraction(coeffs.get(j, 0)) for j in range(p))
+    tag, scale = _eliminate(rows, range(p))[1][p]
+    return tuple(Fraction(-tag.get(j, 0), scale) for j in range(p))

@@ -1,6 +1,10 @@
 """Coordinate graph, decomposition finder, verifier, and brute-force oracle."""
 
+import random
+
 import pytest
+from conftest import ALL_NETWORK_FILES
+from netgen import random_sparse_network
 
 from crnkit import (
     CoordinateGraph,
@@ -9,9 +13,12 @@ from crnkit import (
     TooLargeError,
     brute_force_decompositions,
     build_coordinate_graph,
+    build_report,
     connected_components,
+    coordinates,
     find_independent_decomposition,
     iter_set_partitions,
+    parse_file,
     parse_network,
     refine_or_coarsen_check,
     select_basis_rows,
@@ -119,6 +126,41 @@ class TestFinder:
             report = verify_decomposition(net, d.parts)
             assert report.independent
             assert report.part_ranks == d.part_ranks
+
+
+def clique_route_networks():
+    rng = random.Random(6262)
+    nets = [parse_file(path) for path in ALL_NETWORK_FILES]
+    for blocks in range(1, 7):
+        for reactions in (10 * blocks, 60):
+            nets.append(random_sparse_network(rng, reactions, 5 * blocks, blocks))
+    return nets
+
+
+@pytest.mark.parametrize(
+    "net", clique_route_networks(), ids=lambda n: f"{n.species_count}x{n.reaction_count}"
+)
+def test_finder_agrees_with_the_clique_route(net):
+    # The public route: components of the clique-edge graph, then each
+    # non-basis reaction assigned to the component its coordinates sit on.
+    nt = stoichiometric_matrix(net).transpose()
+    basis = select_basis_rows(nt)
+    components = connected_components(build_coordinate_graph(net, basis))
+    report = build_report(net)
+    assert report.graph_components == tuple(components)
+    assert report.trivial == (len(components) == 1)
+    component_of = {v: k for k, comp in enumerate(components) for v in comp}
+    members = [{basis.basis_rows[v] for v in comp} for comp in components]
+    basis_vectors = [nt.row(i) for i in basis.basis_rows]
+    for i in range(nt.rows):
+        if i not in basis.basis_rows:
+            a = coordinates(nt.row(i), basis_vectors)
+            owners = {component_of[v] for v, x in enumerate(a) if x}
+            assert len(owners) == 1
+            members[owners.pop()].add(i)
+    assert report.parts == tuple(
+        tuple(net.reaction_label(i) for i in sorted(m)) for m in members
+    )
 
 
 class TestVerify:

@@ -196,8 +196,24 @@ def test_stored_echelon_rows_are_primitive_integer_rows(case):
     else:
         rows = [{j: x for j, x in enumerate(r) if x} for r in RATIONAL_CASES[case - len(NETWORKS)]]
     echelon = _Echelon()
-    basis = [row for row in rows if echelon.add(row) is None]
+    basis, relations = [], []
+    for row in rows:
+        relation = echelon.add(row)
+        if relation is None:
+            basis.append(row)
+        else:
+            relations.append((row, relation))
     assert len(echelon._pivots) == echelon.rank == len(basis)
+    # A row that does not join the basis comes back as its integer relation:
+    # scale * row + sum(tag[j] * basis[j]) == 0 with scale > 0.
+    for row, (tag, scale) in relations:
+        assert type(scale) is int and scale > 0
+        assert all(type(t) is int and t for t in tag.values())
+        total = {c: scale * x for c, x in row.items()}
+        for j, t in tag.items():
+            for c, x in basis[j].items():
+                total[c] = total.get(c, 0) + t * x
+        assert not any(total.values())
     for col, (row, tag) in echelon._pivots.items():
         assert min(row) == col and row[col] > 0
         values = list(row.values()) + list(tag.values())

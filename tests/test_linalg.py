@@ -98,6 +98,10 @@ class TestRank:
             rows = [m.row(i) for i in range(m.rows)]
             assert rank(m) == rank_of_rows(rows)
 
+    def test_rows_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError):
+            rank_of_rows([(0, 1), (1,)])
+
     def test_yeast_transposed_stoichiometric_rank_vs_minor_oracle(self, yeast):
         nt = stoichiometric_matrix(yeast).transpose()
         rows = [[int(v) for v in nt.row(i)] for i in range(nt.rows)]

@@ -1,13 +1,22 @@
-"""crnkit imports nothing at run time beyond the standard library and itself."""
+"""crnkit imports nothing at run time beyond the standard library and itself,
+and its syntax parses on the oldest Python that pyproject.toml admits."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "crnkit"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "crnkit"
 MODULES = sorted(SRC.glob("*.py"))
+# tomllib is not in every Python that pyproject.toml admits, so read it by regex.
+OLDEST = re.search(
+    r'^requires-python = ">=(\d+)\.(\d+)"$',
+    (ROOT / "pyproject.toml").read_text(encoding="utf-8"),
+    re.MULTILINE,
+)
 
 
 def test_the_package_is_found():
@@ -32,3 +41,10 @@ def test_imports_are_stdlib_or_crnkit(module):
             assert top == "crnkit" or top in sys.stdlib_module_names, (
                 f"{module.name}:{node.lineno} imports {top!r}, not in the standard library"
             )
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.name)
+def test_syntax_parses_on_the_oldest_supported_python(module):
+    assert OLDEST, "pyproject.toml has no requires-python = \">=X.Y\""
+    version = (int(OLDEST[1]), int(OLDEST[2]))
+    ast.parse(module.read_text(encoding="utf-8"), filename=str(module), feature_version=version)
