@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .linalg import _eliminate
+from .linalg import _eliminate, _Span
 from .model import Complex, Network, NetworkError, Reaction, Species
 
 
@@ -174,11 +174,6 @@ def _terminal(net: Network, sccs: list[tuple[int, ...]]) -> list[tuple[int, ...]
     return [scc for k, scc in enumerate(sccs) if terminal[k]]
 
 
-def _reaction_rank(net: Network, reactions: Iterable[int]) -> int:
-    """Rank of the span of the given reactions' vectors."""
-    return len(_eliminate([net.sparse_reaction_vector(i) for i in reactions])[0])
-
-
 def _irreversible_count(net: Network) -> int:
     pairs = {(rx.reactant, rx.product) for rx in net.reactions}
     return sum(1 for rx in net.reactions if (rx.product, rx.reactant) not in pairs)
@@ -188,17 +183,23 @@ class _Structure:
     """The structural facts of one network, each computed at most once.
 
     The public numbers and deficiency checks read one of these, and a report
-    builds one per network and per part.  ``rank`` is the network rank when
-    the caller already knows it; otherwise it is eliminated here.
+    builds one per network and per part.  ``span`` is an elimination of the
+    network's reaction vectors, in reaction order (a report passes the
+    finder's, restricted to the part); without it the reaction vectors are
+    eliminated here, once.  The rank and every linkage class's rank are read
+    from it.
     """
 
-    def __init__(self, net: Network, rank: int | None = None):
+    def __init__(self, net: Network, span: _Span | None = None):
         self.net = net
         self.linkage_classes = linkage_classes(net)
         self.strong_linkage_classes = strong_linkage_classes(net)
         self.terminal_strong_linkage_classes = _terminal(net, self.strong_linkage_classes)
-        if rank is None:
-            rank = _reaction_rank(net, range(net.reaction_count))
+        if span is None:
+            rows = [net.sparse_reaction_vector(i) for i in range(net.reaction_count)]
+            span = _Span(*_eliminate(rows))
+        self.span = span
+        rank = span.rank(range(net.reaction_count))
         n = net.complex_count
         l = len(self.linkage_classes)
         sl = len(self.strong_linkage_classes)
@@ -226,8 +227,7 @@ class _Structure:
         for i, rx in enumerate(self.net.reactions):
             members[class_of[rx.reactant]].append(i)
         return [
-            len(cls) - 1 - _reaction_rank(self.net, reactions)
-            for cls, reactions in zip(classes, members)
+            len(cls) - 1 - self.span.rank(reactions) for cls, reactions in zip(classes, members)
         ]
 
     @cached_property

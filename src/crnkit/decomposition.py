@@ -12,16 +12,21 @@ connected components induce the finest independent partition this
 construction yields, with every non-basis reaction joining the component
 that carries its nonzero coordinates.  The finder gets both at once from
 one union-find that joins each non-basis reaction to the basis reactions of
-its integer relation; only `linalg.coordinates` builds `Fraction`s.
+its integer relation; only `linalg.coordinates` builds `Fraction`s.  It keeps
+the relations, so a report reads part and linkage-class ranks and the
+coordinate graph's edges from them; the finder itself builds no edges.
+`verify_decomposition` is independent of the finder: one elimination of its
+own, in part order, gives the network rank and every part rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, combinations
 from typing import Iterable, Iterator, Literal, Sequence
 
-from .analysis import _reaction_rank, _undirected_components
-from .linalg import BasisSelection, Relation, _Echelon, _eliminate
+from .analysis import _undirected_components
+from .linalg import BasisSelection, _Echelon, _eliminate, _Span
 from .model import Network
 
 BRUTE_FORCE_REACTION_LIMIT = 12  # Bell(12) ~ 4.2M partitions
@@ -143,16 +148,21 @@ def verify_decomposition(net: Network, parts: Iterable[Iterable[int]]) -> Indepe
     """Check a user partition for independence and incidence independence.
 
     Part order is preserved from the input; raises `PartitionError` when the
-    parts overlap, leave a gap, or contain an empty part.
+    parts overlap, leave a gap, or contain an empty part.  The reaction
+    vectors are eliminated once, part after part, and every part rank is
+    read from that one elimination's relations.
     """
     canon = _canonical_partition(parts, net.reaction_count)
-    network_rank = _reaction_rank(net, range(net.reaction_count))
+    span = _Span(*_eliminate([net.sparse_reaction_vector(i) for part in canon for i in part]))
+    network_rank = len(span.position)
     incidence_network_rank = _incidence_rank(net, range(net.reaction_count))
     if len(canon) == 1:
         # A validated single part is the whole reaction set.
         part_ranks, incidence_part_ranks = (network_rank,), (incidence_network_rank,)
     else:
-        part_ranks = tuple(_reaction_rank(net, part) for part in canon)
+        # Part k is rows bounds[k]..bounds[k + 1] - 1 of the elimination.
+        bounds = list(accumulate(map(len, canon), initial=0))
+        part_ranks = tuple(span.rank(range(a, b)) for a, b in zip(bounds, bounds[1:]))
         incidence_part_ranks = tuple(_incidence_rank(net, part) for part in canon)
     return IndependenceReport(
         network_rank=network_rank,
@@ -164,19 +174,12 @@ def verify_decomposition(net: Network, parts: Iterable[Iterable[int]]) -> Indepe
     )
 
 
-def _coordinate_graph(
-    net: Network, basis_rows: Sequence[int], relations: dict[int, Relation]
-) -> CoordinateGraph:
+def _coordinate_graph(net: Network, span: _Span) -> CoordinateGraph:
     edges: set[tuple[int, int]] = set()
-    for tag, _ in relations.values():
-        nonzero = sorted(tag)
-        edges.update(
-            (nonzero[a], nonzero[b])
-            for a in range(len(nonzero))
-            for b in range(a + 1, len(nonzero))
-        )
-    labels = tuple(net.reaction_label(i) for i in basis_rows)
-    return CoordinateGraph(len(basis_rows), frozenset(edges), labels)
+    for tag, _ in span.relations.values():
+        edges.update(combinations(sorted(tag), 2))
+    labels = tuple(net.reaction_label(i) for i in span.position)
+    return CoordinateGraph(len(labels), frozenset(edges), labels)
 
 
 def _reaction_rows(net: Network) -> list[tuple[tuple[int, int], ...]]:
@@ -189,7 +192,7 @@ def build_coordinate_graph(net: Network, basis: BasisSelection) -> CoordinateGra
     For each non-basis reaction vector, an edge joins every pair of basis
     vertices at which its (unique, exact) coordinates are nonzero.
     """
-    return _coordinate_graph(net, *_eliminate(_reaction_rows(net), basis.basis_rows))
+    return _coordinate_graph(net, _Span(*_eliminate(_reaction_rows(net), basis.basis_rows)))
 
 
 def connected_components(graph: CoordinateGraph) -> list[tuple[int, ...]]:
@@ -199,36 +202,38 @@ def connected_components(graph: CoordinateGraph) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class _Finest:
-    """The finder's work for one network: graph, components, and verified parts.
+    """The finder's work for one network: its elimination, components, and verified parts.
 
-    ``components[k]`` lists the graph vertices of ``parts[k]``; ``parts`` is
-    the single whole-set part when the graph is connected.
+    ``span`` holds the greedy basis and every non-basis relation, from which
+    the coordinate graph follows (`_coordinate_graph`).  ``components[k]``
+    lists the graph vertices of ``parts[k]``; ``parts`` is the single
+    whole-set part when the graph is connected.
     """
 
-    graph: CoordinateGraph
+    span: _Span
     components: list[tuple[int, ...]]
     parts: tuple[tuple[int, ...], ...]
     independence: IndependenceReport
 
 
 def _finest(net: Network) -> _Finest:
-    """One elimination pass and one union-find: the graph and the verified finest parts.
+    """One elimination pass and one union-find: the verified finest parts.
 
     Joining each non-basis reaction to the basis reactions of its relation
     gives the coordinate graph's connectivity and places every reaction.
     """
     basis_rows, relations = _eliminate(_reaction_rows(net))
-    graph = _coordinate_graph(net, basis_rows, relations)
+    span = _Span(basis_rows, relations)
     joins = ((i, basis_rows[j]) for i, (tag, _) in relations.items() for j in tag)
     parts = tuple(_undirected_components(net.reaction_count, joins))
     # Relations use only earlier basis reactions, so each part starts with a
     # basis reaction and the components come out in the parts' order.
-    position = {row: j for j, row in enumerate(basis_rows)}
+    position = span.position
     components = [tuple(position[i] for i in part if i in position) for part in parts]
     independence = verify_decomposition(net, parts)
     if not independence.independent:
         raise InternalError("constructed decomposition failed independence verification")
-    return _Finest(graph, components, parts, independence)
+    return _Finest(span, components, parts, independence)
 
 
 def find_independent_decomposition(net: Network) -> Decomposition | None:

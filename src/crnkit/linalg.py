@@ -8,6 +8,9 @@ denominators, keeps each row that is not spanned by the rows before it as a
 basis row, and hands back every other row's integer relation to the basis
 rows.  The greedy basis, the rank, and which coordinates are nonzero fall out
 of that single scan; only `coordinates` turns relations into `Fraction`s.
+`_Span` keeps a scan's basis and relations and reads the rank of any subset
+of its rows from them, so ranks of parts and of linkage classes need no scan
+of their own.
 `RationalMatrix` and `rref` compute with `Fraction`; `rref` is a separate
 dense implementation kept as an independent reference.
 """
@@ -245,6 +248,57 @@ def _eliminate(
         else:
             raise NotInSpanError(f"row {i} is not in the span of the basis rows")
     return tuple(chosen), relations
+
+
+class _Span:
+    """One elimination's outcome, from which the rank of any subset of its rows follows.
+
+    ``position`` maps each basis row to its basis position and ``relations``
+    maps every other row to its `_Echelon.add` relation, whose tag is keyed
+    by those positions.
+    """
+
+    __slots__ = ("position", "relations")
+
+    def __init__(self, basis_rows: Iterable[int], relations: dict[int, Relation]):
+        self.position = {row: j for j, row in enumerate(basis_rows)}
+        self.relations = relations
+
+    def rank(self, rows: Iterable[int]) -> int:
+        """Rank of the given rows, exact and without eliminating them again.
+
+        The basis rows are independent, so the rank is the number of basis
+        rows among ``rows`` plus the rank of the other rows' tags restricted
+        to the positions of the basis rows outside ``rows``.
+        """
+        inside: set[int] = set()
+        others: list[int] = []
+        for i in rows:
+            j = self.position.get(i)
+            if j is None:
+                others.append(i)
+            else:
+                inside.add(j)
+        echelon = _Echelon()
+        for i in others:
+            outside = {j: t for j, t in self.relations[i][0].items() if j not in inside}
+            if outside:
+                echelon.add(outside)
+        return len(inside) + echelon.rank
+
+    def restrict(self, rows: Sequence[int]) -> "_Span":
+        """The same outcome seen from ``rows`` alone, with row ``rows[k]`` renumbered ``k``.
+
+        Tags keep their basis positions, so `rank` stays exact even where a
+        relation uses a basis row outside ``rows``.
+        """
+        part = _Span((), {})
+        for k, i in enumerate(rows):
+            if i in self.position:
+                part.position[k] = self.position[i]
+            else:
+                part.relations[k] = self.relations[i]
+        return part
 
 
 def _sparse(row: Iterable[RationalLike]) -> dict[int, Fraction]:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 from typing import Any, Mapping
 
 from .analysis import DeficiencyVerdict, NetworkNumbers, _Structure, subnetwork
-from .decomposition import IndependenceReport, _finest
+from .decomposition import IndependenceReport, _coordinate_graph, _Finest, _finest
 from .model import Network
 
 SCHEMA_VERSION = "1"
@@ -152,24 +152,32 @@ class AnalysisReport:
         )
 
 
+def _structures(net: Network, finest: _Finest) -> tuple[_Structure, list[_Structure]]:
+    """The network's structure and each part's, all ranks read from the finder's relations."""
+    whole = _Structure(net, finest.span)
+    # A part made of every reaction of a network whose species all occur in
+    # some complex is the network itself, so it shares the network's structure.
+    used = {s for c in net.complexes for s in c.support}
+    if len(finest.parts) == 1 and len(used) == net.species_count:
+        return whole, [whole]
+    return whole, [
+        _Structure(subnetwork(net, part), finest.span.restrict(part)) for part in finest.parts
+    ]
+
+
 def build_report(net: Network) -> AnalysisReport:
     """Run the whole pipeline on a network and assemble the report."""
     finest = _finest(net)
-    whole = _Structure(net, finest.independence.network_rank)
-    # A part equal to the whole network (the trivial decomposition of a
-    # network without unused species) shares the network's structure.
-    parts = []
-    for part, rank in zip(finest.parts, finest.independence.part_ranks):
-        sub = subnetwork(net, part)
-        parts.append(whole if sub == net else _Structure(sub, rank))
+    whole, parts = _structures(net, finest)
+    graph = _coordinate_graph(net, finest.span)
     return AnalysisReport(
         network=whole.numbers,
         trivial=len(finest.components) <= 1,
         parts=tuple(tuple(net.reaction_label(i) for i in part) for part in finest.parts),
         part_numbers=tuple(st.numbers for st in parts),
         independence=finest.independence,
-        graph_vertices=finest.graph.vertex_labels,
-        graph_edges=tuple(sorted(finest.graph.edges)),
+        graph_vertices=graph.vertex_labels,
+        graph_edges=tuple(sorted(graph.edges)),
         graph_components=tuple(finest.components),
         network_verdicts=whole.verdicts,
         part_verdicts=tuple(st.verdicts for st in parts),

@@ -2,10 +2,12 @@
 
 Rank, basis coordinates, the coordinate graph, and the part ranks of
 `verify_decomposition` all come from one sparse fraction-free integer
-elimination.  Here they are checked on seeded random networks of up to 60
-reactions, and on seeded rational rows (mixed denominators, entries beyond
-2**200), against `rref` (a separate dense `Fraction` implementation), exact
-recomposition, and the matrix product N = Y * Ia.
+elimination, and the ranks of parts and linkage classes are read from its
+relations (`_Span.rank`).  Here they are checked on the corpus, on seeded
+random networks of up to 60 reactions, and on seeded rational rows (mixed
+denominators, entries beyond 2**200), against `rref` (a separate dense
+`Fraction` implementation), exact recomposition, and the matrix product
+N = Y * Ia.
 """
 
 import math
@@ -30,8 +32,11 @@ from crnkit import (
     subnetwork,
     verify_decomposition,
 )
-from crnkit.decomposition import _reaction_rows, _SubsetRankCache
-from crnkit.linalg import _Echelon, _eliminate
+from crnkit.analysis import _Structure
+from crnkit.decomposition import _finest, _reaction_rows, _SubsetRankCache
+from crnkit.linalg import _Echelon, _eliminate, _Span
+from crnkit.report import _structures
+from conftest import ALL_NETWORK_FILES, load
 from netgen import random_network, random_sparse_network
 
 
@@ -103,8 +108,10 @@ class TestAgainstDenseOracles:
         scattered = [
             [i for i, lab in enumerate(labels) if lab == k] for k in range(3) if k in labels
         ]
-        for parts in (finest, scattered):
+        # The scattered partition is dependent: its part ranks sum past the rank.
+        for parts, independent in ((finest, True), (scattered, False)):
             rep = verify_decomposition(net, parts)
+            assert rep.independent is independent
             assert rep.network_rank == rref_rank(stoichiometric_matrix(net))
             assert rep.incidence_network_rank == rref_rank(incidence_matrix(net))
             for k, part in enumerate(parts):
@@ -239,3 +246,62 @@ def test_subset_rank_cache_matches_fresh_elimination_for_every_mask():
         ranks.add(fresh)
     assert ranks == set(range(rank_of_rows(net.reaction_vector(i) for i in range(10)) + 1))
     assert max(ranks) < 10
+
+
+CORPUS = [load(path.name) for path in ALL_NETWORK_FILES]
+
+
+def rows_rank(rows):
+    return rref_rank(RationalMatrix(rows))
+
+
+def span_cases():
+    """(id, dense rows) for the corpus, the seeded networks and the rational rows."""
+    for net in CORPUS + NETWORKS:
+        rows = [net.reaction_vector(i) for i in range(net.reaction_count)]
+        yield f"net-{net.species_count}x{net.reaction_count}", rows
+    for rows in RATIONAL_CASES:
+        yield f"rows-{rows_id(rows)}", rows
+
+
+SPAN_CASES = list(span_cases())
+
+
+@pytest.mark.parametrize("rows", [rows for _, rows in SPAN_CASES], ids=[i for i, _ in SPAN_CASES])
+def test_span_ranks_of_seeded_subsets_agree_with_rref(rows):
+    rng = random.Random(len(rows) * 1009 + len(rows[0]))
+    span = _Span(*_eliminate([{j: x for j, x in enumerate(row) if x} for row in rows]))
+    n = len(rows)
+    assert span.rank(range(n)) == rows_rank(rows)
+    deficient = 0
+    for _ in range(25):
+        subset = rng.sample(range(n), rng.randint(0, n))
+        expected = rows_rank([rows[i] for i in subset])
+        assert span.rank(subset) == expected
+        # The same elimination restricted to a superset, renumbered, in any order.
+        outer = sorted(set(subset) | set(rng.sample(range(n), rng.randint(0, n))))
+        rng.shuffle(outer)
+        local = {i: k for k, i in enumerate(outer)}
+        assert span.restrict(outer).rank([local[i] for i in subset]) == expected
+        deficient += expected < len(subset)
+    # Whenever some row is dependent, some sampled subset is rank deficient.
+    assert deficient or not span.relations
+
+
+def test_class_deficiencies_agree_with_rref():
+    most_parts = most_classes = 0
+    for net in CORPUS + NETWORKS:
+        whole, parts = _structures(net, _finest(net))
+        for st in (_Structure(net), whole, *parts):
+            sub = st.net
+            assert st.numbers.rank == rref_rank(stoichiometric_matrix(sub))
+            expected = []
+            for cls in st.linkage_classes:
+                rows = [
+                    sub.reaction_vector(i) for i, rx in enumerate(sub.reactions) if rx.reactant in cls
+                ]
+                expected.append(len(cls) - 1 - rows_rank(rows))
+            assert st.class_deficiencies == expected
+        most_parts = max(most_parts, len(parts))
+        most_classes = max([most_classes] + [len(st.linkage_classes) for st in parts])
+    assert most_parts >= 4 and most_classes >= 4

@@ -1,9 +1,10 @@
 """The report's shared per-network structure against the public functions.
 
 `build_report` computes each network's linkage classes, numbers and
-deficiency verdicts once and takes ranks from the finder; these tests check
-that it agrees with the standalone public functions, and that it makes no
-calls to them.
+deficiency verdicts once and reads every rank from two eliminations, the
+finder's and `verify_decomposition`'s; these tests check that it agrees with
+the standalone public functions, that it makes no calls to them, and that it
+eliminates the reaction vectors exactly twice.
 """
 
 import random
@@ -114,6 +115,20 @@ def count_calls(monkeypatch):
     return install
 
 
+@pytest.fixture
+def count_vector_reads(monkeypatch):
+    """Count reads of reaction vectors, of any network: each elimination reads all of them."""
+    reads = Counter()
+    original = Network.sparse_reaction_vector
+
+    def counted(self, i):
+        reads[self] += 1
+        return original(self, i)
+
+    monkeypatch.setattr(Network, "sparse_reaction_vector", counted)
+    return reads
+
+
 class TestOncePerReport:
     # sorribas is trivial and its one part is the network itself, so the part
     # shares the network's structure; purine and yeast have two parts each,
@@ -122,9 +137,11 @@ class TestOncePerReport:
         "name, part_count, distinct",
         [("sorribas.crn", 1, 1), ("purine.crn", 2, 3), ("yeast.crn", 2, 3)],
     )
-    def test_call_counts(self, count_calls, name, part_count, distinct):
+    def test_call_counts(self, count_calls, count_vector_reads, name, part_count, distinct):
         net = load(name)
         calls = count_calls(
+            "_eliminate",
+            "subnetwork",
             "network_numbers",
             "deficiency_zero_check",
             "deficiency_one_check",
@@ -142,3 +159,8 @@ class TestOncePerReport:
         assert calls["strong_linkage_classes"] <= distinct
         assert calls["terminal_strong_linkage_classes"] <= distinct
         assert calls["verify_decomposition"] == 1
+        # The finder's elimination and the verifier's; parts and linkage
+        # classes read their ranks from those relations.
+        assert calls["_eliminate"] == 2
+        assert count_vector_reads == {net: 2 * net.reaction_count}
+        assert calls["subnetwork"] == (0 if part_count == 1 else part_count)
