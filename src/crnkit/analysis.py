@@ -197,7 +197,7 @@ class _Structure:
         self.terminal_strong_linkage_classes = _terminal(net, self.strong_linkage_classes)
         if span is None:
             rows = [net.sparse_reaction_vector(i) for i in range(net.reaction_count)]
-            span = _Span(*_eliminate(rows))
+            span = _eliminate(rows)
         self.span = span
         rank = span.rank(range(net.reaction_count))
         n = net.complex_count
@@ -220,8 +220,6 @@ class _Structure:
     def class_deficiencies(self) -> list[int]:
         """Deficiency of each linkage class: n_i - 1 - s_i over the class's reactions."""
         classes = self.linkage_classes
-        if len(classes) == 1:
-            return [self.numbers.deficiency]
         class_of = {c: k for k, cls in enumerate(classes) for c in cls}
         members: list[list[int]] = [[] for _ in classes]
         for i, rx in enumerate(self.net.reactions):
@@ -248,7 +246,10 @@ def subnetwork(net: Network, reactions: Iterable[int]) -> Network:
     species occurring in those complexes; species and complex order are
     inherited from the parent, and labels are preserved.
     """
-    chosen = sorted(set(reactions))
+    chosen = list(reactions)
+    if not all(isinstance(i, int) for i in chosen):
+        raise NetworkError(f"reaction index not an integer in {chosen}")
+    chosen = sorted(set(chosen))
     if not chosen:
         raise EmptySubsetError("subnetwork needs at least one reaction")
     if chosen[0] < 0 or chosen[-1] >= net.reaction_count:

@@ -11,22 +11,23 @@ A connected graph means only the trivial decomposition exists; otherwise the
 connected components induce the finest independent partition this
 construction yields, with every non-basis reaction joining the component
 that carries its nonzero coordinates.  The finder gets both at once from
-one union-find that joins each non-basis reaction to the basis reactions of
-its integer relation; only `linalg.coordinates` builds `Fraction`s.  It keeps
-the relations, so a report reads part and linkage-class ranks and the
-coordinate graph's edges from them; the finder itself builds no edges.
-`verify_decomposition` is independent of the finder: one elimination of its
-own, in part order, gives the network rank and every part rank.
+one `linalg._eliminate` scan and one union-find that joins each non-basis
+reaction to the basis reactions of its integer relation.  It keeps the scan's
+`_Span`, so a report reads part and linkage-class ranks and the coordinate
+graph's edges from it; the finder itself builds no edges.
+`verify_decomposition` is independent of the finder: one `_eliminate` of its
+own, in part order, gives every rank; the brute-force oracle runs one per part.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate, combinations
 from typing import Iterable, Iterator, Literal, Sequence
 
 from .analysis import _undirected_components
-from .linalg import BasisSelection, _Echelon, _eliminate, _Span
+from .linalg import BasisSelection, _eliminate, _eliminate_over, _Span
 from .model import Network
 
 BRUTE_FORCE_REACTION_LIMIT = 12  # Bell(12) ~ 4.2M partitions
@@ -110,12 +111,14 @@ def _canonical_partition(
     canon: list[tuple[int, ...]] = []
     seen: set[int] = set()
     for part in parts:
-        p = tuple(sorted(part))
-        if not p:
-            raise PartitionError("empty part in partition")
+        p = tuple(part)
         for i in p:
             if not isinstance(i, int):
                 raise PartitionError(f"reaction index {i!r} is not an integer")
+        p = tuple(sorted(p))
+        if not p:
+            raise PartitionError("empty part in partition")
+        for i in p:
             if i in seen:
                 raise PartitionError(f"reaction index {i} appears in more than one part")
             seen.add(i)
@@ -153,7 +156,7 @@ def verify_decomposition(net: Network, parts: Iterable[Iterable[int]]) -> Indepe
     read from that one elimination's relations.
     """
     canon = _canonical_partition(parts, net.reaction_count)
-    span = _Span(*_eliminate([net.sparse_reaction_vector(i) for part in canon for i in part]))
+    span = _eliminate([net.sparse_reaction_vector(i) for part in canon for i in part])
     network_rank = len(span.position)
     incidence_network_rank = _incidence_rank(net, range(net.reaction_count))
     if len(canon) == 1:
@@ -192,7 +195,7 @@ def build_coordinate_graph(net: Network, basis: BasisSelection) -> CoordinateGra
     For each non-basis reaction vector, an edge joins every pair of basis
     vertices at which its (unique, exact) coordinates are nonzero.
     """
-    return _coordinate_graph(net, _Span(*_eliminate(_reaction_rows(net), basis.basis_rows)))
+    return _coordinate_graph(net, _eliminate_over(_reaction_rows(net), basis.basis_rows))
 
 
 def connected_components(graph: CoordinateGraph) -> list[tuple[int, ...]]:
@@ -222,9 +225,9 @@ def _finest(net: Network) -> _Finest:
     Joining each non-basis reaction to the basis reactions of its relation
     gives the coordinate graph's connectivity and places every reaction.
     """
-    basis_rows, relations = _eliminate(_reaction_rows(net))
-    span = _Span(basis_rows, relations)
-    joins = ((i, basis_rows[j]) for i, (tag, _) in relations.items() for j in tag)
+    span = _eliminate(_reaction_rows(net))
+    basis_rows = list(span.position)
+    joins = ((i, basis_rows[j]) for i, (tag, _) in span.relations.items() for j in tag)
     parts = tuple(_undirected_components(net.reaction_count, joins))
     # Relations use only earlier basis reactions, so each part starts with a
     # basis reaction and the components come out in the parts' order.
@@ -281,36 +284,15 @@ def iter_set_partitions(
     yield from rec(0, 0)
 
 
-class _SubsetRankCache:
-    """Rank of the span of any subset of a fixed vector list, memoized.
-
-    Subsets are bitmasks; the echelon basis of ``mask`` is built by inserting
-    one vector into the echelon basis of ``mask`` minus its highest bit.
-    """
-
-    def __init__(self, vectors: Sequence[Iterable[tuple[int, int]]]):
-        self._vectors = vectors
-        self._echelon: dict[int, _Echelon] = {0: _Echelon()}
-
-    def rank(self, mask: int) -> int:
-        if mask not in self._echelon:
-            high = mask.bit_length() - 1
-            base = mask ^ (1 << high)
-            self.rank(base)  # ensure base echelon exists
-            echelon = self._echelon[base].copy()
-            echelon.add(self._vectors[high])
-            self._echelon[mask] = echelon
-        return self._echelon[mask].rank
-
-
 def brute_force_decompositions(net: Network, max_parts: int) -> list[Decomposition]:
     """Every independent decomposition with at most ``max_parts`` parts.
 
     An exhaustive oracle for small networks: enumerates all set partitions of
-    the reaction set, keeps those whose part ranks sum to the network rank,
-    and returns them in canonical (restricted-growth) order.  The trivial
-    single-part partition is always included.  Raises `TooLargeError` when
-    the network has more than ``BRUTE_FORCE_REACTION_LIMIT`` reactions.
+    the reaction set and keeps, in canonical (restricted-growth) order, those
+    whose part ranks sum to the network rank.  Each distinct part is ranked by
+    one fresh `_eliminate` of its own rows, never from the finder's relations.
+    The trivial single-part partition is always included.  Raises
+    `TooLargeError` for more than ``BRUTE_FORCE_REACTION_LIMIT`` reactions.
     """
     r = net.reaction_count
     if r > BRUTE_FORCE_REACTION_LIMIT:
@@ -319,21 +301,19 @@ def brute_force_decompositions(net: Network, max_parts: int) -> list[Decompositi
         )
     if max_parts < 1:
         raise ValueError("max_parts must be at least 1")
-    cache = _SubsetRankCache(_reaction_rows(net))
-    total = cache.rank((1 << r) - 1)
+    rows = _reaction_rows(net)
+
+    @cache
+    def part_rank(part: tuple[int, ...]) -> int:
+        return len(_eliminate([rows[i] for i in part]).position)
+
+    total = part_rank(tuple(range(r)))
     found: list[Decomposition] = []
     for partition in iter_set_partitions(r, max_parts):
-        ranks = tuple(cache.rank(_mask(part)) for part in partition)
+        ranks = tuple(map(part_rank, partition))
         if sum(ranks) == total:
             found.append(Decomposition(partition, ranks))
     return found
-
-
-def _mask(indices: Iterable[int]) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
 
 
 PartitionRelation = Literal["refinement", "coarsening", "equal", "incomparable"]

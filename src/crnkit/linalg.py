@@ -2,15 +2,15 @@
 
 Rank, row-basis selection and coordinate extraction are decided by exact
 fraction-free integer elimination: there is no tolerance anywhere, and no
-`fractions.Fraction` arithmetic inside the elimination loop.  One sparse
-pass answers all three: it scans the rows in order, clears each row's
+`fractions.Fraction` arithmetic inside the elimination loop.  One routine,
+`_eliminate`, drives it: it scans the rows in order, clears each row's
 denominators, keeps each row that is not spanned by the rows before it as a
-basis row, and hands back every other row's integer relation to the basis
-rows.  The greedy basis, the rank, and which coordinates are nonzero fall out
-of that single scan; only `coordinates` turns relations into `Fraction`s.
-`_Span` keeps a scan's basis and relations and reads the rank of any subset
-of its rows from them, so ranks of parts and of linkage classes need no scan
-of their own.
+basis row, and returns a `_Span` of the basis rows and every other row's
+integer relation to them.  The greedy basis, the rank, and which coordinates
+are nonzero fall out of that single scan; only `coordinates` turns relations
+into `Fraction`s.  A caller's own basis is scanned first (`_eliminate_over`).
+`_Span.rank` reads the rank of any subset of the rows from the relations, so
+ranks of parts and of linkage classes need no scan of their own.
 `RationalMatrix` and `rref` compute with `Fraction`; `rref` is a separate
 dense implementation kept as an independent reference.
 """
@@ -25,6 +25,7 @@ from typing import Iterable, Mapping, Sequence, Union
 Rational = Fraction
 RationalLike = Union[int, Fraction]
 Relation = tuple[dict[int, int], int]  # (tag, scale), see `_Echelon.add`
+SparseRow = Union[Mapping[int, RationalLike], Iterable[tuple[int, RationalLike]]]
 
 
 class NotInSpanError(ValueError):
@@ -144,8 +145,7 @@ class _Echelon:
     pivot of its own at its smallest nonzero column, and carries a tag (basis
     position -> nonzero `int`) with ``row == sum(tag[j] * basis_row[j])``.
     Row and tag together have content 1 (the gcd of all their entries), which
-    keeps coefficients from growing.  Stored rows are never mutated, so
-    `copy` may share them.
+    keeps coefficients from growing.
     """
 
     __slots__ = ("_pivots", "rank")
@@ -154,15 +154,7 @@ class _Echelon:
         self._pivots: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
         self.rank = 0
 
-    def copy(self) -> "_Echelon":
-        twin = _Echelon()
-        twin._pivots = dict(self._pivots)
-        twin.rank = self.rank
-        return twin
-
-    def add(
-        self, row: Mapping[int, RationalLike] | Iterable[tuple[int, RationalLike]]
-    ) -> Relation | None:
+    def add(self, row: SparseRow) -> Relation | None:
         """Reduce ``row``; return its relation ``(tag, scale)``, or None if it joins the basis.
 
         A row that joins the basis becomes basis position ``rank - 1``.  The
@@ -213,49 +205,46 @@ class _Echelon:
         return None
 
 
-def _eliminate(
-    rows: Sequence[Mapping[int, RationalLike] | Iterable[tuple[int, RationalLike]]],
-    basis: Iterable[int] | None = None,
-) -> tuple[tuple[int, ...], dict[int, Relation]]:
-    """One exact elimination pass: the basis rows and every other row's relation.
+def _eliminate(rows: Sequence[SparseRow]) -> _Span:
+    """The one greedy scan: each row not spanned by the rows before it joins the basis.
 
-    Without ``basis``, rows are scanned in order and each row not spanned by
-    the earlier ones joins the basis, which gives the greedy basis.  With
-    ``basis``, those rows go first and must be linearly independent
-    (`ValueError` otherwise), then the rest must lie in their span
-    (`NotInSpanError` otherwise).  Returns the basis row indices in basis
-    order and, for each non-basis row index, its `_Echelon.add` relation
-    over the basis positions.
+    Rows are scanned in order, which gives the greedy basis.  The returned
+    `_Span` lists the basis rows in basis order and holds, for every other
+    row, its `_Echelon.add` relation over the basis positions.
     """
     echelon = _Echelon()
-    chosen: list[int] = []
-    relations: dict[int, Relation] = {}
-    if basis is None:
-        order: Iterable[int] = range(len(rows))
-    else:
-        chosen = list(basis)
-        for i in chosen:
-            if echelon.add(rows[i]) is not None:
-                raise ValueError("basis rows are linearly dependent")
-        leading = set(chosen)
-        order = (i for i in range(len(rows)) if i not in leading)
-    for i in order:
-        relation = echelon.add(rows[i])
-        if relation is not None:
-            relations[i] = relation
-        elif basis is None:
-            chosen.append(i)
+    span = _Span((), {})
+    for i, row in enumerate(rows):
+        relation = echelon.add(row)
+        if relation is None:
+            span.position[i] = echelon.rank - 1
         else:
-            raise NotInSpanError(f"row {i} is not in the span of the basis rows")
-    return tuple(chosen), relations
+            span.relations[i] = relation
+    return span
+
+
+def _eliminate_over(rows: Sequence[SparseRow], basis: Sequence[int]) -> _Span:
+    """`_eliminate` with the given basis rows first, in their order, indexed like ``rows``.
+
+    The basis rows must be independent (`ValueError`) and span every row
+    (`NotInSpanError`, naming the first row outside their span).
+    """
+    order = [*basis, *sorted(set(range(len(rows))) - set(basis))]
+    span = _eliminate([rows[i] for i in order])
+    joined = [order[k] for k in span.position]
+    if joined[: len(basis)] != list(basis):
+        raise ValueError("basis rows are linearly dependent")
+    if len(joined) > len(basis):
+        raise NotInSpanError(f"row {joined[len(basis)]} is not in the span of the basis rows")
+    return _Span(basis, {order[k]: relation for k, relation in span.relations.items()})
 
 
 class _Span:
     """One elimination's outcome, from which the rank of any subset of its rows follows.
 
-    ``position`` maps each basis row to its basis position and ``relations``
-    maps every other row to its `_Echelon.add` relation, whose tag is keyed
-    by those positions.
+    ``position`` maps each basis row to its basis position, in basis order,
+    and ``relations`` maps every other row to its `_Echelon.add` relation,
+    whose tag is keyed by those positions.
     """
 
     __slots__ = ("position", "relations")
@@ -315,12 +304,12 @@ def rank_of_rows(rows: Iterable[Sequence[RationalLike]]) -> int:
     rows = list(rows)
     if len({len(row) for row in rows}) > 1:
         raise ValueError("all rows must have the same length")
-    return len(_eliminate([_sparse(row) for row in rows])[0])
+    return len(_eliminate([_sparse(row) for row in rows]).position)
 
 
 def select_basis_rows(matrix: RationalMatrix) -> BasisSelection:
     """Greedy scan in row order: keep each row not spanned by earlier picks."""
-    chosen = _eliminate([_sparse(matrix.row(i)) for i in range(matrix.rows)])[0]
+    chosen = tuple(_eliminate([_sparse(matrix.row(i)) for i in range(matrix.rows)]).position)
     return BasisSelection(chosen, len(chosen))
 
 
@@ -342,5 +331,5 @@ def coordinates(
         raise ValueError("basis row length does not match vector length")
     p = len(basis_rows)
     rows = [_sparse(row) for row in basis_rows] + [_sparse(vector)]
-    tag, scale = _eliminate(rows, range(p))[1][p]
+    tag, scale = _eliminate_over(rows, range(p)).relations[p]
     return tuple(Fraction(-tag.get(j, 0), scale) for j in range(p))

@@ -12,6 +12,7 @@ from crnkit import (
     DimensionError,
     EmptySubsetError,
     Kinetics,
+    NetworkError,
     NonPositivePointError,
     deficiency_one_check,
     deficiency_zero_check,
@@ -192,6 +193,11 @@ class TestSubnetwork:
 
     def test_duplicate_indices_collapse(self, baccam):
         assert subnetwork(baccam, [1, 1]) == subnetwork(baccam, [1])
+
+    @pytest.mark.parametrize("reactions", [[0, "a"], [1.0]])
+    def test_non_integer_index_is_a_network_error(self, baccam, reactions):
+        with pytest.raises(NetworkError, match="not an integer"):
+            subnetwork(baccam, reactions)
 
 
 class TestDeficiencyZero:

@@ -217,6 +217,10 @@ class TestVerify:
         with pytest.raises(PartitionError):
             verify_decomposition(baccam, parts)
 
+    def test_non_integer_index_is_a_partition_error(self, baccam):
+        with pytest.raises(PartitionError, match="'a' is not an integer"):
+            verify_decomposition(baccam, [[0, "a"], [1, 2, 3]])
+
 
 class TestBruteForce:
     def test_reversible_pair_only_trivial(self):
@@ -282,3 +286,7 @@ class TestRefineCoarsen:
     def test_invalid_partition(self):
         with pytest.raises(PartitionError):
             refine_or_coarsen_check([[0], [0, 1]], [[0, 1]])
+
+    def test_non_integer_index_is_a_partition_error(self):
+        with pytest.raises(PartitionError, match="'a' is not an integer"):
+            refine_or_coarsen_check([[0, "a"]], [[0], ["a"]])

@@ -13,10 +13,13 @@ N = Y * Ia.
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from crnkit import (
+    BasisSelection,
+    NotInSpanError,
     RationalMatrix,
     build_coordinate_graph,
     coordinates,
@@ -33,8 +36,8 @@ from crnkit import (
     verify_decomposition,
 )
 from crnkit.analysis import _Structure
-from crnkit.decomposition import _finest, _reaction_rows, _SubsetRankCache
-from crnkit.linalg import _Echelon, _eliminate, _Span
+from crnkit.decomposition import _finest, _reaction_rows
+from crnkit.linalg import _Echelon, _eliminate
 from crnkit.report import _structures
 from conftest import ALL_NETWORK_FILES, load
 from netgen import random_network, random_sparse_network
@@ -99,6 +102,31 @@ class TestAgainstDenseOracles:
             nonzero = [j for j, aj in enumerate(a) if aj]
             edges.update((p, q) for p in nonzero for q in nonzero if p < q)
         assert build_coordinate_graph(net, basis).edges == edges
+
+    def test_coordinate_graph_over_a_given_basis(self, net):
+        nt = stoichiometric_matrix(net).transpose()
+        r = nt.rows
+        greedy = select_basis_rows(nt).basis_rows
+        # The greedy basis of the rows in reverse order, kept in that order.
+        backwards = select_basis_rows(RationalMatrix(nt.row(i) for i in reversed(range(r))))
+        chosen = tuple(r - 1 - i for i in backwards.basis_rows)
+        assert chosen != greedy
+        basis_rows = [nt.row(i) for i in chosen]
+        edges = set()
+        for k in range(r):
+            if k not in chosen:
+                a = coordinates(nt.row(k), basis_rows)
+                edges.update(combinations([j for j, aj in enumerate(a) if aj], 2))
+        graph = build_coordinate_graph(net, BasisSelection(chosen, len(chosen)))
+        assert graph.edges == edges
+        assert graph.vertex_labels == tuple(net.reaction_label(i) for i in chosen)
+        # A basis with a dependent row, and one that spans too little.
+        extra = min(set(range(r)) - set(greedy))
+        with pytest.raises(ValueError, match="^basis rows are linearly dependent$") as raised:
+            build_coordinate_graph(net, BasisSelection((*greedy, extra), len(greedy) + 1))
+        assert type(raised.value) is ValueError
+        with pytest.raises(NotInSpanError, match=f"^row {greedy[-1]} is not in the span"):
+            build_coordinate_graph(net, BasisSelection(greedy[:-1], len(greedy) - 1))
 
     def test_verified_ranks_agree_with_rref(self, net):
         rng = random.Random(net.reaction_count)
@@ -233,17 +261,17 @@ def test_stored_echelon_rows_are_primitive_integer_rows(case):
         assert {c: x for c, x in combo.items() if x} == row
 
 
-def test_subset_rank_cache_matches_fresh_elimination_for_every_mask():
+def test_span_rank_matches_rref_for_every_subset():
     net = random_sparse_network(random.Random(10), 10, 6)
-    rows = _reaction_rows(net)
+    rows = [net.reaction_vector(i) for i in range(net.reaction_count)]
     assert len(rows) == 10
-    cache = _SubsetRankCache(rows)
+    span = _eliminate(_reaction_rows(net))
     ranks = set()
     for mask in range(1 << 10):
-        subset = [rows[i] for i in range(10) if mask >> i & 1]
-        fresh = len(_eliminate(subset)[0])
-        assert cache.rank(mask) == fresh
-        ranks.add(fresh)
+        subset = [i for i in range(10) if mask >> i & 1]
+        expected = rows_rank([rows[i] for i in subset])
+        assert span.rank(subset) == expected
+        ranks.add(expected)
     assert ranks == set(range(rank_of_rows(net.reaction_vector(i) for i in range(10)) + 1))
     assert max(ranks) < 10
 
@@ -270,7 +298,7 @@ SPAN_CASES = list(span_cases())
 @pytest.mark.parametrize("rows", [rows for _, rows in SPAN_CASES], ids=[i for i, _ in SPAN_CASES])
 def test_span_ranks_of_seeded_subsets_agree_with_rref(rows):
     rng = random.Random(len(rows) * 1009 + len(rows[0]))
-    span = _Span(*_eliminate([{j: x for j, x in enumerate(row) if x} for row in rows]))
+    span = _eliminate([{j: x for j, x in enumerate(row) if x} for row in rows])
     n = len(rows)
     assert span.rank(range(n)) == rows_rank(rows)
     deficient = 0
