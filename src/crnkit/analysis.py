@@ -4,7 +4,10 @@ Covers the graph-theoretic network numbers (linkage classes, strong and
 terminal strong linkage classes, rank, deficiency), weak reversibility,
 structural deficiency-zero / deficiency-one theorem checks, subnetwork
 extraction, and evaluation of the species formation rate function for
-mass-action and power-law kinetics at a given positive point.
+mass-action and power-law kinetics at a given positive point.  The complex
+graph is one (reactant, product) edge list per network (`_complex_edges`):
+one union-find gives its linkage classes, Kosaraju's two searches its strong
+linkage classes, and one scan of the edges the terminal ones.
 """
 
 from __future__ import annotations
@@ -74,6 +77,21 @@ class DeficiencyVerdict:
     statement: str
 
 
+def _complex_edges(net: Network) -> list[tuple[int, int]]:
+    """The complex graph: one (reactant, product) edge per reaction, in reaction order."""
+    return [(rx.reactant, rx.product) for rx in net.reactions]
+
+
+def _grouped(keys: Iterable[int]) -> list[tuple[int, ...]]:
+    """Vertices 0, 1, ... grouped by key, each group sorted, ordered by smallest vertex."""
+    # No sort is needed: the scan is in increasing order, so each group is
+    # built sorted and the dict keeps the groups in order of their first vertex.
+    groups: dict[int, list[int]] = {}
+    for v, key in enumerate(keys):
+        groups.setdefault(key, []).append(v)
+    return [tuple(g) for g in groups.values()]
+
+
 def _undirected_components(n: int, edges: Iterable[tuple[int, int]]) -> list[tuple[int, ...]]:
     """Vertex sets of the components of an undirected graph on range(n).
 
@@ -91,92 +109,76 @@ def _undirected_components(n: int, edges: Iterable[tuple[int, int]]) -> list[tup
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[rb] = ra
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(find(v), []).append(v)
-    return sorted((tuple(sorted(g)) for g in groups.values()), key=lambda g: g[0])
+    return _grouped(map(find, range(n)))
 
 
-def _tarjan_sccs(n: int, adjacency: list[list[int]]) -> list[tuple[int, ...]]:
-    index: list[int | None] = [None] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    sccs: list[tuple[int, ...]] = []
-    counter = 0
+def _strong_components(n: int, edges: Iterable[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """Vertex sets of the strongly connected components of a directed graph on range(n).
+
+    Kosaraju's two searches.  A depth-first search records the order in which
+    vertices finish; a search over the reversed edges, started from the latest
+    unclaimed finisher each time, then claims exactly one strong component.
+    Each set is sorted and the sets are ordered by their smallest vertex.
+    """
+    succ: list[list[int]] = [[] for _ in range(n)]
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        succ[a].append(b)
+        pred[b].append(a)
+    seen = [False] * n
+    finished: list[int] = []
     for root in range(n):
-        if index[root] is not None:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            v, edge_pos = work.pop()
-            if edge_pos == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            for i in range(edge_pos, len(adjacency[v])):
-                w = adjacency[v][i]
-                if index[w] is None:
-                    work.append((v, i + 1))
-                    work.append((w, 0))
-                    descended = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])  # type: ignore[type-var]
-            if descended:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(tuple(sorted(comp)))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return sorted(sccs, key=lambda c: c[0])
-
-
-def _directed_adjacency(net: Network) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(net.complex_count)]
-    for rx in net.reactions:
-        adj[rx.reactant].append(rx.product)
-    return adj
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            if v < 0:
+                # ~v was pushed under everything first reached from v.
+                finished.append(~v)
+            elif not seen[v]:
+                seen[v] = True
+                stack.append(~v)
+                stack.extend(succ[v])
+    owner = [-1] * n
+    for root in reversed(finished):
+        if owner[root] < 0:
+            owner[root] = root
+            stack = [root]
+            while stack:
+                for w in pred[stack.pop()]:
+                    if owner[w] < 0:
+                        owner[w] = root
+                        stack.append(w)
+    return _grouped(owner)
 
 
 def linkage_classes(net: Network) -> list[tuple[int, ...]]:
     """Connected components of the undirected graph on complexes."""
-    edges = [(rx.reactant, rx.product) for rx in net.reactions]
-    return _undirected_components(net.complex_count, edges)
+    return _undirected_components(net.complex_count, _complex_edges(net))
 
 
 def strong_linkage_classes(net: Network) -> list[tuple[int, ...]]:
     """Strongly connected components of the directed graph on complexes."""
-    return _tarjan_sccs(net.complex_count, _directed_adjacency(net))
+    return _strong_components(net.complex_count, _complex_edges(net))
 
 
 def terminal_strong_linkage_classes(net: Network) -> list[tuple[int, ...]]:
     """Strong linkage classes with no reaction leaving them."""
-    return _terminal(net, strong_linkage_classes(net))
+    edges = _complex_edges(net)
+    return _terminal(edges, _strong_components(net.complex_count, edges))
 
 
-def _terminal(net: Network, sccs: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+def _terminal(edges: list[tuple[int, int]], sccs: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     scc_of: dict[int, int] = {c: k for k, scc in enumerate(sccs) for c in scc}
     terminal = [True] * len(sccs)
-    for rx in net.reactions:
-        if scc_of[rx.reactant] != scc_of[rx.product]:
-            terminal[scc_of[rx.reactant]] = False
+    for a, b in edges:
+        if scc_of[a] != scc_of[b]:
+            terminal[scc_of[a]] = False
     return [scc for k, scc in enumerate(sccs) if terminal[k]]
 
 
-def _irreversible_count(net: Network) -> int:
-    pairs = {(rx.reactant, rx.product) for rx in net.reactions}
-    return sum(1 for rx in net.reactions if (rx.product, rx.reactant) not in pairs)
+def _irreversible_count(edges: list[tuple[int, int]]) -> int:
+    pairs = set(edges)
+    return sum(1 for a, b in edges if (b, a) not in pairs)
 
 
 class _Structure:
@@ -187,27 +189,30 @@ class _Structure:
     network's reaction vectors, in reaction order (a report passes the
     finder's, restricted to the part); without it the reaction vectors are
     eliminated here, once.  The rank and every linkage class's rank are read
-    from it.
+    from it.  The complex graph's edge list is built once and feeds every
+    class search, the irreversible count and the linkage-class map.
     """
 
     def __init__(self, net: Network, span: _Span | None = None):
         self.net = net
-        self.linkage_classes = linkage_classes(net)
-        self.strong_linkage_classes = strong_linkage_classes(net)
-        self.terminal_strong_linkage_classes = _terminal(net, self.strong_linkage_classes)
+        n = net.complex_count
+        self.edges = edges = _complex_edges(net)
+        self.linkage_classes = _undirected_components(n, edges)
+        self.class_of = {c: k for k, cls in enumerate(self.linkage_classes) for c in cls}
+        self.strong_linkage_classes = _strong_components(n, edges)
+        self.terminal_strong_linkage_classes = _terminal(edges, self.strong_linkage_classes)
         if span is None:
             rows = [net.sparse_reaction_vector(i) for i in range(net.reaction_count)]
             span = _eliminate(rows)
         self.span = span
         rank = span.rank(range(net.reaction_count))
-        n = net.complex_count
         l = len(self.linkage_classes)
         sl = len(self.strong_linkage_classes)
         self.numbers = NetworkNumbers(
             species_count=net.species_count,
             complex_count=n,
             reaction_count=net.reaction_count,
-            irreversible_reaction_count=_irreversible_count(net),
+            irreversible_reaction_count=_irreversible_count(edges),
             linkage_class_count=l,
             strong_linkage_class_count=sl,
             terminal_strong_linkage_class_count=len(self.terminal_strong_linkage_classes),
@@ -220,10 +225,9 @@ class _Structure:
     def class_deficiencies(self) -> list[int]:
         """Deficiency of each linkage class: n_i - 1 - s_i over the class's reactions."""
         classes = self.linkage_classes
-        class_of = {c: k for k, cls in enumerate(classes) for c in cls}
         members: list[list[int]] = [[] for _ in classes]
-        for i, rx in enumerate(self.net.reactions):
-            members[class_of[rx.reactant]].append(i)
+        for i, (reactant, _) in enumerate(self.edges):
+            members[self.class_of[reactant]].append(i)
         return [
             len(cls) - 1 - self.span.rank(reactions) for cls, reactions in zip(classes, members)
         ]
@@ -247,7 +251,7 @@ def subnetwork(net: Network, reactions: Iterable[int]) -> Network:
     inherited from the parent, and labels are preserved.
     """
     chosen = list(reactions)
-    if not all(isinstance(i, int) for i in chosen):
+    if not all(isinstance(i, int) and not isinstance(i, bool) for i in chosen):
         raise NetworkError(f"reaction index not an integer in {chosen}")
     chosen = sorted(set(chosen))
     if not chosen:
@@ -255,9 +259,8 @@ def subnetwork(net: Network, reactions: Iterable[int]) -> Network:
     if chosen[0] < 0 or chosen[-1] >= net.reaction_count:
         raise NetworkError(f"reaction index out of range in {chosen}")
 
-    touched_complexes = sorted(
-        {c for i in chosen for c in (net.reactions[i].reactant, net.reactions[i].product)}
-    )
+    edges = _complex_edges(net)
+    touched_complexes = sorted({c for i in chosen for c in edges[i]})
     touched_species = sorted(
         {s for c in touched_complexes for s in net.complexes[c].support}
     )
@@ -272,11 +275,7 @@ def subnetwork(net: Network, reactions: Iterable[int]) -> Network:
         for old in touched_complexes
     ]
     reactions_out = [
-        Reaction(
-            complex_map[net.reactions[i].reactant],
-            complex_map[net.reactions[i].product],
-            net.reaction_label(i),
-        )
+        Reaction(complex_map[edges[i][0]], complex_map[edges[i][1]], net.reaction_label(i))
         for i in chosen
     ]
     return Network(species, complexes, reactions_out)
@@ -339,10 +338,9 @@ def deficiency_one_check(net: Network) -> DeficiencyVerdict:
 
 def _deficiency_one_verdict(st: _Structure) -> DeficiencyVerdict:
     nn = st.numbers
-    class_of = {c: k for k, cls in enumerate(st.linkage_classes) for c in cls}
     terminal_per_class = [0] * len(st.linkage_classes)
     for scc in st.terminal_strong_linkage_classes:
-        terminal_per_class[class_of[scc[0]]] += 1
+        terminal_per_class[st.class_of[scc[0]]] += 1
     class_deficiencies = st.class_deficiencies
 
     one_terminal = all(t == 1 for t in terminal_per_class)

@@ -140,6 +140,19 @@ def _parse_assignments(spec: str, what: str) -> dict[str, float]:
     return values
 
 
+def _in_order(
+    values: dict[str, float], names: Sequence[str], missing: str, unknown: str
+) -> list[float]:
+    """The values in ``names`` order; a name left out or not in ``names`` is a usage error."""
+    absent = [name for name in names if name not in values]
+    if absent:
+        raise _UsageError(f"{missing}: {', '.join(absent)}")
+    extra = [name for name in values if name not in names]
+    if extra:
+        raise _UsageError(f"{unknown}: {', '.join(extra)}")
+    return [values[name] for name in names]
+
+
 def _cmd_analyze(args: argparse.Namespace, net: Network) -> int:
     report = build_report(net).to_dict()
     if args.format == "json":
@@ -161,17 +174,9 @@ def _cmd_decompose(args: argparse.Namespace, net: Network) -> int:
             return EXIT_OK
         rep = verify_decomposition(net, [[chosen], rest])
         eq = rank_equation(rep.network_rank, list(rep.part_ranks))
-        if rep.independent:
-            print(
-                f"{{{args.contains}}} and its complement form an independent "
-                f"decomposition ({eq})"
-            )
-            return EXIT_OK
-        print(
-            f"{{{args.contains}}} and its complement do not form an independent "
-            f"decomposition ({eq})"
-        )
-        return EXIT_NEGATIVE
+        verb = "form" if rep.independent else "do not form"
+        print(f"{{{args.contains}}} and its complement {verb} an independent decomposition ({eq})")
+        return EXIT_OK if rep.independent else EXIT_NEGATIVE
 
     decomposition = find_independent_decomposition(net)
     if decomposition is None:
@@ -204,23 +209,16 @@ def _cmd_numbers(args: argparse.Namespace, net: Network) -> int:
 def _cmd_steady_state(args: argparse.Namespace, net: Network) -> int:
     rates_by_label = _parse_assignments(args.rates, "rates")
     point_by_name = _parse_assignments(args.point, "point")
-
-    missing = [lab for lab in net.labels if lab not in rates_by_label]
-    if missing:
-        raise _UsageError(f"missing rate constants for: {', '.join(missing)}")
-    unknown = [lab for lab in rates_by_label if lab not in net.labels]
-    if unknown:
-        raise _UsageError(f"unknown reaction labels in --rates: {', '.join(unknown)}")
+    rates = _in_order(
+        rates_by_label,
+        net.labels,
+        "missing rate constants for",
+        "unknown reaction labels in --rates",
+    )
     names = net.species_names
-    missing = [name for name in names if name not in point_by_name]
-    if missing:
-        raise _UsageError(f"missing coordinates for species: {', '.join(missing)}")
-    unknown = [name for name in point_by_name if name not in names]
-    if unknown:
-        raise _UsageError(f"unknown species in --point: {', '.join(unknown)}")
-
-    rates = [rates_by_label[lab] for lab in net.labels]
-    x = [point_by_name[name] for name in names]
+    x = _in_order(
+        point_by_name, names, "missing coordinates for species", "unknown species in --point"
+    )
     try:
         kinetics = Kinetics.mass_action(net, rates)
         f = sfrf(net, kinetics, x)

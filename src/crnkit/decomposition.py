@@ -14,9 +14,11 @@ that carries its nonzero coordinates.  The finder gets both at once from
 one `linalg._eliminate` scan and one union-find that joins each non-basis
 reaction to the basis reactions of its integer relation.  It keeps the scan's
 `_Span`, so a report reads part and linkage-class ranks and the coordinate
-graph's edges from it; the finder itself builds no edges.
+graph's vertices and edges (`_coordinate_edges`) from it, and each part's
+basis reactions are one graph component; the finder itself builds no edges.
 `verify_decomposition` is independent of the finder: one `_eliminate` of its
-own, in part order, gives every rank; the brute-force oracle runs one per part.
+own, in part order, gives every rank, and its incidence ranks come from the
+complex graph's one edge list; the brute-force oracle runs one per part.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, combinations
-from typing import Iterable, Iterator, Literal, Sequence
+from typing import Iterable, Iterator, Literal
 
-from .analysis import _undirected_components
+from .analysis import _complex_edges, _undirected_components
 from .linalg import BasisSelection, _eliminate, _eliminate_over, _Span
 from .model import Network
 
@@ -113,7 +115,7 @@ def _canonical_partition(
     for part in parts:
         p = tuple(part)
         for i in p:
-            if not isinstance(i, int):
+            if not isinstance(i, int) or isinstance(i, bool):
                 raise PartitionError(f"reaction index {i!r} is not an integer")
         p = tuple(sorted(p))
         if not p:
@@ -139,12 +141,11 @@ def _canonical_partition(
     return tuple(canon)
 
 
-def _incidence_rank(net: Network, part: Sequence[int]) -> int:
+def _incidence_rank(n: int, edges: list[tuple[int, int]]) -> int:
     # An incidence matrix has rank n - l: the complexes its reactions touch
     # minus the linkage classes they form.  An untouched complex is a
-    # component of its own, so counting over all complexes gives the same n - l.
-    edges = [(net.reactions[i].reactant, net.reactions[i].product) for i in part]
-    return net.complex_count - len(_undirected_components(net.complex_count, edges))
+    # component of its own, so counting over all n complexes gives the same n - l.
+    return n - len(_undirected_components(n, edges))
 
 
 def verify_decomposition(net: Network, parts: Iterable[Iterable[int]]) -> IndependenceReport:
@@ -158,7 +159,8 @@ def verify_decomposition(net: Network, parts: Iterable[Iterable[int]]) -> Indepe
     canon = _canonical_partition(parts, net.reaction_count)
     span = _eliminate([net.sparse_reaction_vector(i) for part in canon for i in part])
     network_rank = len(span.position)
-    incidence_network_rank = _incidence_rank(net, range(net.reaction_count))
+    n, edges = net.complex_count, _complex_edges(net)
+    incidence_network_rank = _incidence_rank(n, edges)
     if len(canon) == 1:
         # A validated single part is the whole reaction set.
         part_ranks, incidence_part_ranks = (network_rank,), (incidence_network_rank,)
@@ -166,7 +168,7 @@ def verify_decomposition(net: Network, parts: Iterable[Iterable[int]]) -> Indepe
         # Part k is rows bounds[k]..bounds[k + 1] - 1 of the elimination.
         bounds = list(accumulate(map(len, canon), initial=0))
         part_ranks = tuple(span.rank(range(a, b)) for a, b in zip(bounds, bounds[1:]))
-        incidence_part_ranks = tuple(_incidence_rank(net, part) for part in canon)
+        incidence_part_ranks = tuple(_incidence_rank(n, [edges[i] for i in p]) for p in canon)
     return IndependenceReport(
         network_rank=network_rank,
         part_ranks=part_ranks,
@@ -177,12 +179,12 @@ def verify_decomposition(net: Network, parts: Iterable[Iterable[int]]) -> Indepe
     )
 
 
-def _coordinate_graph(net: Network, span: _Span) -> CoordinateGraph:
+def _coordinate_edges(span: _Span) -> list[tuple[int, int]]:
+    """The coordinate graph's edges, sorted: every pair of basis positions one relation uses."""
     edges: set[tuple[int, int]] = set()
     for tag, _ in span.relations.values():
         edges.update(combinations(sorted(tag), 2))
-    labels = tuple(net.reaction_label(i) for i in span.position)
-    return CoordinateGraph(len(labels), frozenset(edges), labels)
+    return sorted(edges)
 
 
 def _reaction_rows(net: Network) -> list[tuple[tuple[int, int], ...]]:
@@ -195,7 +197,9 @@ def build_coordinate_graph(net: Network, basis: BasisSelection) -> CoordinateGra
     For each non-basis reaction vector, an edge joins every pair of basis
     vertices at which its (unique, exact) coordinates are nonzero.
     """
-    return _coordinate_graph(net, _eliminate_over(_reaction_rows(net), basis.basis_rows))
+    span = _eliminate_over(_reaction_rows(net), basis.basis_rows)
+    labels = tuple(net.reaction_label(i) for i in span.position)
+    return CoordinateGraph(len(labels), frozenset(_coordinate_edges(span)), labels)
 
 
 def connected_components(graph: CoordinateGraph) -> list[tuple[int, ...]]:
@@ -205,16 +209,15 @@ def connected_components(graph: CoordinateGraph) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class _Finest:
-    """The finder's work for one network: its elimination, components, and verified parts.
+    """The finder's work for one network: its elimination and its verified parts.
 
     ``span`` holds the greedy basis and every non-basis relation, from which
-    the coordinate graph follows (`_coordinate_graph`).  ``components[k]``
-    lists the graph vertices of ``parts[k]``; ``parts`` is the single
-    whole-set part when the graph is connected.
+    the coordinate graph follows (`_coordinate_edges`); the basis reactions of
+    each part are one graph component, and ``parts`` is the single whole-set
+    part when the graph is connected.
     """
 
     span: _Span
-    components: list[tuple[int, ...]]
     parts: tuple[tuple[int, ...], ...]
     independence: IndependenceReport
 
@@ -229,14 +232,10 @@ def _finest(net: Network) -> _Finest:
     basis_rows = list(span.position)
     joins = ((i, basis_rows[j]) for i, (tag, _) in span.relations.items() for j in tag)
     parts = tuple(_undirected_components(net.reaction_count, joins))
-    # Relations use only earlier basis reactions, so each part starts with a
-    # basis reaction and the components come out in the parts' order.
-    position = span.position
-    components = [tuple(position[i] for i in part if i in position) for part in parts]
     independence = verify_decomposition(net, parts)
     if not independence.independent:
         raise InternalError("constructed decomposition failed independence verification")
-    return _Finest(span, components, parts, independence)
+    return _Finest(span, parts, independence)
 
 
 def find_independent_decomposition(net: Network) -> Decomposition | None:
@@ -250,7 +249,7 @@ def find_independent_decomposition(net: Network) -> Decomposition | None:
     independent before being returned.
     """
     finest = _finest(net)
-    if len(finest.components) <= 1:
+    if len(finest.parts) == 1:
         return None
     return Decomposition(finest.parts, finest.independence.part_ranks)
 

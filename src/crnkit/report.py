@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 from typing import Any, Mapping
 
 from .analysis import DeficiencyVerdict, NetworkNumbers, _Structure, subnetwork
-from .decomposition import IndependenceReport, _coordinate_graph, _Finest, _finest
+from .decomposition import IndependenceReport, _coordinate_edges, _Finest, _finest
 from .model import Network
 
 SCHEMA_VERSION = "1"
@@ -169,16 +169,20 @@ def build_report(net: Network) -> AnalysisReport:
     """Run the whole pipeline on a network and assemble the report."""
     finest = _finest(net)
     whole, parts = _structures(net, finest)
-    graph = _coordinate_graph(net, finest.span)
+    position = finest.span.position
     return AnalysisReport(
         network=whole.numbers,
-        trivial=len(finest.components) <= 1,
+        trivial=len(finest.parts) == 1,
         parts=tuple(tuple(net.reaction_label(i) for i in part) for part in finest.parts),
         part_numbers=tuple(st.numbers for st in parts),
         independence=finest.independence,
-        graph_vertices=graph.vertex_labels,
-        graph_edges=tuple(sorted(graph.edges)),
-        graph_components=tuple(finest.components),
+        graph_vertices=tuple(net.reaction_label(i) for i in position),
+        graph_edges=tuple(_coordinate_edges(finest.span)),
+        # Relations use only earlier basis reactions, so each part starts with a
+        # basis reaction and the components come out in the parts' order.
+        graph_components=tuple(
+            tuple(position[i] for i in part if i in position) for part in finest.parts
+        ),
         network_verdicts=whole.verdicts,
         part_verdicts=tuple(st.verdicts for st in parts),
     )

@@ -194,7 +194,7 @@ class TestSubnetwork:
     def test_duplicate_indices_collapse(self, baccam):
         assert subnetwork(baccam, [1, 1]) == subnetwork(baccam, [1])
 
-    @pytest.mark.parametrize("reactions", [[0, "a"], [1.0]])
+    @pytest.mark.parametrize("reactions", [[0, "a"], [1.0], [True]])
     def test_non_integer_index_is_a_network_error(self, baccam, reactions):
         with pytest.raises(NetworkError, match="not an integer"):
             subnetwork(baccam, reactions)

@@ -50,15 +50,16 @@ class TestDecompose:
             capsys, "decompose", path(networks_dir, "purine.crn"), "--contains", "R42"
         )
         assert code == 0
-        assert "independent decomposition" in out
-        assert "18 = 1 + 17" in out
+        assert out == "{R42} and its complement form an independent decomposition (18 = 1 + 17)\n"
 
     def test_contains_negative(self, capsys, networks_dir):
         code, out, _ = run(
             capsys, "decompose", path(networks_dir, "sorribas.crn"), "--contains", "R2"
         )
         assert code == 3
-        assert "do not form" in out
+        assert out == (
+            "{R2} and its complement do not form an independent decomposition (4 = 1 + 4)\n"
+        )
 
     def test_contains_unknown_label(self, capsys, networks_dir):
         code, _, err = run(
@@ -247,6 +248,37 @@ class TestSteadyState:
         assert code == 1
         assert err.startswith("error:")
 
+
+    @pytest.mark.parametrize(
+        "rates,point,err",
+        [
+            ("R1=1,R2=1,R3=3", "X1=2,X2=3,X3=3,X4=2", "missing rate constants for: R4"),
+            (
+                "R1=1,R2=1,R3=3,R4=1,R9=1,R8=2",
+                "X1=2,X2=3,X3=3,X4=2",
+                "unknown reaction labels in --rates: R9, R8",
+            ),
+            ("R1=1,R2=1,R3=3,R4=1", "X1=2,X3=3", "missing coordinates for species: X2, X4"),
+            ("R1=1,R2=1,R3=3,R4=1", "X1=2,X2=3,X3=3,X4=2,X9=1", "unknown species in --point: X9"),
+            # Both specs are parsed first, then the rates are checked, then the point.
+            ("R1=1,R2=1,R3=3", "X1=2,X2=3,X3=3,X4=2,X9=1", "missing rate constants for: R4"),
+            ("R1=1,R2=1,R3=3,R4=1,R9=1", "X1=2", "unknown reaction labels in --rates: R9"),
+            ("R1=1,R2=1,R3=3", "X1=2,X2=3,X3=3,X4=2,=1", "expected NAME=VALUE in --point, got '=1'"),
+        ],
+    )
+    def test_name_errors(self, capsys, networks_dir, rates, point, err):
+        code, out, stderr = run(
+            capsys,
+            "steady-state",
+            path(networks_dir, "mass_action_demo.crn"),
+            "--rates",
+            rates,
+            "--point",
+            point,
+        )
+        assert code == 1
+        assert out == ""
+        assert stderr == f"error: {err}\n"
 
     @pytest.mark.parametrize(
         "rates,point,bad",

@@ -220,6 +220,9 @@ class TestVerify:
     def test_non_integer_index_is_a_partition_error(self, baccam):
         with pytest.raises(PartitionError, match="'a' is not an integer"):
             verify_decomposition(baccam, [[0, "a"], [1, 2, 3]])
+        # A bool is an int subclass, but True is not reaction 1.
+        with pytest.raises(PartitionError, match="True is not an integer"):
+            verify_decomposition(baccam, [[0, True], [2, 3]])
 
 
 class TestBruteForce:
@@ -290,3 +293,5 @@ class TestRefineCoarsen:
     def test_non_integer_index_is_a_partition_error(self):
         with pytest.raises(PartitionError, match="'a' is not an integer"):
             refine_or_coarsen_check([[0, "a"]], [[0], ["a"]])
+        with pytest.raises(PartitionError, match="True is not an integer"):
+            refine_or_coarsen_check([[0, True]], [[0], [1]])
