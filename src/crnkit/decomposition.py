@@ -19,6 +19,10 @@ basis reactions are one graph component; the finder itself builds no edges.
 `verify_decomposition` is independent of the finder: one `_eliminate` of its
 own, in part order, gives every rank, and its incidence ranks come from the
 complex graph's one edge list; the brute-force oracle runs one per part.
+The finder has every answer of two or more parts checked by the verifier.
+A single part is the whole reaction set, independent by definition, and the
+verifier would only repeat the finder's scan of the same rows in the same
+order, so the finder reports that part with its own rank and n - l.
 """
 
 from __future__ import annotations
@@ -161,14 +165,10 @@ def verify_decomposition(net: Network, parts: Iterable[Iterable[int]]) -> Indepe
     network_rank = len(span.position)
     n, edges = net.complex_count, _complex_edges(net)
     incidence_network_rank = _incidence_rank(n, edges)
-    if len(canon) == 1:
-        # A validated single part is the whole reaction set.
-        part_ranks, incidence_part_ranks = (network_rank,), (incidence_network_rank,)
-    else:
-        # Part k is rows bounds[k]..bounds[k + 1] - 1 of the elimination.
-        bounds = list(accumulate(map(len, canon), initial=0))
-        part_ranks = tuple(span.rank(range(a, b)) for a, b in zip(bounds, bounds[1:]))
-        incidence_part_ranks = tuple(_incidence_rank(n, [edges[i] for i in p]) for p in canon)
+    # Part k is rows bounds[k]..bounds[k + 1] - 1 of the elimination.
+    bounds = list(accumulate(map(len, canon), initial=0))
+    part_ranks = tuple(span.rank(range(a, b)) for a, b in zip(bounds, bounds[1:]))
+    incidence_part_ranks = tuple(_incidence_rank(n, [edges[i] for i in p]) for p in canon)
     return IndependenceReport(
         network_rank=network_rank,
         part_ranks=part_ranks,
@@ -209,12 +209,14 @@ def connected_components(graph: CoordinateGraph) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class _Finest:
-    """The finder's work for one network: its elimination and its verified parts.
+    """The finder's work for one network: its elimination and its parts.
 
     ``span`` holds the greedy basis and every non-basis relation, from which
     the coordinate graph follows (`_coordinate_edges`); the basis reactions of
     each part are one graph component, and ``parts`` is the single whole-set
-    part when the graph is connected.
+    part when the graph is connected.  ``independence`` is the verifier's
+    report when there are two or more parts, and the finder's own ranks for
+    the single part.
     """
 
     span: _Span
@@ -223,15 +225,23 @@ class _Finest:
 
 
 def _finest(net: Network) -> _Finest:
-    """One elimination pass and one union-find: the verified finest parts.
+    """One elimination pass and one union-find: the finest parts.
 
     Joining each non-basis reaction to the basis reactions of its relation
     gives the coordinate graph's connectivity and places every reaction.
+    Two or more parts must pass `verify_decomposition` (`InternalError` if
+    not); a single part, the whole reaction set, is independent by definition.
     """
     span = _eliminate(_reaction_rows(net))
     basis_rows = list(span.position)
     joins = ((i, basis_rows[j]) for i, (tag, _) in span.relations.items() for j in tag)
     parts = tuple(_undirected_components(net.reaction_count, joins))
+    if len(parts) == 1:
+        # A second elimination of the same rows in the same order would only
+        # repeat this one's rank; the incidence rank is n - l.
+        rank = len(span.position)
+        inc = _incidence_rank(net.complex_count, _complex_edges(net))
+        return _Finest(span, parts, IndependenceReport(rank, (rank,), True, inc, (inc,), True))
     independence = verify_decomposition(net, parts)
     if not independence.independent:
         raise InternalError("constructed decomposition failed independence verification")
@@ -245,8 +255,10 @@ def find_independent_decomposition(net: Network) -> Decomposition | None:
     decomposition exists).  Otherwise each connected component yields one
     part: the component's basis reactions plus every non-basis reaction
     whose nonzero coordinates all sit in that component, found by joining it
-    to the basis reactions of its integer relation.  The result is verified
-    independent before being returned.
+    to the basis reactions of its integer relation.  A nontrivial result is
+    verified independent by `verify_decomposition`, which eliminates the
+    reaction vectors again in part order, before being returned; a trivial
+    one needs no second elimination.
     """
     finest = _finest(net)
     if len(finest.parts) == 1:

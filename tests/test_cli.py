@@ -502,3 +502,21 @@ class TestErrorsAndExitCodes:
         code, _, err = run(capsys, "analyze", path(networks_dir, "baccam.crn"))
         assert code == 2
         assert err.startswith("internal error:")
+
+    def test_decompose_verification_failure_exits_two(self, capsys, networks_dir, monkeypatch):
+        # `decompose` reaches the finder through `find_independent_decomposition`;
+        # its three parts are verified, so a refuted verification stops it.
+        import dataclasses
+
+        import crnkit.decomposition
+
+        real = crnkit.decomposition.verify_decomposition
+
+        def refuted(net, parts):
+            return dataclasses.replace(real(net, parts), independent=False)
+
+        monkeypatch.setattr(crnkit.decomposition, "verify_decomposition", refuted)
+        code, out, err = run(capsys, "decompose", path(networks_dir, "baccam.crn"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("internal error:")

@@ -6,8 +6,10 @@ import pytest
 from conftest import ALL_NETWORK_FILES
 from netgen import random_sparse_network
 
+import crnkit.decomposition
 from crnkit import (
     CoordinateGraph,
+    IndependenceReport,
     MismatchedReactionSetError,
     PartitionError,
     TooLargeError,
@@ -18,6 +20,7 @@ from crnkit import (
     coordinates,
     find_independent_decomposition,
     iter_set_partitions,
+    network_numbers,
     parse_file,
     parse_network,
     refine_or_coarsen_check,
@@ -126,6 +129,50 @@ class TestFinder:
             report = verify_decomposition(net, d.parts)
             assert report.independent
             assert report.part_ranks == d.part_ranks
+
+
+@pytest.mark.parametrize("path", ALL_NETWORK_FILES, ids=lambda p: p.stem)
+def test_finder_verifies_exactly_its_nontrivial_answers(path, monkeypatch):
+    # A nontrivial answer is checked once by the verifier's own elimination;
+    # a single part is independent by definition and is not checked.
+    net = parse_file(path)
+    checked = []
+    real = crnkit.decomposition.verify_decomposition
+
+    def counted(net, parts):
+        checked.append(parts)
+        return real(net, parts)
+
+    monkeypatch.setattr(crnkit.decomposition, "verify_decomposition", counted)
+    found = find_independent_decomposition(net)
+    assert (found is None) == (path.name == "sorribas.crn")
+    assert checked == ([] if found is None else [found.parts])
+
+
+def single_part_networks():
+    rng = random.Random(1717)
+    nets = [parse_file(path) for path in ALL_NETWORK_FILES]
+    nets += [random_sparse_network(rng, r, r // 2) for r in (8, 20, 40)]
+    nets += [random_sparse_network(rng, 24, 12, blocks=b) for b in (2, 3)]
+    return nets
+
+
+@pytest.mark.parametrize(
+    "net", single_part_networks(), ids=lambda n: f"{n.species_count}x{n.reaction_count}"
+)
+def test_single_part_partition_gives_the_network_numbers(net):
+    # The verifier's one part is read like any other: its rank from the
+    # elimination's relations and its incidence rank n - l from the edges.
+    numbers = network_numbers(net)
+    incidence = numbers.complex_count - numbers.linkage_class_count
+    assert verify_decomposition(net, [range(net.reaction_count)]) == IndependenceReport(
+        network_rank=numbers.rank,
+        part_ranks=(numbers.rank,),
+        independent=True,
+        incidence_network_rank=incidence,
+        incidence_part_ranks=(incidence,),
+        incidence_independent=True,
+    )
 
 
 def clique_route_networks():

@@ -1,10 +1,11 @@
 """The report's shared per-network structure against the public functions.
 
 `build_report` computes each network's linkage classes, numbers and
-deficiency verdicts once and reads every rank from two eliminations, the
-finder's and `verify_decomposition`'s; these tests check that it agrees with
-the standalone public functions, that it makes no calls to them, and that it
-eliminates the reaction vectors exactly twice.
+deficiency verdicts once and reads every rank from the finder's elimination,
+plus `verify_decomposition`'s when the finder returns more than one part;
+these tests check that it agrees with the standalone public functions, that
+it makes no calls to them, and that it eliminates the reaction vectors once
+for an indecomposable network and twice otherwise.
 """
 
 import random
@@ -130,15 +131,27 @@ def count_vector_reads(monkeypatch):
 
 
 class TestOncePerReport:
-    # sorribas is trivial and its one part is the network itself, so the part
-    # shares the network's structure; purine and yeast have two parts each,
-    # and each part is a network of its own.
+    # sorribas and the seeded 40-reaction network are trivial: their one part
+    # is the network itself and shares its structure, and the finder's
+    # elimination is the only one.  purine and yeast have two parts each,
+    # each part is a network of its own, and `verify_decomposition` checks
+    # the parts with a second elimination.
     @pytest.mark.parametrize(
-        "name, part_count, distinct",
-        [("sorribas.crn", 1, 1), ("purine.crn", 2, 3), ("yeast.crn", 2, 3)],
+        "make, part_count, distinct, eliminations",
+        [
+            pytest.param(lambda: load("sorribas.crn"), 1, 1, 1, id="sorribas.crn-1-1"),
+            pytest.param(lambda: load("purine.crn"), 2, 3, 2, id="purine.crn-2-3"),
+            pytest.param(lambda: load("yeast.crn"), 2, 3, 2, id="yeast.crn-2-3"),
+            pytest.param(
+                lambda: random_sparse_network(random.Random(40), 40, 10), 1, 1, 1,
+                id="netgen-40-1-1",
+            ),
+        ],
     )
-    def test_call_counts(self, count_calls, count_vector_reads, name, part_count, distinct):
-        net = load(name)
+    def test_call_counts(
+        self, count_calls, count_vector_reads, make, part_count, distinct, eliminations
+    ):
+        net = make()
         calls = count_calls(
             "_eliminate",
             "subnetwork",
@@ -158,9 +171,9 @@ class TestOncePerReport:
         assert calls["linkage_classes"] <= distinct
         assert calls["strong_linkage_classes"] <= distinct
         assert calls["terminal_strong_linkage_classes"] <= distinct
-        assert calls["verify_decomposition"] == 1
-        # The finder's elimination and the verifier's; parts and linkage
-        # classes read their ranks from those relations.
-        assert calls["_eliminate"] == 2
-        assert count_vector_reads == {net: 2 * net.reaction_count}
+        # The finder's elimination, and the verifier's when there are parts to
+        # check; parts and linkage classes read their ranks from those relations.
+        assert calls["verify_decomposition"] == eliminations - 1
+        assert calls["_eliminate"] == eliminations
+        assert count_vector_reads == {net: eliminations * net.reaction_count}
         assert calls["subnetwork"] == (0 if part_count == 1 else part_count)
