@@ -182,36 +182,59 @@ def _irreversible_count(edges: list[tuple[int, int]]) -> int:
 
 
 class _Structure:
-    """The structural facts of one network, each computed at most once.
+    """The structural facts of one network or part, each computed at most once.
 
     The public numbers and deficiency checks read one of these, and a report
-    builds one per network and per part.  ``span`` is an elimination of the
-    network's reaction vectors, in reaction order (a report passes the
-    finder's, restricted to the part); without it the reaction vectors are
-    eliminated here, once.  The rank and every linkage class's rank are read
-    from it.  The complex graph's edge list is built once and feeds every
-    class search, the irreversible count and the linkage-class map.
+    builds one per network and per part (`part`).  ``span`` is an elimination
+    of the network's reaction vectors, in reaction order (a report passes the
+    finder's); without it the reaction vectors are eliminated here, once.
+    The rank and every linkage class's rank are read from it.  The complex
+    graph's edge list is built once and feeds every class search, the
+    irreversible count and the linkage-class map.
     """
 
     def __init__(self, net: Network, span: _Span | None = None):
-        self.net = net
-        n = net.complex_count
-        self.edges = edges = _complex_edges(net)
+        if span is None:
+            span = _eliminate([net.sparse_reaction_vector(i) for i in range(net.reaction_count)])
+        self._settle(net.species_count, net.complex_count, _complex_edges(net), span)
+
+    @classmethod
+    def part(
+        cls, net: Network, edges: list[tuple[int, int]], reactions: Iterable[int], span: _Span
+    ) -> "_Structure":
+        """The structure of the part on ``reactions``, read from its parent network.
+
+        ``edges`` is the parent's complex edge list and ``span`` the parent's
+        elimination.  The facts are those of `subnetwork(net, reactions)`: the
+        complexes the part touches, renumbered in increasing order, and the
+        species in their supports; the rank comes from ``span.restrict``.
+        """
+        rows = sorted(reactions)
+        touched = sorted({c for i in rows for c in edges[i]})
+        local = {c: k for k, c in enumerate(touched)}
+        species = {s for c in touched for s in net.complexes[c].support}
+        part_edges = [(local[edges[i][0]], local[edges[i][1]]) for i in rows]
+        st = cls.__new__(cls)
+        st._settle(len(species), len(touched), part_edges, span.restrict(rows))
+        return st
+
+    def _settle(
+        self, species_count: int, n: int, edges: list[tuple[int, int]], span: _Span
+    ) -> None:
+        self.edges = edges
         self.linkage_classes = _undirected_components(n, edges)
         self.class_of = {c: k for k, cls in enumerate(self.linkage_classes) for c in cls}
         self.strong_linkage_classes = _strong_components(n, edges)
         self.terminal_strong_linkage_classes = _terminal(edges, self.strong_linkage_classes)
-        if span is None:
-            rows = [net.sparse_reaction_vector(i) for i in range(net.reaction_count)]
-            span = _eliminate(rows)
         self.span = span
-        rank = span.rank(range(net.reaction_count))
+        r = len(edges)
+        rank = span.rank(range(r))
         l = len(self.linkage_classes)
         sl = len(self.strong_linkage_classes)
         self.numbers = NetworkNumbers(
-            species_count=net.species_count,
+            species_count=species_count,
             complex_count=n,
-            reaction_count=net.reaction_count,
+            reaction_count=r,
             irreversible_reaction_count=_irreversible_count(edges),
             linkage_class_count=l,
             strong_linkage_class_count=sl,

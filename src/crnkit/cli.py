@@ -16,10 +16,9 @@ from .analysis import (
     DimensionError,
     Kinetics,
     NonPositivePointError,
-    network_numbers,
+    _Structure,
     sfrf,
     is_steady_state,
-    subnetwork,
 )
 from .decomposition import (
     InternalError,
@@ -195,13 +194,14 @@ def _cmd_check(args: argparse.Namespace, net: Network) -> int:
 
 
 def _cmd_numbers(args: argparse.Namespace, net: Network) -> int:
-    columns = [("N", numbers_to_dict(network_numbers(net)))]
+    # One elimination of the network; each part's column is read from it.
+    whole = _Structure(net)
+    columns = [("N", numbers_to_dict(whole.numbers))]
     if args.parts is not None:
         parts = _parse_parts(args.parts, net)
         for k, part in enumerate(parts, 1):
-            columns.append(
-                (f"N{k}", numbers_to_dict(network_numbers(subnetwork(net, part))))
-            )
+            st = _Structure.part(net, whole.edges, part, whole.span)
+            columns.append((f"N{k}", numbers_to_dict(st.numbers)))
     print(format_numbers_table(columns))
     return EXIT_OK
 

@@ -16,20 +16,24 @@ reaction to the basis reactions of its integer relation.  It keeps the scan's
 `_Span`, so a report reads part and linkage-class ranks and the coordinate
 graph's vertices and edges (`_coordinate_edges`) from it, and each part's
 basis reactions are one graph component; the finder itself builds no edges.
-`verify_decomposition` is independent of the finder: one `_eliminate` of its
-own, in part order, gives every rank, and its incidence ranks come from the
-complex graph's one edge list; the brute-force oracle runs one per part.
-The finder has every answer of two or more parts checked by the verifier.
-A single part is the whole reaction set, independent by definition, and the
-verifier would only repeat the finder's scan of the same rows in the same
-order, so the finder reports that part with its own rank and n - l.
+The finder has every answer of two or more parts checked by an integer
+certificate (`_certify`) before it is returned: the basis rows, re-read from
+the network, are independent; every other reaction vector recomposes exactly
+from its relation; and every relation stays inside its reaction's part.
+That proves each part's span is its basis rows' span, so the part ranks are
+its basis counts and they sum to the network rank.  A single part is the
+whole reaction set, independent by definition, and is reported with the
+finder's own rank.  `verify_decomposition` checks a user partition and is
+independent of the finder: one `_eliminate` of its own, in part order, gives
+every rank, and its incidence ranks come from the complex graph's one edge
+list; the brute-force oracle runs one elimination per part.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 from typing import Iterable, Iterator, Literal
 
 from .analysis import _complex_edges, _undirected_components
@@ -169,13 +173,23 @@ def verify_decomposition(net: Network, parts: Iterable[Iterable[int]]) -> Indepe
     bounds = list(accumulate(map(len, canon), initial=0))
     part_ranks = tuple(span.rank(range(a, b)) for a, b in zip(bounds, bounds[1:]))
     incidence_part_ranks = tuple(_incidence_rank(n, [edges[i] for i in p]) for p in canon)
+    return _independence(network_rank, part_ranks, incidence_network_rank, incidence_part_ranks)
+
+
+def _independence(
+    rank: int,
+    part_ranks: tuple[int, ...],
+    incidence_rank: int,
+    incidence_part_ranks: tuple[int, ...],
+) -> IndependenceReport:
+    """The report on given ranks: each condition holds when the part ranks sum to the whole's."""
     return IndependenceReport(
-        network_rank=network_rank,
+        network_rank=rank,
         part_ranks=part_ranks,
-        independent=sum(part_ranks) == network_rank,
-        incidence_network_rank=incidence_network_rank,
+        independent=sum(part_ranks) == rank,
+        incidence_network_rank=incidence_rank,
         incidence_part_ranks=incidence_part_ranks,
-        incidence_independent=sum(incidence_part_ranks) == incidence_network_rank,
+        incidence_independent=sum(incidence_part_ranks) == incidence_rank,
     )
 
 
@@ -209,43 +223,81 @@ def connected_components(graph: CoordinateGraph) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class _Finest:
-    """The finder's work for one network: its elimination and its parts.
+    """The finder's work for one network: its elimination, its parts and their ranks.
 
     ``span`` holds the greedy basis and every non-basis relation, from which
     the coordinate graph follows (`_coordinate_edges`); the basis reactions of
     each part are one graph component, and ``parts`` is the single whole-set
-    part when the graph is connected.  ``independence`` is the verifier's
-    report when there are two or more parts, and the finder's own ranks for
-    the single part.
+    part when the graph is connected.  ``part_ranks`` are the certified part
+    ranks when there are two or more parts, and the finder's own rank for the
+    single part; they sum to the network rank ``len(span.position)``.
     """
 
     span: _Span
     parts: tuple[tuple[int, ...], ...]
-    independence: IndependenceReport
+    part_ranks: tuple[int, ...]
+
+
+def _certify(net: Network, span: _Span, parts: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """Prove ``parts`` independent from the finder's ``span``; return the part ranks.
+
+    The reaction vectors are re-read from ``net`` and none of the finder's
+    echelon state is trusted.  The certificate holds when (a) a fresh
+    `_eliminate` of the basis rows alone keeps every one of them; (b) every
+    other reaction i has a relation that recomposes exactly in integers,
+    ``scale * v[i] + sum(tag[j] * b[j]) == 0`` with ``scale > 0``; and (c)
+    every tag position of reaction i is a basis row in i's own part.  Then
+    each part spans what its basis rows span, so its rank is their count, and
+    the counts sum to the network rank.  Any failure raises `InternalError`.
+    """
+    every = list(range(net.reaction_count))
+    if sorted(chain(*parts)) != every or sorted([*span.position, *span.relations]) != every:
+        raise InternalError("the parts or the relations do not cover each reaction once")
+    basis = list(span.position)
+    if list(span.position.values()) != list(range(len(basis))):
+        raise InternalError("the basis positions are not numbered in basis order")
+    owner = [0] * len(every)
+    for k, part in enumerate(parts):
+        for i in part:
+            owner[i] = k
+    vectors = [net.sparse_reaction_vector(i) for i in basis]
+    if len(_eliminate(vectors).position) != len(basis):  # (a)
+        raise InternalError("the basis reactions are linearly dependent")
+    for i, (tag, scale) in span.relations.items():
+        if scale <= 0:  # (b)
+            raise InternalError(f"reaction {i} has relation scale {scale}")
+        w = {s: scale * c for s, c in net.sparse_reaction_vector(i)}
+        for j, t in tag.items():
+            if not 0 <= j < len(basis) or owner[basis[j]] != owner[i]:  # (c)
+                raise InternalError(f"reaction {i}'s relation leaves its part")
+            for s, c in vectors[j]:
+                w[s] = w.get(s, 0) + t * c
+        if any(w.values()):  # (b)
+            raise InternalError(f"reaction {i}'s relation does not recompose it")
+    ranks = [0] * len(parts)
+    for i in basis:
+        ranks[owner[i]] += 1
+    return tuple(ranks)
 
 
 def _finest(net: Network) -> _Finest:
-    """One elimination pass and one union-find: the finest parts.
+    """One elimination pass and one union-find: the finest parts and their ranks.
 
     Joining each non-basis reaction to the basis reactions of its relation
     gives the coordinate graph's connectivity and places every reaction.
-    Two or more parts must pass `verify_decomposition` (`InternalError` if
-    not); a single part, the whole reaction set, is independent by definition.
+    Two or more parts must pass the integer certificate `_certify`
+    (`InternalError` if not), which also gives their ranks; a single part,
+    the whole reaction set, is independent by definition and has the basis
+    size as its rank.  No complex-graph work is done here: a report reads the
+    incidence ranks n - l from its network and part structures.
     """
     span = _eliminate(_reaction_rows(net))
     basis_rows = list(span.position)
     joins = ((i, basis_rows[j]) for i, (tag, _) in span.relations.items() for j in tag)
     parts = tuple(_undirected_components(net.reaction_count, joins))
     if len(parts) == 1:
-        # A second elimination of the same rows in the same order would only
-        # repeat this one's rank; the incidence rank is n - l.
-        rank = len(span.position)
-        inc = _incidence_rank(net.complex_count, _complex_edges(net))
-        return _Finest(span, parts, IndependenceReport(rank, (rank,), True, inc, (inc,), True))
-    independence = verify_decomposition(net, parts)
-    if not independence.independent:
-        raise InternalError("constructed decomposition failed independence verification")
-    return _Finest(span, parts, independence)
+        return _Finest(span, parts, (len(basis_rows),))
+    return _Finest(span, parts, _certify(net, span, parts))
 
 
 def find_independent_decomposition(net: Network) -> Decomposition | None:
@@ -256,14 +308,14 @@ def find_independent_decomposition(net: Network) -> Decomposition | None:
     part: the component's basis reactions plus every non-basis reaction
     whose nonzero coordinates all sit in that component, found by joining it
     to the basis reactions of its integer relation.  A nontrivial result is
-    verified independent by `verify_decomposition`, which eliminates the
-    reaction vectors again in part order, before being returned; a trivial
-    one needs no second elimination.
+    proved independent by the integer certificate `_certify`, which re-reads
+    the reaction vectors and checks the finder's relations against them,
+    before being returned; its part ranks are the parts' basis counts.
     """
     finest = _finest(net)
     if len(finest.parts) == 1:
         return None
-    return Decomposition(finest.parts, finest.independence.part_ranks)
+    return Decomposition(finest.parts, finest.part_ranks)
 
 
 def iter_set_partitions(

@@ -10,8 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Any, Mapping
 
-from .analysis import DeficiencyVerdict, NetworkNumbers, _Structure, subnetwork
-from .decomposition import IndependenceReport, _coordinate_edges, _Finest, _finest
+from .analysis import DeficiencyVerdict, NetworkNumbers, _Structure
+from .decomposition import (
+    IndependenceReport,
+    _coordinate_edges,
+    _Finest,
+    _finest,
+    _independence,
+)
 from .model import Network
 
 SCHEMA_VERSION = "1"
@@ -160,9 +166,12 @@ def _structures(net: Network, finest: _Finest) -> tuple[_Structure, list[_Struct
     used = {s for c in net.complexes for s in c.support}
     if len(finest.parts) == 1 and len(used) == net.species_count:
         return whole, [whole]
-    return whole, [
-        _Structure(subnetwork(net, part), finest.span.restrict(part)) for part in finest.parts
-    ]
+    return whole, [_Structure.part(net, whole.edges, part, finest.span) for part in finest.parts]
+
+
+def _incidence_rank(st: _Structure) -> int:
+    # An incidence matrix has rank n - l: complexes minus linkage classes.
+    return st.numbers.complex_count - st.numbers.linkage_class_count
 
 
 def build_report(net: Network) -> AnalysisReport:
@@ -175,7 +184,12 @@ def build_report(net: Network) -> AnalysisReport:
         trivial=len(finest.parts) == 1,
         parts=tuple(tuple(net.reaction_label(i) for i in part) for part in finest.parts),
         part_numbers=tuple(st.numbers for st in parts),
-        independence=finest.independence,
+        independence=_independence(
+            len(position),
+            finest.part_ranks,
+            _incidence_rank(whole),
+            tuple(map(_incidence_rank, parts)),
+        ),
         graph_vertices=tuple(net.reaction_label(i) for i in position),
         graph_edges=tuple(_coordinate_edges(finest.span)),
         # Relations use only earlier basis reactions, so each part starts with a

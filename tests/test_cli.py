@@ -1,12 +1,15 @@
 """Command-line interface: outputs, exit codes, and format consistency."""
 
 import json
+import random
 
 import pytest
 
+from crnkit import network_numbers, parse_file, subnetwork
 from crnkit.cli import main
-from crnkit.report import render_text
+from crnkit.report import format_numbers_table, numbers_to_dict, render_text
 from conftest import ALL_NETWORK_FILES
+from netgen import random_network
 
 FEEDFORWARD = "R1: 0 -> X1\nR2: X1 -> X2\nR3: X2 + X3 -> X1 + X3\nR4: X2 -> X3\n"
 
@@ -164,6 +167,34 @@ class TestNumbers:
             "deficiency",
         ]
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_part_columns_are_the_subnetwork_numbers(self, capsys, tmp_path, seed):
+        # Each column is read from one elimination of the network; it must
+        # print what the public functions give for the part's subnetwork, on
+        # the corpus and on small random networks split in two in random
+        # label order, as the screen workload does.
+        rng = random.Random(seed)
+        sources = [p.read_text() for p in ALL_NETWORK_FILES]
+        for _ in range(6):
+            net = random_network(rng, max_species=6, max_reactions=12)
+            sources.append("\n".join(map(net.reaction_string, range(net.reaction_count))))
+        for k, source in enumerate(sources):
+            f = tmp_path / f"n{k}.crn"
+            f.write_text(source)
+            net = parse_file(f)
+            labels = list(net.labels)
+            rng.shuffle(labels)
+            cut = rng.randint(1, max(1, len(labels) - 1))
+            split = [labels[:cut], labels[cut:]] if labels[cut:] else [labels]
+            index = net.label_index()
+            subs = [subnetwork(net, [index[x] for x in part]) for part in split]
+            expected = format_numbers_table(
+                [("N", numbers_to_dict(network_numbers(net)))]
+                + [(f"N{j}", numbers_to_dict(network_numbers(sub))) for j, sub in enumerate(subs, 1)]
+            )
+            spec = "|".join(",".join(part) for part in split)
+            code, out, err = run(capsys, "numbers", str(f), "--parts", spec)
+            assert (code, out, err) == (0, expected + "\n", "")
 
     def test_empty_parts_is_a_usage_error(self, capsys, networks_dir):
         code, out, err = run(
@@ -488,34 +519,34 @@ class TestErrorsAndExitCodes:
         assert code == 1
 
     def test_internal_verification_failure_exits_two(self, capsys, networks_dir, monkeypatch):
-        # The finder verifies its own output; force that verification to fail.
-        import dataclasses
-
+        # The finder certifies its own output; hand the certificate a relation
+        # with one corrupted coefficient, so the real certificate refuses it.
         import crnkit.decomposition
+        from test_certificate import corrupt_coefficient
 
-        real = crnkit.decomposition.verify_decomposition
-
-        def refuted(net, parts):
-            return dataclasses.replace(real(net, parts), independent=False)
-
-        monkeypatch.setattr(crnkit.decomposition, "verify_decomposition", refuted)
-        code, _, err = run(capsys, "analyze", path(networks_dir, "baccam.crn"))
+        real = crnkit.decomposition._certify
+        monkeypatch.setattr(
+            crnkit.decomposition,
+            "_certify",
+            lambda net, span, parts: real(net, *corrupt_coefficient(span, parts)),
+        )
+        code, out, err = run(capsys, "analyze", path(networks_dir, "baccam.crn"))
         assert code == 2
+        assert out == ""
         assert err.startswith("internal error:")
 
     def test_decompose_verification_failure_exits_two(self, capsys, networks_dir, monkeypatch):
         # `decompose` reaches the finder through `find_independent_decomposition`;
-        # its three parts are verified, so a refuted verification stops it.
-        import dataclasses
-
+        # its three parts are certified, so a refused certificate stops it.
         import crnkit.decomposition
+        from test_certificate import corrupt_coefficient
 
-        real = crnkit.decomposition.verify_decomposition
-
-        def refuted(net, parts):
-            return dataclasses.replace(real(net, parts), independent=False)
-
-        monkeypatch.setattr(crnkit.decomposition, "verify_decomposition", refuted)
+        real = crnkit.decomposition._certify
+        monkeypatch.setattr(
+            crnkit.decomposition,
+            "_certify",
+            lambda net, span, parts: real(net, *corrupt_coefficient(span, parts)),
+        )
         code, out, err = run(capsys, "decompose", path(networks_dir, "baccam.crn"))
         assert code == 2
         assert out == ""

@@ -133,20 +133,26 @@ class TestFinder:
 
 @pytest.mark.parametrize("path", ALL_NETWORK_FILES, ids=lambda p: p.stem)
 def test_finder_verifies_exactly_its_nontrivial_answers(path, monkeypatch):
-    # A nontrivial answer is checked once by the verifier's own elimination;
-    # a single part is independent by definition and is not checked.
+    # A nontrivial answer is checked once by the integer certificate, and
+    # never by the verifier's second elimination; a single part is
+    # independent by definition and is not checked.
     net = parse_file(path)
     checked = []
-    real = crnkit.decomposition.verify_decomposition
+    verified = []
+    real = crnkit.decomposition._certify
 
-    def counted(net, parts):
+    def counted(net, span, parts):
         checked.append(parts)
-        return real(net, parts)
+        return real(net, span, parts)
 
-    monkeypatch.setattr(crnkit.decomposition, "verify_decomposition", counted)
+    monkeypatch.setattr(crnkit.decomposition, "_certify", counted)
+    monkeypatch.setattr(
+        crnkit.decomposition, "verify_decomposition", lambda *args: verified.append(args)
+    )
     found = find_independent_decomposition(net)
     assert (found is None) == (path.name == "sorribas.crn")
     assert checked == ([] if found is None else [found.parts])
+    assert verified == []
 
 
 def single_part_networks():

@@ -319,9 +319,10 @@ def test_span_ranks_of_seeded_subsets_agree_with_rref(rows):
 def test_class_deficiencies_agree_with_rref():
     most_parts = most_classes = 0
     for net in CORPUS + NETWORKS:
-        whole, parts = _structures(net, _finest(net))
-        for st in (_Structure(net), whole, *parts):
-            sub = st.net
+        finest = _finest(net)
+        whole, parts = _structures(net, finest)
+        subs = [net, net, *(subnetwork(net, part) for part in finest.parts)]
+        for st, sub in zip((_Structure(net), whole, *parts), subs, strict=True):
             assert st.numbers.rank == rref_rank(stoichiometric_matrix(sub))
             expected = []
             for cls in st.linkage_classes:

@@ -1,6 +1,8 @@
 """crnkit drives its exact elimination kernel from one routine: an `_Echelon`
 is constructed only by `linalg._eliminate`, the greedy scan, and by
-`linalg._Span.rank`, which eliminates the relation tags of a subset."""
+`linalg._Span.rank`, which eliminates the relation tags of a subset.  The
+report describes parts without `subnetwork`, and the finder checks its
+answers with the integer certificate, never with `verify_decomposition`."""
 
 import ast
 from pathlib import Path
@@ -8,8 +10,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "crnkit"
 
 
-def echelon_constructions(source: str) -> list[str]:
-    """Qualified names of the functions in ``source`` that call `_Echelon`."""
+def call_sites(source: str, callee: str) -> list[str]:
+    """Qualified names of the functions in ``source`` that call ``callee``."""
     found: list[str] = []
 
     def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
@@ -18,13 +20,22 @@ def echelon_constructions(source: str) -> list[str]:
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == "_Echelon":
+            if name == callee:
                 found.append(".".join(scope) or "<module>")
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     visit(ast.parse(source), ())
     return found
+
+
+def echelon_constructions(source: str) -> list[str]:
+    """Qualified names of the functions in ``source`` that call `_Echelon`."""
+    return call_sites(source, "_Echelon")
+
+
+def module_calls(module: str, callee: str) -> list[str]:
+    return call_sites((SRC / f"{module}.py").read_text(encoding="utf-8"), callee)
 
 
 def test_echelons_are_built_only_by_the_elimination_driver_and_span_rank():
@@ -40,3 +51,19 @@ def test_the_guard_sees_a_construction_anywhere():
     source = "class A:\n    def f(self):\n        return [linalg._Echelon() for _ in ()]\n"
     assert echelon_constructions(source) == ["A.f"]
     assert echelon_constructions("e = _Echelon()\n") == ["<module>"]
+
+
+def test_reports_and_numbers_build_no_subnetwork():
+    assert module_calls("report", "subnetwork") == []
+    assert module_calls("cli", "subnetwork") == []
+
+
+def test_the_finder_is_checked_by_the_certificate_only():
+    assert "_finest" not in module_calls("decomposition", "verify_decomposition")
+    assert module_calls("decomposition", "_certify") == ["_finest"]
+
+
+def test_the_guard_sees_a_call_by_name_or_attribute():
+    source = "def f(net):\n    return analysis.subnetwork(net, [0]), subnetwork(net, [1])\n"
+    assert call_sites(source, "subnetwork") == ["f", "f"]
+    assert call_sites(source, "verify_decomposition") == []

@@ -1,11 +1,13 @@
 """The report's shared per-network structure against the public functions.
 
 `build_report` computes each network's linkage classes, numbers and
-deficiency verdicts once and reads every rank from the finder's elimination,
-plus `verify_decomposition`'s when the finder returns more than one part;
-these tests check that it agrees with the standalone public functions, that
-it makes no calls to them, and that it eliminates the reaction vectors once
-for an indecomposable network and twice otherwise.
+deficiency verdicts once and reads every rank from the finder's elimination;
+a part's structure comes from the network's complex edges, with no
+subnetwork, and an answer of two or more parts is checked by the integer
+certificate, whose only elimination is of the basis rows alone.  These tests
+check that it agrees with the standalone public functions and with
+`_Structure(subnetwork(net, part), ...)`, that it makes no calls to them, and
+how many eliminations it runs.
 """
 
 import random
@@ -27,6 +29,9 @@ from crnkit import (
     subnetwork,
     verify_decomposition,
 )
+from crnkit.analysis import _Structure
+from crnkit.decomposition import _finest
+from crnkit.report import _structures
 from conftest import ALL_NETWORK_FILES, load
 from netgen import random_network, random_sparse_network
 
@@ -66,19 +71,57 @@ def assert_report_matches_public_functions(net):
     return report
 
 
+def assert_same_structure(st, ref):
+    assert st.numbers == ref.numbers
+    assert st.verdicts == ref.verdicts
+    assert st.class_deficiencies == ref.class_deficiencies
+    assert st.edges == ref.edges
+    assert st.linkage_classes == ref.linkage_classes
+    assert st.strong_linkage_classes == ref.strong_linkage_classes
+    assert st.terminal_strong_linkage_classes == ref.terminal_strong_linkage_classes
+
+
+def assert_part_structures_match_subnetworks(net, rng):
+    """The report's part structures, and those of random user partitions, against subnetworks."""
+    finest = _finest(net)
+    _, parts = _structures(net, finest)
+    for part, st in zip(finest.parts, parts, strict=True):
+        assert_same_structure(st, _Structure(subnetwork(net, part), finest.span.restrict(part)))
+    # `crn numbers --parts`: any partition, in label order, over one elimination
+    # of the network whose relations may leave the part.
+    whole = _Structure(net)
+    r = net.reaction_count
+    for _ in range(3):
+        owner = [rng.randrange(min(3, r)) for _ in range(r)]
+        for k in set(owner):
+            part = [i for i in range(r) if owner[i] == k]
+            rng.shuffle(part)
+            st = _Structure.part(net, whole.edges, part, whole.span)
+            ref = _Structure(subnetwork(net, part), whole.span.restrict(sorted(part)))
+            assert_same_structure(st, ref)
+            assert st.numbers == network_numbers(subnetwork(net, part))
+
+
 class TestSharedStructureEquivalence:
     @pytest.mark.parametrize("path", ALL_NETWORK_FILES, ids=lambda p: p.stem)
     def test_corpus(self, path):
-        assert_report_matches_public_functions(load(path.name))
+        net = load(path.name)
+        assert_report_matches_public_functions(net)
+        assert_part_structures_match_subnetworks(net, random.Random(path.stem))
 
     def test_seeded_networks_trivial_and_decomposable(self):
-        trivial = [assert_report_matches_public_functions(n).trivial for n in seeded_networks()]
+        rng = random.Random(32)
+        trivial = []
+        for net in seeded_networks():
+            trivial.append(assert_report_matches_public_functions(net).trivial)
+            assert_part_structures_match_subnetworks(net, rng)
         assert True in trivial and False in trivial
 
     @pytest.mark.parametrize("decomposable", [False, True])
     def test_unused_species_gets_its_own_part_structure(self, decomposable):
         net = unused_species_network(decomposable)
         report = assert_report_matches_public_functions(net)
+        assert_part_structures_match_subnetworks(net, random.Random(7))
         assert report.trivial is not decomposable
         assert report.network.species_count == 4
         assert sum(n.species_count for n in report.part_numbers) == 3
@@ -133,27 +176,27 @@ def count_vector_reads(monkeypatch):
 class TestOncePerReport:
     # sorribas and the seeded 40-reaction network are trivial: their one part
     # is the network itself and shares its structure, and the finder's
-    # elimination is the only one.  purine and yeast have two parts each,
-    # each part is a network of its own, and `verify_decomposition` checks
-    # the parts with a second elimination.
+    # elimination is the only one.  purine and yeast have two parts each:
+    # the integer certificate checks them with one more elimination, of the
+    # basis rows alone, and each part's structure is read from the network's
+    # complex edges and the finder's relations, with no subnetwork.
     @pytest.mark.parametrize(
-        "make, part_count, distinct, eliminations",
+        "make, part_count, distinct",
         [
-            pytest.param(lambda: load("sorribas.crn"), 1, 1, 1, id="sorribas.crn-1-1"),
-            pytest.param(lambda: load("purine.crn"), 2, 3, 2, id="purine.crn-2-3"),
-            pytest.param(lambda: load("yeast.crn"), 2, 3, 2, id="yeast.crn-2-3"),
+            pytest.param(lambda: load("sorribas.crn"), 1, 1, id="sorribas.crn-1-1"),
+            pytest.param(lambda: load("purine.crn"), 2, 3, id="purine.crn-2-3"),
+            pytest.param(lambda: load("yeast.crn"), 2, 3, id="yeast.crn-2-3"),
             pytest.param(
-                lambda: random_sparse_network(random.Random(40), 40, 10), 1, 1, 1,
+                lambda: random_sparse_network(random.Random(40), 40, 10), 1, 1,
                 id="netgen-40-1-1",
             ),
         ],
     )
-    def test_call_counts(
-        self, count_calls, count_vector_reads, make, part_count, distinct, eliminations
-    ):
+    def test_call_counts(self, count_calls, count_vector_reads, make, part_count, distinct):
         net = make()
         calls = count_calls(
             "_eliminate",
+            "_certify",
             "subnetwork",
             "network_numbers",
             "deficiency_zero_check",
@@ -171,9 +214,28 @@ class TestOncePerReport:
         assert calls["linkage_classes"] <= distinct
         assert calls["strong_linkage_classes"] <= distinct
         assert calls["terminal_strong_linkage_classes"] <= distinct
-        # The finder's elimination, and the verifier's when there are parts to
-        # check; parts and linkage classes read their ranks from those relations.
-        assert calls["verify_decomposition"] == eliminations - 1
-        assert calls["_eliminate"] == eliminations
-        assert count_vector_reads == {net: eliminations * net.reaction_count}
-        assert calls["subnetwork"] == (0 if part_count == 1 else part_count)
+        # The finder's elimination of every reaction vector, and for parts to
+        # check the certificate's: it eliminates the basis rows alone and
+        # recomposes every other reaction, so it reads each vector once more.
+        # Parts and linkage classes read their ranks from the finder's relations.
+        certified = part_count > 1
+        assert calls["verify_decomposition"] == 0
+        assert calls["_certify"] == certified
+        assert calls["_eliminate"] == 1 + certified
+        assert count_vector_reads == {net: (1 + certified) * net.reaction_count}
+        assert calls["subnetwork"] == 0
+
+    @pytest.mark.parametrize("name", ["purine.crn", "yeast.crn"])
+    def test_the_certificate_eliminates_the_basis_rows_alone(self, monkeypatch, name):
+        net = load(name)
+        sizes = []
+        real = crnkit.decomposition._eliminate
+
+        def recorded(rows):
+            sizes.append(len(rows))
+            return real(rows)
+
+        monkeypatch.setattr(crnkit.decomposition, "_eliminate", recorded)
+        report = build_report(net)
+        assert sizes == [net.reaction_count, len(report.graph_vertices)]
+        assert sizes[1] < sizes[0]
