@@ -14,8 +14,10 @@ that carries its nonzero coordinates.  The finder gets both at once from
 one `linalg._eliminate` scan and one union-find that joins each non-basis
 reaction to the basis reactions of its integer relation.  It keeps the scan's
 `_Span`, so a report reads part and linkage-class ranks and the coordinate
-graph's vertices and edges (`_coordinate_edges`) from it, and each part's
-basis reactions are one graph component; the finder itself builds no edges.
+graph's vertices and edges from it, and each part's basis reactions are one
+graph component; the finder itself builds no edges.  The sorted edge list
+(`_coordinate_edges`) is read from one neighbour bit mask per basis
+position, not from every pair of positions of every relation.
 The finder has every answer of two or more parts checked by an integer
 certificate (`_certify`) before it is returned: the basis rows, re-read from
 the network, are independent; every other reaction vector recomposes exactly
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, chain
 from typing import Iterable, Iterator, Literal
 
 from .analysis import _complex_edges, _undirected_components
@@ -194,11 +196,28 @@ def _independence(
 
 
 def _coordinate_edges(span: _Span) -> list[tuple[int, int]]:
-    """The coordinate graph's edges, sorted: every pair of basis positions one relation uses."""
-    edges: set[tuple[int, int]] = set()
+    """The coordinate graph's edges, sorted: every pair of basis positions one relation uses.
+
+    They are read from neighbour masks: bit j of ``later[i]`` is set when some
+    relation uses both positions i < j.  Each relation ORs its support above
+    j into ``later[j]`` for each of its positions j, so the cost is about one
+    big-int OR per tag entry and one tuple per distinct edge, not one tuple
+    per pair of every relation.  Taking i upwards and the bits of
+    ``later[i]`` from low to high gives the edges in sorted order.
+    """
+    later = [0] * len(span.position)
     for tag, _ in span.relations.values():
-        edges.update(combinations(sorted(tag), 2))
-    return sorted(edges)
+        above = 0
+        for j in sorted(tag, reverse=True):
+            later[j] |= above
+            above |= 1 << j
+    edges: list[tuple[int, int]] = []
+    for i, mask in enumerate(later):
+        while mask:
+            low = mask & -mask
+            edges.append((i, low.bit_length() - 1))
+            mask ^= low
+    return edges
 
 
 def _reaction_rows(net: Network) -> list[tuple[tuple[int, int], ...]]:

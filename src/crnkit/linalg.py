@@ -158,13 +158,17 @@ class _Echelon:
         """Reduce ``row``; return its relation ``(tag, scale)``, or None if it joins the basis.
 
         A row that joins the basis becomes basis position ``rank - 1``.  The
-        row is cleared of denominators and reduced fraction-free, keeping
+        row is cleared of denominators (a row of `int`s, such as a reaction
+        vector or a tag, has none and starts at scale 1) and reduced
+        fraction-free, keeping
         ``w == scale * row + sum(tag[j] * basis_row[j])`` with ``scale > 0``;
         when ``w`` vanishes, the row's coordinates are ``-tag[j] / scale``.
         """
-        row = dict(row)
-        scale = lcm(*[x.denominator for x in row.values()])
-        w = {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
+        w = dict(row)
+        scale = 1
+        if [x for x in w.values() if type(x) is not int]:
+            scale = lcm(*[x.denominator for x in w.values()])
+            w = {j: x.numerator * (scale // x.denominator) for j, x in w.items()}
         tag: dict[int, int] = {}
         pivots = self._pivots
         while w:
@@ -180,17 +184,24 @@ class _Echelon:
                 a //= g
                 f //= g
             # (w, tag, scale) <- a * (w, tag, scale) - f * (prow, ptag, 0)
-            for y, x in ((w, prow), (tag, ptag)):
-                if a != 1:
-                    for j in y:
-                        y[j] *= a
-                for j, v in x.items():
-                    v = y.get(j, 0) - f * v
-                    if v:
-                        y[j] = v
-                    else:
-                        del y[j]
-            scale *= a
+            if a != 1:
+                for j in w:
+                    w[j] *= a
+                for j in tag:
+                    tag[j] *= a
+                scale *= a
+            for j, v in prow.items():
+                v = w.get(j, 0) - f * v
+                if v:
+                    w[j] = v
+                else:
+                    del w[j]
+            for j, v in ptag.items():
+                v = tag.get(j, 0) - f * v
+                if v:
+                    tag[j] = v
+                else:
+                    del tag[j]
         if not w:
             return tag, scale
         tag[self.rank] = scale

@@ -12,8 +12,8 @@ source order), and every downstream computation indexes against it.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 from .linalg import RationalMatrix
 

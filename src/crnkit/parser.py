@@ -59,8 +59,8 @@ def parse_network(text: str) -> Network:
     """
     species_index: dict[str, int] = {}
     complex_index: dict[tuple[tuple[int, int], ...], int] = {}
-    complex_maps: list[dict[int, int]] = []
     reactions: list[Reaction] = []
+    defaulted: list[int] = []
     pair_lines: dict[tuple[int, int], int] = {}
     label_lines: dict[str, int] = {}
 
@@ -70,11 +70,7 @@ def parse_network(text: str) -> Network:
         return species_index[name]
 
     def intern_complex(coeffs: dict[int, int]) -> int:
-        key = tuple(sorted(coeffs.items()))
-        if key not in complex_index:
-            complex_index[key] = len(complex_maps)
-            complex_maps.append(dict(coeffs))
-        return complex_index[key]
+        return complex_index.setdefault(tuple(sorted(coeffs.items())), len(complex_index))
 
     def parse_complex(src: str, line_no: int) -> dict[int, int]:
         s = src.strip()
@@ -117,9 +113,15 @@ def parse_network(text: str) -> Network:
                     f"label {label!r} already used on line {label_lines[label]}", line_no
                 )
             label_lines[label] = line_no
+        else:
+            defaulted.append(len(reactions))
+            label = f"R{len(reactions) + 1}"
         reactions.append(Reaction(reactant, product, label))
 
-    for line_no, raw in enumerate(text.splitlines(), 1):
+    # Only CR LF, CR and LF end a line; str.splitlines would also break at
+    # form feeds and Unicode separators, which are whitespace here.
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0]
         if ";" in line:
             # Only a comment may follow ';', and '#' comments are gone by now.
@@ -146,14 +148,12 @@ def parse_network(text: str) -> Network:
                 raise DslSyntaxError("expected exactly one arrow ('->' or '<->')", line_no)
             reversible = False
 
-        reactant_map = parse_complex(sides[0], line_no)
-        product_map = parse_complex(sides[1], line_no)
-        if reactant_map == product_map:
+        reactant = intern_complex(parse_complex(sides[0], line_no))
+        product = intern_complex(parse_complex(sides[1], line_no))
+        if reactant == product:
             raise SelfLoopError(
                 "reactant and product complexes are identical", line_no
             )
-        reactant = intern_complex(reactant_map)
-        product = intern_complex(product_map)
 
         if reversible:
             fwd = f"{label}f" if label is not None else None
@@ -166,24 +166,20 @@ def parse_network(text: str) -> Network:
     if not reactions:
         raise EmptyNetworkError("no reactions found in input")
 
-    # Materialize positional default labels so collisions with explicit
-    # labels are caught here, with a line number.
-    resolved: list[Reaction] = []
-    for i, rx in enumerate(reactions):
-        if rx.label is None:
-            default = f"R{i + 1}"
-            if default in label_lines:
-                raise DuplicateLabelError(
-                    f"default label {default!r} for reaction {i + 1} collides with an "
-                    "explicit label",
-                    label_lines[default],
-                )
-            rx = Reaction(rx.reactant, rx.product, default)
-        resolved.append(rx)
+    # Positional default labels are checked against every explicit label,
+    # earlier or later in the file, so a collision is reported with a line.
+    for i in defaulted:
+        default = reactions[i].label
+        if default in label_lines:
+            raise DuplicateLabelError(
+                f"default label {default!r} for reaction {i + 1} collides with an "
+                "explicit label",
+                label_lines[default],
+            )
 
     species = [Species(name, idx) for name, idx in species_index.items()]
-    complexes = [Complex(cm) for cm in complex_maps]
-    return Network(species, complexes, resolved)
+    complexes = [Complex(terms) for terms in complex_index]
+    return Network(species, complexes, reactions)
 
 
 def parse_file(path: str | os.PathLike[str]) -> Network:
@@ -193,9 +189,10 @@ def parse_file(path: str | os.PathLike[str]) -> Network:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
+        # Lines are counted as parse_network counts them: CR LF, CR or LF.
+        head = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         raise DslSyntaxError(
-            f"file is not valid UTF-8 text (byte {exc.start})",
-            data.count(b"\n", 0, exc.start) + 1,
+            f"file is not valid UTF-8 text (byte {exc.start})", head.count(b"\n") + 1
         ) from None
     return parse_network(text.removeprefix("\ufeff"))
 

@@ -7,7 +7,9 @@ relations (`_Span.rank`).  Here they are checked on the corpus, on seeded
 random networks of up to 60 reactions, and on seeded rational rows (mixed
 denominators, entries beyond 2**200), against `rref` (a separate dense
 `Fraction` implementation), exact recomposition, and the matrix product
-N = Y * Ia.
+N = Y * Ia.  The coordinate graph's edge list, read from neighbour bit
+masks, is checked against every pair of each relation on spans of rank up
+to several hundred, and integer rows against the same rows as `Fraction`s.
 """
 
 import math
@@ -36,7 +38,7 @@ from crnkit import (
     verify_decomposition,
 )
 from crnkit.analysis import _Structure
-from crnkit.decomposition import _finest, _reaction_rows
+from crnkit.decomposition import _coordinate_edges, _finest, _reaction_rows
 from crnkit.linalg import _Echelon, _eliminate
 from crnkit.report import _structures
 from conftest import ALL_NETWORK_FILES, load
@@ -334,3 +336,58 @@ def test_class_deficiencies_agree_with_rref():
         most_parts = max(most_parts, len(parts))
         most_classes = max([most_classes] + [len(st.linkage_classes) for st in parts])
     assert most_parts >= 4 and most_classes >= 4
+
+
+def edge_spans():
+    """(id, span) for the corpus, the seeded networks, and spans of rank above 64."""
+    for net in CORPUS + NETWORKS:
+        yield f"net-{net.species_count}x{net.reaction_count}", _eliminate(_reaction_rows(net))
+    rng = random.Random(1212)
+    for reactions, species in [(200, 100), (1000, 500)]:
+        for blocks in (1, 6):
+            net = random_sparse_network(rng, reactions, species, blocks)
+            yield f"sparse-{reactions}x{species}-{blocks}", _eliminate(_reaction_rows(net))
+
+
+EDGE_SPANS = list(edge_spans())
+
+
+def test_edge_spans_cover_masks_of_several_digits():
+    # A CPython int digit holds 30 bits, so ranks above 64 need three digits.
+    assert max(len(span.position) for _, span in EDGE_SPANS) > 300
+    assert sum(len(span.position) > 64 for _, span in EDGE_SPANS) >= 4
+
+
+@pytest.mark.parametrize("span", [s for _, s in EDGE_SPANS], ids=[i for i, _ in EDGE_SPANS])
+def test_coordinate_edges_are_every_pair_of_each_relation(span):
+    pairs = {p for tag, _ in span.relations.values() for p in combinations(sorted(tag), 2)}
+    assert _coordinate_edges(span) == sorted(pairs)
+
+
+def integer_row_cases():
+    """(id, integer rows) for the corpus, the seeded networks and a 200-reaction network."""
+    for net in CORPUS + NETWORKS:
+        yield f"net-{net.species_count}x{net.reaction_count}", _reaction_rows(net)
+    net = random_sparse_network(random.Random(1313), 200, 100, 6)
+    yield "sparse-200x100-6", _reaction_rows(net)
+
+
+INTEGER_ROW_CASES = list(integer_row_cases())
+
+
+@pytest.mark.parametrize(
+    "rows", [r for _, r in INTEGER_ROW_CASES], ids=[i for i, _ in INTEGER_ROW_CASES]
+)
+def test_integer_rows_eliminate_as_their_fractions_do(rows):
+    # Integer rows skip the denominator pass; the outcome must not show it.
+    as_ints = [dict(row) for row in rows]
+    as_fractions = [{j: Fraction(x) for j, x in row} for row in rows]
+    by_ints, by_fractions = _eliminate(as_ints), _eliminate(as_fractions)
+    assert list(by_ints.position.items()) == list(by_fractions.position.items())
+    assert list(by_ints.relations) == list(by_fractions.relations)
+    for i, (tag, scale) in by_ints.relations.items():
+        other_tag, other_scale = by_fractions.relations[i]
+        assert list(tag.items()) == list(other_tag.items()) and scale == other_scale
+        assert type(scale) is int and all(type(t) is int for t in tag.values())
+    # The scan copies its rows: the caller's dicts are left as given.
+    assert as_ints == [dict(row) for row in rows]

@@ -203,3 +203,48 @@ class TestFiles:
             parse_file(f)
         assert err.value.line == 2
         assert "(byte 14)" in str(err.value)
+
+
+# Characters that str.splitlines breaks at but a .crn line does not.
+NOT_LINE_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("sep", NOT_LINE_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
+class TestLineBreaks:
+    def test_inside_a_comment(self, sep):
+        net = parse_network(f"R1: A -> B  # note{sep}more\nR2: B -> C\n")
+        assert net == parse_network("R1: A -> B\nR2: B -> C\n")
+
+    def test_between_terms(self, sep):
+        net = parse_network(f"R1: A +{sep}2{sep}B{sep}->{sep}C\n")
+        assert net == parse_network("R1: A + 2 B -> C\n")
+
+    def test_later_lines_keep_their_numbers(self, sep):
+        with pytest.raises(DslSyntaxError) as err:
+            parse_network(f"R1: A -> B # a{sep}\nR2: ??? -> B\n")
+        assert err.value.line == 2
+
+
+def test_line_number_after_a_form_feed_matches_the_invalid_utf8_count(tmp_path):
+    f = tmp_path / "page.crn"
+    f.write_bytes(b"R1: A -> B\x0c\n\xff -> C\n")
+    with pytest.raises(DslSyntaxError) as err:
+        parse_file(f)
+    assert err.value.line == 2
+    with pytest.raises(DslSyntaxError) as err:
+        parse_network("R1: A -> B\f\n?? -> C\n")
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+def test_every_line_ending_parses_the_same(tmp_path, ending):
+    f = tmp_path / "net.crn"
+    f.write_bytes(ending.join(["R1: A -> B", "# note", "", "R2: B <-> C", ""]).encode())
+    assert parse_file(f) == parse_network("R1: A -> B\nR2: B <-> C\n")
+    with pytest.raises(DslSyntaxError) as err:
+        parse_network(ending.join(["R1: A -> B", "", "R2: ?? -> C"]))
+    assert err.value.line == 3
+    f.write_bytes(ending.join(["R1: A -> B", "", "R2: \xff -> C"]).encode("latin-1"))
+    with pytest.raises(DslSyntaxError) as err:
+        parse_file(f)
+    assert err.value.line == 3
