@@ -13,12 +13,11 @@ linkage classes, and one scan of the edges the terminal ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .linalg import _eliminate, _Span
-from .model import Complex, Network, NetworkError, Reaction, Species
+from .model import Complex, Network, NetworkError, Reaction, Species, _Checked, _is_int
 
 
 class EmptySubsetError(ValueError):
@@ -33,8 +32,7 @@ class NonPositivePointError(ValueError):
     """Kinetics evaluation needs a strictly positive concentration vector."""
 
 
-@dataclass(frozen=True)
-class NetworkNumbers:
+class NetworkNumbers(NamedTuple):
     """The structural summary of a network.
 
     Invariants: deficiency = complexes - linkage classes - rank >= 0, and
@@ -60,8 +58,7 @@ CONCLUSION_AT_MOST_ONE = "at-most-one-steady-state-per-class"
 CONCLUSION_EXACTLY_ONE = "exactly-one-per-class"
 
 
-@dataclass(frozen=True)
-class DeficiencyVerdict:
+class DeficiencyVerdict(NamedTuple):
     """Outcome of a structural deficiency-theorem check.
 
     ``conditions`` records each hypothesis with whether it holds; the
@@ -274,7 +271,7 @@ def subnetwork(net: Network, reactions: Iterable[int]) -> Network:
     inherited from the parent, and labels are preserved.
     """
     chosen = list(reactions)
-    if not all(isinstance(i, int) and not isinstance(i, bool) for i in chosen):
+    if not all(map(_is_int, chosen)):
         raise NetworkError(f"reaction index not an integer in {chosen}")
     chosen = sorted(set(chosen))
     if not chosen:
@@ -406,8 +403,13 @@ MASS_ACTION = "mass-action"
 POWER_LAW = "power-law"
 
 
-@dataclass(frozen=True)
-class Kinetics:
+class _KineticsFields(NamedTuple):
+    kind: str
+    rates: tuple[float, ...]
+    orders: tuple[tuple[float, ...], ...]
+
+
+class Kinetics(_Checked, _KineticsFields):
     """Rate constants plus a kinetic order matrix (reactions x species).
 
     Rate ``i`` evaluates as ``rates[i] * prod(x[j] ** orders[i][j])``.  For
@@ -415,11 +417,9 @@ class Kinetics:
     vectors; power-law kinetics allows arbitrary real orders.
     """
 
-    kind: str
-    rates: tuple[float, ...]
-    orders: tuple[tuple[float, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.kind not in (MASS_ACTION, POWER_LAW):
             raise ValueError(f"unknown kinetics kind {self.kind!r}")
         if not self.rates:
@@ -508,8 +508,9 @@ def is_steady_state(
     True when ``max|f(x)| <= tol * max|K(x)|``: the tolerance scales with
     the largest reaction flux, however small the fluxes are.
     """
-    if tol < 0 or math.isnan(tol):
-        raise ValueError("tolerance must be nonnegative")
+    # An infinite tolerance would call any point with a nonzero flux steady.
+    if not 0 <= tol < math.inf:
+        raise ValueError("tolerance must be finite and nonnegative")
     fluxes = _fluxes(net, kinetics, x)
     residual = max(abs(v) for v in _formation_rate(net, fluxes))
     # An exact zero passes even when every flux underflowed to 0 (inf * 0 is nan).

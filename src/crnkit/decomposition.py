@@ -33,14 +33,13 @@ list; the brute-force oracle runs one elimination per part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, chain
-from typing import Iterable, Iterator, Literal
+from typing import Iterable, Iterator, Literal, NamedTuple
 
 from .analysis import _complex_edges, _undirected_components
 from .linalg import BasisSelection, _eliminate, _eliminate_over, _Span
-from .model import Network
+from .model import Network, _Checked, _is_int
 
 BRUTE_FORCE_REACTION_LIMIT = 12  # Bell(12) ~ 4.2M partitions
 
@@ -61,8 +60,13 @@ class InternalError(RuntimeError):
     """A constructed decomposition failed its own verification."""
 
 
-@dataclass(frozen=True)
-class CoordinateGraph:
+class _CoordinateGraphFields(NamedTuple):
+    vertex_count: int
+    edges: frozenset[tuple[int, int]]
+    vertex_labels: tuple[str, ...]
+
+
+class CoordinateGraph(_Checked, _CoordinateGraphFields):
     """Undirected graph on basis-row indices.
 
     Vertex ``i`` stands for the i-th basis row; ``vertex_labels`` carries the
@@ -70,11 +74,9 @@ class CoordinateGraph:
     ``i < j``.
     """
 
-    vertex_count: int
-    edges: frozenset[tuple[int, int]]
-    vertex_labels: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         for i, j in self.edges:
             if not (0 <= i < j < self.vertex_count):
                 raise ValueError(f"invalid edge ({i}, {j})")
@@ -82,8 +84,7 @@ class CoordinateGraph:
             raise ValueError("one label per vertex required")
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """A partition of the reaction index set with per-part ranks.
 
     Parts are disjoint, nonempty, cover all reactions, and are ordered by
@@ -98,8 +99,7 @@ class Decomposition:
         return tuple(tuple(net.reaction_label(i) for i in part) for part in self.parts)
 
 
-@dataclass(frozen=True)
-class IndependenceReport:
+class IndependenceReport(NamedTuple):
     """Rank bookkeeping for a candidate partition.
 
     ``independent`` holds exactly when the network rank equals the sum of
@@ -125,7 +125,7 @@ def _canonical_partition(
     for part in parts:
         p = tuple(part)
         for i in p:
-            if not isinstance(i, int) or isinstance(i, bool):
+            if not _is_int(i):
                 raise PartitionError(f"reaction index {i!r} is not an integer")
         p = tuple(sorted(p))
         if not p:
@@ -240,8 +240,7 @@ def connected_components(graph: CoordinateGraph) -> list[tuple[int, ...]]:
     return _undirected_components(graph.vertex_count, graph.edges)
 
 
-@dataclass(frozen=True)
-class _Finest:
+class _Finest(NamedTuple):
     """The finder's work for one network: its elimination, its parts and their ranks.
 
     ``span`` holds the greedy basis and every non-basis relation, from which

@@ -17,10 +17,9 @@ dense implementation kept as an independent reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 Rational = Fraction
 RationalLike = Union[int, Fraction]
@@ -100,8 +99,7 @@ def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
-@dataclass(frozen=True)
-class BasisSelection:
+class BasisSelection(NamedTuple):
     """Row indices forming a maximal linearly independent set, greedily chosen.
 
     ``basis_rows`` is strictly increasing: a row joins the basis exactly when

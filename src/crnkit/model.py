@@ -13,7 +13,7 @@ source order), and every downstream computation indexes against it.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .linalg import RationalMatrix
 
@@ -44,16 +44,51 @@ class EmptyNetworkError(NetworkError):
     """A network with no reactions."""
 
 
-@dataclass(frozen=True)
-class Species:
-    """A chemical species and its position in the network's species order."""
+def _is_int(value: object) -> bool:
+    """Whether ``value`` is an ``int`` and not a ``bool``, which subclasses ``int``."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
+
+class _Checked:
+    """Runs a record's ``_check`` on every instance, however it is built.
+
+    The records are ``typing.NamedTuple`` classes, which may not define
+    ``__new__``.  A record that checks its fields is therefore a subclass with
+    this class first in its bases, over the NamedTuple that holds its fields,
+    and it defines ``_check``.  The check then runs on construction and in
+    ``_make``, which ``_replace`` calls and which would otherwise build the
+    tuple directly, skipping ``__new__``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        self = super()._make(iterable)
+        self._check()
+        return self
+
+
+class _SpeciesFields(NamedTuple):
     name: str
     index: int
 
-    def __post_init__(self) -> None:
+
+class Species(_Checked, _SpeciesFields):
+    """A chemical species and its position in the network's species order."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not self.name:
             raise NetworkError("species name must be nonempty")
+        if not _is_int(self.index):
+            raise NetworkError(f"species index {self.index!r} is not an integer")
         if self.index < 0:
             raise NetworkError("species index must be nonnegative")
 
@@ -72,9 +107,9 @@ class Complex:
         items = coefficients.items() if isinstance(coefficients, Mapping) else coefficients
         terms = []
         for index, coeff in items:
-            if not isinstance(index, int) or index < 0:
+            if not _is_int(index) or index < 0:
                 raise NetworkError(f"invalid species index {index!r} in complex")
-            if not isinstance(coeff, int) or coeff < 1:
+            if not _is_int(coeff) or coeff < 1:
                 raise NetworkError(
                     f"stoichiometric coefficient for species {index} must be a positive integer"
                 )
@@ -134,8 +169,7 @@ class Complex:
         return f"Complex({dict(self._terms)!r})"
 
 
-@dataclass(frozen=True)
-class Reaction:
+class Reaction(NamedTuple):
     """A directed reaction between two complex indices."""
 
     reactant: int
@@ -198,6 +232,9 @@ class Network:
         used: set[int] = set()
         seen_pairs: set[tuple[int, int]] = set()
         for rx in self._reactions:
+            for i in (rx.reactant, rx.product):
+                if not _is_int(i):
+                    raise NetworkError(f"complex index {i!r} is not an integer")
             if not (0 <= rx.reactant < n and 0 <= rx.product < n):
                 raise NetworkError("reaction references a complex index out of range")
             if rx.reactant == rx.product:

@@ -7,8 +7,7 @@ the same values, so the two output formats can never disagree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from .analysis import DeficiencyVerdict, NetworkNumbers, _Structure
 from .decomposition import (
@@ -72,19 +71,15 @@ def verdict_from_dict(d: Mapping[str, Any]) -> DeficiencyVerdict:
 
 def independence_to_dict(rep: IndependenceReport) -> dict[str, Any]:
     # The keys are the field names; the rank tuples become JSON lists.
-    values = ((f.name, getattr(rep, f.name)) for f in fields(rep))
-    return {name: list(v) if isinstance(v, tuple) else v for name, v in values}
+    return {name: list(v) if isinstance(v, tuple) else v for name, v in zip(rep._fields, rep)}
 
 
 def independence_from_dict(d: Mapping[str, Any]) -> IndependenceReport:
-    values = ((f.name, d[f.name]) for f in fields(IndependenceReport))
-    return IndependenceReport(
-        **{name: tuple(v) if isinstance(v, list) else v for name, v in values}
-    )
+    values = (d[name] for name in IndependenceReport._fields)
+    return IndependenceReport._make(tuple(v) if isinstance(v, list) else v for v in values)
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     """Everything the ``analyze`` command reports, in a stable order.
 
     When the decomposition is trivial, ``parts`` holds the single whole-set

@@ -1,6 +1,7 @@
 """Network numbers, linkage structure, deficiency theorems, and kinetics."""
 
 import math
+import sys
 
 import pytest
 
@@ -332,7 +333,7 @@ class TestSfrf:
         with pytest.raises(OverflowError):  # x ** 2 raises by itself
             sfrf(net, Kinetics.mass_action(net, [1.0, 1.0]), [1.0, 1e200])
         with pytest.raises(OverflowError):
-            is_steady_state(net, kin, [1e300, 1.0], tol=math.inf)
+            is_steady_state(net, kin, [1e300, 1.0], tol=sys.float_info.max)
 
 
 class TestIsSteadyState:
@@ -346,9 +347,12 @@ class TestIsSteadyState:
         assert sfrf(mass_action_demo, kin, [1, 1, 1, 1]) == (0.0, 0.0, 0.0, 2.0)
         assert not is_steady_state(mass_action_demo, kin, [1, 1, 1, 1])
 
-    def test_infinite_tolerance_accepts_anything(self, mass_action_demo):
+    @pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan])
+    def test_non_finite_tolerance_rejected(self, mass_action_demo, tol):
+        # An infinite tolerance would call (1, 1, 1, 1), where f = (0, 0, 0, 2), steady.
         kin = Kinetics.mass_action(mass_action_demo, [1, 1, 3, 1])
-        assert is_steady_state(mass_action_demo, kin, [1, 1, 1, 1], tol=math.inf)
+        with pytest.raises(ValueError, match="^tolerance must be finite and nonnegative$"):
+            is_steady_state(mass_action_demo, kin, [1, 1, 1, 1], tol=tol)
 
     def test_negative_tolerance_rejected(self, mass_action_demo):
         kin = Kinetics.mass_action(mass_action_demo, [1, 1, 3, 1])

@@ -233,8 +233,10 @@ class TestSteadyState:
         assert code == 3
         assert "not a steady state" in out
 
-    def test_infinite_tolerance(self, capsys, networks_dir):
-        code, _, _ = run(
+    @pytest.mark.parametrize("tol", ["inf", "1e400", "-inf", "nan"])  # 1e400 parses to inf
+    def test_non_finite_tolerance_exits_one(self, capsys, networks_dir, tol):
+        # At this point f(x) = (0, 0, 0, 2), which an infinite tolerance would call steady.
+        code, out, err = run(
             capsys,
             "steady-state",
             path(networks_dir, "mass_action_demo.crn"),
@@ -242,10 +244,11 @@ class TestSteadyState:
             "R1=1,R2=1,R3=3,R4=1",
             "--point",
             "X1=1,X2=1,X3=1,X4=1",
-            "--tol",
-            "inf",
+            f"--tol={tol}",  # one word, so argparse does not read -inf as an option
         )
-        assert code == 0
+        assert code == 1
+        assert out == ""
+        assert err == "error: tolerance must be finite and nonnegative\n"
 
     def test_small_fluxes_are_not_a_steady_state(self, capsys, tmp_path):
         # Every flux is below the tolerance, but f(x) is as large as the flux

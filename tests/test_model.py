@@ -183,6 +183,37 @@ class TestNetworkValidation:
         with pytest.raises(NetworkError):
             Complex({0: -2})
 
+    @pytest.mark.parametrize("reaction", [Reaction(0.0, 1.0), Reaction(0, True), Reaction(None, 1)])
+    def test_complex_indices_must_be_integers(self, reaction):
+        # A float or bool index would pass the range check and fail later, or
+        # index the complexes by accident.
+        with pytest.raises(NetworkError, match="is not an integer"):
+            Network(
+                [Species("A", 0), Species("B", 1)],
+                [Complex({0: 1}), Complex({1: 1})],
+                [reaction],
+            )
+
+    @pytest.mark.parametrize("index", [0.0, False, True, "0", None])
+    def test_species_index_must_be_an_integer(self, index):
+        with pytest.raises(NetworkError, match=r"^species index .* is not an integer$"):
+            Species("A", index)
+
+    @pytest.mark.parametrize(
+        "coefficients,message",
+        [
+            ({True: 1}, "invalid species index True in complex"),
+            ({False: 2}, "invalid species index False in complex"),
+            ({0.0: 1}, "invalid species index 0.0 in complex"),
+            ({0: True}, "stoichiometric coefficient for species 0 must be a positive integer"),
+            ([(1, 2.0)], "stoichiometric coefficient for species 1 must be a positive integer"),
+        ],
+    )
+    def test_complex_terms_must_be_integers(self, coefficients, message):
+        with pytest.raises(NetworkError) as exc:
+            Complex(coefficients)
+        assert str(exc.value) == message
+
     def test_equality_and_hash_by_value(self):
         assert Complex({1: 2, 0: 1}) == Complex({0: 1, 1: 2})
         assert hash(Complex({1: 2, 0: 1})) == hash(Complex({0: 1, 1: 2}))

@@ -1,8 +1,12 @@
 """crnkit imports nothing at run time beyond the standard library and itself,
-and its syntax parses on the oldest Python that pyproject.toml admits."""
+its syntax parses on the oldest Python that pyproject.toml admits, and the
+CLI's import leaves out the standard modules that only slow a cold start."""
 
 import ast
+import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -48,3 +52,26 @@ def test_syntax_parses_on_the_oldest_supported_python(module):
     assert OLDEST, "pyproject.toml has no requires-python = \">=X.Y\""
     version = (int(OLDEST[1]), int(OLDEST[2]))
     ast.parse(module.read_text(encoding="utf-8"), filename=str(module), feature_version=version)
+
+
+# `dataclasses` imports `inspect`, which imports `ast`, `dis` and `tokenize`:
+# about 10 ms of every cold `crn` process that crnkit's records do not need.
+SLOW_IMPORTS = ("dataclasses", "inspect")
+
+
+def test_the_cli_import_loads_no_slow_modules():
+    # A fresh interpreter, so modules that other tests imported do not count.
+    probe = (
+        "import json, sys; before = set(sys.modules); import crnkit.cli; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    path = [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(json.loads(done.stdout))
+    assert "crnkit.cli" in loaded
+    slow = sorted(loaded & set(SLOW_IMPORTS))
+    assert not slow, f"import crnkit.cli loaded {slow}"
