@@ -508,10 +508,19 @@ def is_steady_state(
     True when ``max|f(x)| <= tol * max|K(x)|``: the tolerance scales with
     the largest reaction flux, however small the fluxes are.
     """
+    _check_tolerance(tol)
+    fluxes = _fluxes(net, kinetics, x)
+    return _is_steady(_formation_rate(net, fluxes), fluxes, tol)
+
+
+def _check_tolerance(tol: float) -> None:
     # An infinite tolerance would call any point with a nonzero flux steady.
     if not 0 <= tol < math.inf:
         raise ValueError("tolerance must be finite and nonnegative")
-    fluxes = _fluxes(net, kinetics, x)
-    residual = max(abs(v) for v in _formation_rate(net, fluxes))
+
+
+def _is_steady(f: Sequence[float], fluxes: Sequence[float], tol: float) -> bool:
+    """The verdict from a formation rate ``f`` and the ``fluxes`` it came from."""
+    residual = max(abs(v) for v in f)
     # An exact zero passes even when every flux underflowed to 0 (inf * 0 is nan).
     return residual == 0 or residual <= tol * max(fluxes)

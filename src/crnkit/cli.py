@@ -16,9 +16,11 @@ from .analysis import (
     DimensionError,
     Kinetics,
     NonPositivePointError,
+    _check_tolerance,
+    _fluxes,
+    _formation_rate,
+    _is_steady,
     _Structure,
-    sfrf,
-    is_steady_state,
 )
 from .decomposition import (
     InternalError,
@@ -220,9 +222,12 @@ def _cmd_steady_state(args: argparse.Namespace, net: Network) -> int:
         point_by_name, names, "missing coordinates for species", "unknown species in --point"
     )
     try:
-        kinetics = Kinetics.mass_action(net, rates)
-        f = sfrf(net, kinetics, x)
-        steady = is_steady_state(net, kinetics, x, tol=args.tol)
+        # One evaluation of the fluxes gives both f(x) and the verdict; the
+        # point's errors are reported before the tolerance's, as `sfrf` would.
+        fluxes = _fluxes(net, Kinetics.mass_action(net, rates), x)
+        f = _formation_rate(net, fluxes)
+        _check_tolerance(args.tol)
+        steady = _is_steady(f, fluxes, args.tol)
     except (DimensionError, NonPositivePointError, ValueError) as exc:
         raise _UsageError(str(exc)) from None
     except OverflowError:

@@ -91,6 +91,8 @@ class Species(_Checked, _SpeciesFields):
             raise NetworkError(f"species index {self.index!r} is not an integer")
         if self.index < 0:
             raise NetworkError("species index must be nonnegative")
+        if not isinstance(self.name, str):
+            raise NetworkError(f"species name {self.name!r} is not a string")
 
 
 class Complex:
@@ -118,6 +120,13 @@ class Complex:
         if len({i for i, _ in terms}) != len(terms):
             raise NetworkError("duplicate species index in complex")
         self._terms = tuple(terms)
+
+    @classmethod
+    def _of(cls, terms: tuple[tuple[int, int], ...]) -> Complex:
+        """The complex of already sorted and checked terms, unchecked."""
+        self = cls.__new__(cls)
+        self._terms = terms
+        return self
 
     @property
     def terms(self) -> tuple[tuple[int, int], ...]:
@@ -177,13 +186,32 @@ class Reaction(NamedTuple):
     label: str | None = None
 
 
+def _labels(reactions: tuple[Reaction, ...]) -> tuple[str, ...]:
+    """Each reaction's label, or the positional default ``R<k>`` (1-based)."""
+    return tuple(
+        rx.label if rx.label is not None else f"R{i + 1}" for i, rx in enumerate(reactions)
+    )
+
+
+def _difference(
+    product: tuple[tuple[int, int], ...], reactant: tuple[tuple[int, int], ...]
+) -> tuple[tuple[int, int], ...]:
+    """Product minus reactant as sorted (species index, nonzero change) pairs."""
+    diff = dict(product)
+    for i, c in reactant:
+        diff[i] = diff.get(i, 0) - c
+    return tuple(sorted((i, c) for i, c in diff.items() if c))
+
+
 class Network:
     """An immutable chemical reaction network.
 
     Validates on construction: unique species names, unique complexes, every
     complex used by at least one reaction, no self-loop reactions, unique
-    (reactant, product) pairs, and unique labels.  Reactions without an
-    explicit label get the positional default ``R<k>`` (1-based).
+    (reactant, product) pairs, and unique labels that are strings or
+    ``None``.  Reactions without an explicit label get the positional default
+    ``R<k>`` (1-based).  `parse_network` checks its own input, with line
+    numbers, and builds its network through `_assemble` alone.
     """
 
     __slots__ = ("_species", "_complexes", "_reactions", "_labels", "_vectors")
@@ -194,44 +222,58 @@ class Network:
         complexes: Iterable[Complex],
         reactions: Iterable[Reaction],
     ):
-        self._species = tuple(species)
-        self._complexes = tuple(complexes)
-        self._reactions = tuple(reactions)
-        self._labels = tuple(
-            rx.label if rx.label is not None else f"R{i + 1}"
-            for i, rx in enumerate(self._reactions)
+        species, complexes, reactions = tuple(species), tuple(complexes), tuple(reactions)
+        self._validate(species, complexes, reactions)
+        self._assemble(species, tuple(c.terms for c in complexes), reactions)
+
+    def _assemble(
+        self,
+        species: tuple[Species, ...],
+        terms: tuple[tuple[tuple[int, int], ...], ...],
+        reactions: tuple[Reaction, ...],
+    ) -> None:
+        """Fill in the network from parts that are already checked.
+
+        ``terms`` holds each complex's sorted (species index, coefficient)
+        pairs.  Nothing is validated here: `__init__` validates library
+        input first, and `parse_network` has checked its own parts, with
+        line numbers, before it calls this.
+        """
+        self._species = species
+        self._complexes = tuple(Complex._of(t) for t in terms)
+        self._reactions = reactions
+        self._labels = _labels(reactions)
+        self._vectors = tuple(
+            _difference(terms[rx.product], terms[rx.reactant]) for rx in reactions
         )
-        self._validate()
-        self._vectors = tuple(self._sparse_vector(rx) for rx in self._reactions)
 
-    def _sparse_vector(self, rx: Reaction) -> tuple[tuple[int, int], ...]:
-        diff = self._complexes[rx.product].coefficients
-        for i, c in self._complexes[rx.reactant].terms:
-            diff[i] = diff.get(i, 0) - c
-        return tuple(sorted((i, c) for i, c in diff.items() if c))
-
-    def _validate(self) -> None:
-        if not self._reactions:
+    @staticmethod
+    def _validate(
+        species: tuple[Species, ...],
+        complexes: tuple[Complex, ...],
+        reactions: tuple[Reaction, ...],
+    ) -> None:
+        if not reactions:
             raise EmptyNetworkError("network has no reactions")
-        if not self._species:
+        if not species:
             raise NetworkError("network has no species")
-        names = [s.name for s in self._species]
+        names = [s.name for s in species]
         if len(set(names)) != len(names):
             raise NetworkError("species names must be unique")
-        for pos, s in enumerate(self._species):
+        for pos, s in enumerate(species):
             if s.index != pos:
                 raise NetworkError(
                     f"species {s.name!r} has index {s.index} but position {pos}"
                 )
-        if len(set(self._complexes)) != len(self._complexes):
+        if len(set(complexes)) != len(complexes):
             raise NetworkError("complexes must be unique within a network")
-        m, n = len(self._species), len(self._complexes)
-        for c in self._complexes:
+        m, n = len(species), len(complexes)
+        for c in complexes:
             if any(i >= m for i in c.support):
                 raise NetworkError("complex references a species index out of range")
         used: set[int] = set()
         seen_pairs: set[tuple[int, int]] = set()
-        for rx in self._reactions:
+        for rx in reactions:
             for i in (rx.reactant, rx.product):
                 if not _is_int(i):
                     raise NetworkError(f"complex index {i!r} is not an integer")
@@ -252,8 +294,14 @@ class Network:
         if used != set(range(n)):
             missing = sorted(set(range(n)) - used)
             raise NetworkError(f"complexes {missing} are not used by any reaction")
-        if len(set(self._labels)) != len(self._labels):
-            dup = sorted({x for x in self._labels if self._labels.count(x) > 1})
+        # Label types are checked last, so an input refused before the check
+        # existed is still refused with the same error.
+        for rx in reactions:
+            if rx.label is not None and not isinstance(rx.label, str):
+                raise NetworkError(f"reaction label {rx.label!r} is not a string")
+        labels = _labels(reactions)
+        if len(set(labels)) != len(labels):
+            dup = sorted({x for x in labels if labels.count(x) > 1})
             raise DuplicateLabelError(f"duplicate reaction labels: {', '.join(dup)}")
 
     @property

@@ -30,7 +30,6 @@ import os
 import re
 
 from .model import (
-    Complex,
     DuplicateLabelError,
     DuplicateReactionError,
     EmptyNetworkError,
@@ -59,46 +58,53 @@ def parse_network(text: str) -> Network:
     """
     species_index: dict[str, int] = {}
     complex_index: dict[tuple[tuple[int, int], ...], int] = {}
+    # Each distinct side and term text is parsed once; only text that parsed
+    # without error is ever stored, so a repeat cannot hide an error.
+    side_index: dict[str, int] = {}
+    term_index: dict[str, tuple[int, int]] = {}
     reactions: list[Reaction] = []
     defaulted: list[int] = []
     pair_lines: dict[tuple[int, int], int] = {}
     label_lines: dict[str, int] = {}
 
-    def intern_species(name: str) -> int:
-        if name not in species_index:
-            species_index[name] = len(species_index)
-        return species_index[name]
+    def parse_term(term: str, line_no: int) -> tuple[int, int]:
+        m = _TERM_RE.match(term)
+        if not m:
+            raise DslSyntaxError(f"invalid term {term!r}", line_no)
+        digits = m.group(1)
+        try:
+            coeff = int(digits) if digits else 1
+        except ValueError:  # beyond the interpreter's int/str conversion limit
+            raise DslSyntaxError(
+                f"stoichiometric coefficient with {len(digits)} digits is too large",
+                line_no,
+            ) from None
+        if coeff < 1:
+            raise DslSyntaxError(
+                f"stoichiometric coefficient must be positive in {term!r}", line_no
+            )
+        return species_index.setdefault(m.group(2), len(species_index)), coeff
 
-    def intern_complex(coeffs: dict[int, int]) -> int:
-        return complex_index.setdefault(tuple(sorted(coeffs.items())), len(complex_index))
-
-    def parse_complex(src: str, line_no: int) -> dict[int, int]:
-        s = src.strip()
+    def parse_complex(s: str, line_no: int) -> int:
         if not s:
             raise DslSyntaxError("missing complex", line_no)
-        if s == "0":
-            return {}
         coeffs: dict[int, int] = {}
-        for chunk in s.split("+"):
-            term = chunk.strip()
-            m = _TERM_RE.match(term)
-            if not m:
-                raise DslSyntaxError(f"invalid term {term!r}", line_no)
-            digits = m.group(1)
-            try:
-                coeff = int(digits) if digits else 1
-            except ValueError:  # beyond the interpreter's int/str conversion limit
-                raise DslSyntaxError(
-                    f"stoichiometric coefficient with {len(digits)} digits is too large",
-                    line_no,
-                ) from None
-            if coeff < 1:
-                raise DslSyntaxError(
-                    f"stoichiometric coefficient must be positive in {term!r}", line_no
-                )
-            idx = intern_species(m.group(2))
-            coeffs[idx] = coeffs.get(idx, 0) + coeff
-        return coeffs
+        if s != "0":
+            for chunk in s.split("+"):
+                term = chunk.strip()
+                found = term_index.get(term)
+                if found is None:
+                    found = term_index[term] = parse_term(term, line_no)
+                idx, coeff = found
+                coeffs[idx] = coeffs.get(idx, 0) + coeff
+        return complex_index.setdefault(tuple(sorted(coeffs.items())), len(complex_index))
+
+    def complex_of(src: str, line_no: int) -> int:
+        s = src.strip()
+        found = side_index.get(s)
+        if found is None:
+            found = side_index[s] = parse_complex(s, line_no)
+        return found
 
     def add_reaction(reactant: int, product: int, label: str | None, line_no: int) -> None:
         pair = (reactant, product)
@@ -148,8 +154,8 @@ def parse_network(text: str) -> Network:
                 raise DslSyntaxError("expected exactly one arrow ('->' or '<->')", line_no)
             reversible = False
 
-        reactant = intern_complex(parse_complex(sides[0], line_no))
-        product = intern_complex(parse_complex(sides[1], line_no))
+        reactant = complex_of(sides[0], line_no)
+        product = complex_of(sides[1], line_no)
         if reactant == product:
             raise SelfLoopError(
                 "reactant and product complexes are identical", line_no
@@ -177,9 +183,15 @@ def parse_network(text: str) -> Network:
                 label_lines[default],
             )
 
-    species = [Species(name, idx) for name, idx in species_index.items()]
-    complexes = [Complex(terms) for terms in complex_index]
-    return Network(species, complexes, reactions)
+    # Every part is checked above, with its line, so the network's own
+    # validation would only repeat it.
+    net = Network.__new__(Network)
+    net._assemble(
+        tuple(Species(name, idx) for name, idx in species_index.items()),
+        tuple(complex_index),
+        tuple(reactions),
+    )
+    return net
 
 
 def parse_file(path: str | os.PathLike[str]) -> Network:

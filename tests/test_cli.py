@@ -335,6 +335,90 @@ class TestSteadyState:
         assert out == ""
         assert err == f"error: expected NAME=VALUE in {bad}\n"
 
+    def test_readme_example_output(self, capsys, networks_dir):
+        code, out, err = run(
+            capsys,
+            "steady-state",
+            path(networks_dir, "mass_action_demo.crn"),
+            "--rates",
+            "R1=1,R2=1,R3=3,R4=1",
+            "--point",
+            "X1=2,X2=3,X3=3,X4=2",
+        )
+        assert (code, out, err) == (0, "f(x) = (X1: 0, X2: 0, X3: 0, X4: 0)\nsteady state\n", "")
+
+    def test_the_fluxes_are_evaluated_once_per_call(self, capsys, networks_dir, monkeypatch):
+        import crnkit.analysis
+        import crnkit.cli
+
+        calls = []
+        fluxes = crnkit.analysis._fluxes
+
+        def counted(*args):
+            calls.append(args)
+            return fluxes(*args)
+
+        monkeypatch.setattr(crnkit.analysis, "_fluxes", counted)
+        monkeypatch.setattr(crnkit.cli, "_fluxes", counted, raising=False)
+        demo = path(networks_dir, "mass_action_demo.crn")
+        for point in ("X1=2,X2=3,X3=3,X4=2", "X1=1,X2=1,X3=1,X4=1"):
+            calls.clear()
+            run(capsys, "steady-state", demo, "--rates", "R1=1,R2=1,R3=3,R4=1", "--point", point)
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "point,tol,err",
+        [
+            ("X1=2,X2=3,X3=3,X4=0", "-1", "all concentrations must be strictly positive"),
+            (
+                "X1=2,X2=3,X3=1e300,X4=1e300",
+                "nan",
+                "the rates overflow the floating-point range at this point",
+            ),
+            ("X1=2,X2=3,X3=3,X4=2", "-1", "tolerance must be finite and nonnegative"),
+        ],
+    )
+    def test_point_errors_come_before_the_tolerance(self, capsys, networks_dir, point, tol, err):
+        code, out, stderr = run(
+            capsys,
+            "steady-state",
+            path(networks_dir, "mass_action_demo.crn"),
+            "--rates",
+            "R1=1,R2=1,R3=3,R4=1",
+            "--point",
+            point,
+            f"--tol={tol}",
+        )
+        assert (code, out, stderr) == (1, "", f"error: {err}\n")
+
+    def test_output_agrees_with_sfrf_and_is_steady_state(self, capsys, tmp_path):
+        # Small seeded networks, as in a batch screen: the one evaluation must
+        # print what the two public functions compute.
+        from crnkit import Kinetics, is_steady_state, parse_network, sfrf, to_dsl
+
+        rng = random.Random(1414)
+        for k in range(40):
+            net = parse_network(to_dsl(random_network(rng)))
+            rates = [rng.choice((1.0, 2.0, 0.5, 3.0)) for _ in net.labels]
+            x = [rng.choice((1.0, 3.0, 0.25, 2.0)) for _ in net.species_names]
+            f = tmp_path / f"net{k}.crn"
+            f.write_text(to_dsl(net))
+            code, out, err = run(
+                capsys,
+                "steady-state",
+                str(f),
+                "--rates",
+                ",".join(f"{label}={v}" for label, v in zip(net.labels, rates)),
+                "--point",
+                ",".join(f"{name}={v}" for name, v in zip(net.species_names, x)),
+            )
+            kinetics = Kinetics.mass_action(net, rates)
+            steady = is_steady_state(net, kinetics, x)
+            f_x = sfrf(net, kinetics, x)
+            values = ", ".join(f"{name}: {v + 0.0:.12g}" for name, v in zip(net.species_names, f_x))
+            verdict = "steady state" if steady else "not a steady state"
+            assert (code, out, err) == (0 if steady else 3, f"f(x) = ({values})\n{verdict}\n", "")
+
 
 class TestAnalyze:
     def test_text_output_is_deterministic(self, capsys, networks_dir):

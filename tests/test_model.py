@@ -199,6 +199,58 @@ class TestNetworkValidation:
         with pytest.raises(NetworkError, match=r"^species index .* is not an integer$"):
             Species("A", index)
 
+    @pytest.mark.parametrize("name", [5, b"A", ("A",), 1.5, True])
+    def test_species_name_must_be_a_string(self, name):
+        message = f"species name {name!r} is not a string"
+        with pytest.raises(NetworkError) as exc:
+            Species(name, 0)
+        assert str(exc.value) == message
+        with pytest.raises(NetworkError) as exc:
+            Species._make((name, 0))
+        assert str(exc.value) == message
+        with pytest.raises(NetworkError) as exc:
+            Species("A", 0)._replace(name=name)
+        assert str(exc.value) == message
+
+    def test_a_falsy_species_name_keeps_the_nonempty_message(self):
+        for name in ("", 0, None, ()):
+            with pytest.raises(NetworkError, match="^species name must be nonempty$"):
+                Species(name, 0)
+
+    @pytest.mark.parametrize(
+        "reaction",
+        [Reaction(0, 1, 7), Reaction._make((0, 1, 7)), Reaction(0, 1, "a")._replace(label=7)],
+        ids=["constructor", "make", "replace"],
+    )
+    def test_reaction_label_must_be_a_string_or_none(self, reaction):
+        # Accepted before, this network failed later in `reaction_string`
+        # with a raw TypeError.
+        with pytest.raises(NetworkError) as exc:
+            Network(
+                [Species("A", 0), Species("B", 1)],
+                [Complex({0: 1}), Complex({1: 1})],
+                [reaction],
+            )
+        assert str(exc.value) == "reaction label 7 is not a string"
+
+    @pytest.mark.parametrize("label", [b"R1", 1.0, ["R1"], False])
+    def test_other_label_types_are_refused(self, label):
+        with pytest.raises(NetworkError, match="^reaction label .* is not a string$"):
+            Network(
+                [Species("A", 0), Species("B", 1)],
+                [Complex({0: 1}), Complex({1: 1})],
+                [Reaction(0, 1), Reaction(1, 0, label)],
+            )
+
+    def test_string_and_missing_labels_are_kept(self):
+        net = Network(
+            [Species("A", 0), Species("B", 1)],
+            [Complex({0: 1}), Complex({1: 1})],
+            [Reaction(0, 1), Reaction(1, 0, "back")],
+        )
+        assert net.labels == ("R1", "back")
+        assert net.reaction_string(1) == "back: B -> A"
+
     @pytest.mark.parametrize(
         "coefficients,message",
         [

@@ -1,0 +1,119 @@
+"""The parser builds each network once, from parts it has already checked.
+
+`parse_network` parses each distinct side and term text once and hands its
+checked parts to `Network._assemble`, skipping the validation that
+`Network(...)` runs on library input.  These tests show that the checked
+constructor accepts every parsed network and rebuilds an equal one, and that
+nothing else reaches the unchecked step.
+"""
+
+import random
+
+import pytest
+
+from conftest import ALL_NETWORK_FILES
+from crnkit import Network, NetworkError, parse_file, parse_network, to_dsl
+from netgen import random_network, random_sparse_network
+from test_fuzz import corpus_texts, mutate
+from test_one_elimination import module_calls
+
+SEED = 20261018
+
+
+def assert_rebuilds(net):
+    again = Network(net.species, net.complexes, net.reactions)
+    assert again == net
+    assert again.labels == net.labels
+    assert again.species_names == net.species_names
+    for i in range(net.reaction_count):
+        assert again.sparse_reaction_vector(i) == net.sparse_reaction_vector(i)
+        assert again.reaction_string(i) == net.reaction_string(i)
+
+
+@pytest.mark.parametrize("path", ALL_NETWORK_FILES, ids=lambda p: p.stem)
+def test_the_checked_constructor_rebuilds_each_corpus_network(path):
+    assert_rebuilds(parse_file(path))
+
+
+def test_the_checked_constructor_rebuilds_generated_networks():
+    rng = random.Random(SEED)
+    nets = [random_network(rng, max_species=5, max_reactions=8, max_coeff=3) for _ in range(150)]
+    for r, b in ((20, 1), (40, 4), (60, 3)):
+        nets.append(random_sparse_network(rng, r, r // 2, blocks=b))
+    for net in nets:
+        parsed = parse_network(to_dsl(net))
+        assert [rx[:2] for rx in parsed.reactions] == [rx[:2] for rx in net.reactions]
+        assert parsed.labels == net.labels
+        assert_rebuilds(parsed)
+
+
+def test_the_checked_constructor_rebuilds_every_fuzzed_text_that_parses():
+    rng = random.Random(SEED)
+    texts = corpus_texts()
+    parsed = 0
+    for _ in range(600):
+        try:
+            net = parse_network(mutate(rng, rng.choice(texts)))
+        except NetworkError:
+            continue
+        assert_rebuilds(net)
+        parsed += 1
+    assert parsed > 100
+
+
+def test_only_the_parser_and_the_constructor_assemble_unchecked():
+    assert module_calls("parser", "_assemble") == ["parse_network"]
+    assert module_calls("model", "_assemble") == ["Network.__init__"]
+    assert module_calls("model", "_of") == ["Network._assemble"]
+    for module in ("analysis", "cli", "decomposition", "linalg", "report", "__init__"):
+        assert module_calls(module, "_assemble") == []
+        assert module_calls(module, "_of") == []
+    assert module_calls("parser", "_of") == []
+
+
+def test_one_complex_written_three_ways_gets_one_index():
+    net = parse_network("A+2B -> C\nC -> A + 2 B\nD -> 2 B + A\n2B+A -> D\n")
+    assert net.species_names == ("A", "B", "C", "D")
+    assert [c.terms for c in net.complexes] == [((0, 1), (1, 2)), ((2, 1),), ((3, 1),)]
+    assert [tuple(rx[:2]) for rx in net.reactions] == [(0, 1), (1, 0), (2, 0), (0, 2)]
+
+
+def test_a_repeated_side_keeps_its_first_species_order():
+    # The repeated side 'B + A' is read from the map; a new species after it
+    # still comes last.
+    net = parse_network("B + A -> C\nC -> B + A\nB + A -> E\n")
+    assert net.species_names == ("B", "A", "C", "E")
+    assert net.complex_string(0) == "B + A"
+
+
+def test_a_repeated_term_is_summed_each_time():
+    net = parse_network("X + X -> Y\nY -> X + 2 X\n")
+    assert [c.terms for c in net.complexes] == [((0, 2),), ((1, 1),), ((0, 3),)]
+
+
+SELF_LOOP = "reactant and product complexes are identical"
+NOT_POSITIVE = "stoichiometric coefficient must be positive in '0X'"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("A + B -> C\nA + B -> C\n", "line 2: reaction duplicates the one on line 1"),
+        ("A + B -> C\nC -> A + B\nA + B -> A + B\n", "line 3: " + SELF_LOOP),
+        ("A + B -> C\nC -> A + @\n", "line 2: invalid term '@'"),
+        ("A + B -> C\nA + B -> C + 0X\n", "line 2: " + NOT_POSITIVE),
+    ],
+)
+def test_an_error_after_a_repeated_text_keeps_its_line(text, message):
+    with pytest.raises(NetworkError) as exc:
+        parse_network(text)
+    assert str(exc.value) == message
+
+
+def test_the_parser_gives_string_names_and_labels_only():
+    nets = [parse_file(p) for p in ALL_NETWORK_FILES]
+    nets.append(parse_network("bind: A + B <-> C\nC -> 0\nR9: 0 -> A\n"))
+    for net in nets:
+        assert all(type(s.name) is str for s in net.species)
+        assert all(type(rx.label) is str for rx in net.reactions)
+        assert all(type(label) is str for label in net.labels)

@@ -48,7 +48,8 @@ KINETICS = Kinetics("mass-action", (1.0, 2.0), ((1.0,), (0.0,)))
 GRAPH = CoordinateGraph(2, frozenset({(0, 1)}), ("a", "b"))
 
 # (valid record, fields to replace, exception type, message): each message is
-# the one the record gave before it became a NamedTuple.
+# the one the record gave before it became a NamedTuple, except the species
+# name type check, which came later.
 POSITIVE = "rate constants must be finite and strictly positive"
 WIDTHS = "kinetic order rows must have equal length"
 INVALID = [
@@ -67,6 +68,7 @@ INVALID = [
     (GRAPH, {"edges": frozenset({(1, 0)})}, ValueError, "invalid edge (1, 0)"),
     (GRAPH, {"edges": frozenset({(0, 5)})}, ValueError, "invalid edge (0, 5)"),
     (GRAPH, {"vertex_labels": ("a",)}, ValueError, "one label per vertex required"),
+    (SPECIES, {"name": 5}, NetworkError, "species name 5 is not a string"),
 ]
 INVALID_IDS = [f"{type(r).__name__}-{next(iter(kw))}-{k}" for k, (r, kw, _, _) in enumerate(INVALID)]
 
