@@ -7,7 +7,9 @@ extraction, and evaluation of the species formation rate function for
 mass-action and power-law kinetics at a given positive point.  The complex
 graph is one (reactant, product) edge list per network (`_complex_edges`):
 one union-find gives its linkage classes, Kosaraju's two searches its strong
-linkage classes, and one scan of the edges the terminal ones.
+linkage classes, and one scan of the edges the terminal ones.  A part's
+complex graph is that list cut to its reactions and renumbered over the
+complexes they touch (`_local_edges`), for every caller that needs one.
 """
 
 from __future__ import annotations
@@ -77,6 +79,16 @@ class DeficiencyVerdict(NamedTuple):
 def _complex_edges(net: Network) -> list[tuple[int, int]]:
     """The complex graph: one (reactant, product) edge per reaction, in reaction order."""
     return [(rx.reactant, rx.product) for rx in net.reactions]
+
+
+def _local_edges(
+    edges: list[tuple[int, int]], rows: Iterable[int]
+) -> tuple[list[int], list[tuple[int, int]]]:
+    """The complexes ``rows`` touch, in increasing order, and the rows' edges numbered over them."""
+    picked = [edges[i] for i in rows]
+    touched = sorted({c for edge in picked for c in edge})
+    local = {c: k for k, c in enumerate(touched)}
+    return touched, [(local[a], local[b]) for a, b in picked]
 
 
 def _grouped(keys: Iterable[int]) -> list[tuple[int, ...]]:
@@ -181,10 +193,10 @@ def _irreversible_count(edges: list[tuple[int, int]]) -> int:
 class _Structure:
     """The structural facts of one network or part, each computed at most once.
 
-    The public numbers and deficiency checks read one of these, and a report
-    builds one per network and per part (`part`).  ``span`` is an elimination
-    of the network's reaction vectors, in reaction order (a report passes the
-    finder's); without it the reaction vectors are eliminated here, once.
+    The public numbers and deficiency checks read one of these, and
+    `_structures` builds one per network and per part (`part`).  ``span`` is
+    an elimination of the network's reaction vectors, in reaction order (a
+    report passes the finder's); without it they are eliminated here, once.
     The rank and every linkage class's rank are read from it.  The complex
     graph's edge list is built once and feeds every class search, the
     irreversible count and the linkage-class map.
@@ -203,14 +215,12 @@ class _Structure:
 
         ``edges`` is the parent's complex edge list and ``span`` the parent's
         elimination.  The facts are those of `subnetwork(net, reactions)`: the
-        complexes the part touches, renumbered in increasing order, and the
-        species in their supports; the rank comes from ``span.restrict``.
+        complex graph of `_local_edges`, the species in its complexes'
+        supports, and the rank from ``span.restrict``.
         """
         rows = sorted(reactions)
-        touched = sorted({c for i in rows for c in edges[i]})
-        local = {c: k for k, c in enumerate(touched)}
+        touched, part_edges = _local_edges(edges, rows)
         species = {s for c in touched for s in net.complexes[c].support}
-        part_edges = [(local[edges[i][0]], local[edges[i][1]]) for i in rows]
         st = cls.__new__(cls)
         st._settle(len(species), len(touched), part_edges, span.restrict(rows))
         return st
@@ -258,6 +268,19 @@ class _Structure:
         return _deficiency_zero_verdict(self.numbers), _deficiency_one_verdict(self)
 
 
+def _structures(
+    net: Network, parts: Sequence[Iterable[int]], span: _Span | None = None
+) -> tuple[_Structure, list[_Structure]]:
+    """The network's structure and each part's, all ranks read from ``span`` (see `_Structure`)."""
+    whole = _Structure(net, span)
+    # A part made of every reaction of a network whose species all occur in
+    # some complex is the network itself, so it shares the network's structure.
+    used = {s for c in net.complexes for s in c.support}
+    if len(parts) == 1 and len(used) == net.species_count:
+        return whole, [whole]
+    return whole, [_Structure.part(net, whole.edges, part, whole.span) for part in parts]
+
+
 def network_numbers(net: Network) -> NetworkNumbers:
     """Compute the full structural summary of a network."""
     return _Structure(net).numbers
@@ -279,13 +302,11 @@ def subnetwork(net: Network, reactions: Iterable[int]) -> Network:
     if chosen[0] < 0 or chosen[-1] >= net.reaction_count:
         raise NetworkError(f"reaction index out of range in {chosen}")
 
-    edges = _complex_edges(net)
-    touched_complexes = sorted({c for i in chosen for c in edges[i]})
+    touched_complexes, edges = _local_edges(_complex_edges(net), chosen)
     touched_species = sorted(
         {s for c in touched_complexes for s in net.complexes[c].support}
     )
     species_map = {old: new for new, old in enumerate(touched_species)}
-    complex_map = {old: new for new, old in enumerate(touched_complexes)}
 
     species = [
         Species(net.species[old].name, new) for old, new in sorted(species_map.items())
@@ -295,8 +316,7 @@ def subnetwork(net: Network, reactions: Iterable[int]) -> Network:
         for old in touched_complexes
     ]
     reactions_out = [
-        Reaction(complex_map[edges[i][0]], complex_map[edges[i][1]], net.reaction_label(i))
-        for i in chosen
+        Reaction(a, b, net.reaction_label(i)) for i, (a, b) in zip(chosen, edges)
     ]
     return Network(species, complexes, reactions_out)
 
@@ -506,21 +526,21 @@ def is_steady_state(
     """Whether the formation rate vanishes at ``x``, relative to flux size.
 
     True when ``max|f(x)| <= tol * max|K(x)|``: the tolerance scales with
-    the largest reaction flux, however small the fluxes are.
+    the largest reaction flux, however small the fluxes are.  A bad point is
+    reported before a bad tolerance.
     """
-    _check_tolerance(tol)
+    return _steady_state(net, kinetics, x, tol)[1]
+
+
+def _steady_state(
+    net: Network, kinetics: Kinetics, x: Sequence[float], tol: float
+) -> tuple[tuple[float, ...], bool]:
+    """f(x) and the `is_steady_state` verdict from one flux evaluation, point errors first."""
     fluxes = _fluxes(net, kinetics, x)
-    return _is_steady(_formation_rate(net, fluxes), fluxes, tol)
-
-
-def _check_tolerance(tol: float) -> None:
+    f = _formation_rate(net, fluxes)
     # An infinite tolerance would call any point with a nonzero flux steady.
     if not 0 <= tol < math.inf:
         raise ValueError("tolerance must be finite and nonnegative")
-
-
-def _is_steady(f: Sequence[float], fluxes: Sequence[float], tol: float) -> bool:
-    """The verdict from a formation rate ``f`` and the ``fluxes`` it came from."""
     residual = max(abs(v) for v in f)
     # An exact zero passes even when every flux underflowed to 0 (inf * 0 is nan).
-    return residual == 0 or residual <= tol * max(fluxes)
+    return f, residual == 0 or residual <= tol * max(fluxes)

@@ -12,16 +12,7 @@ import math
 import sys
 from typing import Sequence
 
-from .analysis import (
-    DimensionError,
-    Kinetics,
-    NonPositivePointError,
-    _check_tolerance,
-    _fluxes,
-    _formation_rate,
-    _is_steady,
-    _Structure,
-)
+from .analysis import Kinetics, _steady_state, _structures
 from .decomposition import (
     InternalError,
     PartitionError,
@@ -197,13 +188,10 @@ def _cmd_check(args: argparse.Namespace, net: Network) -> int:
 
 def _cmd_numbers(args: argparse.Namespace, net: Network) -> int:
     # One elimination of the network; each part's column is read from it.
-    whole = _Structure(net)
+    parts = () if args.parts is None else _parse_parts(args.parts, net)
+    whole, structures = _structures(net, parts)
     columns = [("N", numbers_to_dict(whole.numbers))]
-    if args.parts is not None:
-        parts = _parse_parts(args.parts, net)
-        for k, part in enumerate(parts, 1):
-            st = _Structure.part(net, whole.edges, part, whole.span)
-            columns.append((f"N{k}", numbers_to_dict(st.numbers)))
+    columns += [(f"N{k}", numbers_to_dict(st.numbers)) for k, st in enumerate(structures, 1)]
     print(format_numbers_table(columns))
     return EXIT_OK
 
@@ -222,13 +210,8 @@ def _cmd_steady_state(args: argparse.Namespace, net: Network) -> int:
         point_by_name, names, "missing coordinates for species", "unknown species in --point"
     )
     try:
-        # One evaluation of the fluxes gives both f(x) and the verdict; the
-        # point's errors are reported before the tolerance's, as `sfrf` would.
-        fluxes = _fluxes(net, Kinetics.mass_action(net, rates), x)
-        f = _formation_rate(net, fluxes)
-        _check_tolerance(args.tol)
-        steady = _is_steady(f, fluxes, args.tol)
-    except (DimensionError, NonPositivePointError, ValueError) as exc:
+        f, steady = _steady_state(net, Kinetics.mass_action(net, rates), x, args.tol)
+    except ValueError as exc:  # DimensionError and NonPositivePointError included
         raise _UsageError(str(exc)) from None
     except OverflowError:
         raise _UsageError(

@@ -27,17 +27,18 @@ its basis counts and they sum to the network rank.  A single part is the
 whole reaction set, independent by definition, and is reported with the
 finder's own rank.  `verify_decomposition` checks a user partition and is
 independent of the finder: one `_eliminate` of its own, in part order, gives
-every rank, and its incidence ranks come from the complex graph's one edge
-list; the brute-force oracle runs one elimination per part.
+every rank, and each part's incidence rank is read from its own complex
+graph (`analysis._local_edges`); the brute-force oracle runs one elimination
+per part.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from itertools import accumulate, chain
-from typing import Iterable, Iterator, Literal, NamedTuple
+from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
 
-from .analysis import _complex_edges, _undirected_components
+from .analysis import _complex_edges, _local_edges, _undirected_components
 from .linalg import BasisSelection, _eliminate, _eliminate_over, _Span
 from .model import Network, _Checked, _is_int
 
@@ -151,10 +152,10 @@ def _canonical_partition(
     return tuple(canon)
 
 
-def _incidence_rank(n: int, edges: list[tuple[int, int]]) -> int:
-    # An incidence matrix has rank n - l: the complexes its reactions touch
-    # minus the linkage classes they form.  An untouched complex is a
-    # component of its own, so counting over all n complexes gives the same n - l.
+def _incidence_rank(complexes: Sequence[int], edges: list[tuple[int, int]]) -> int:
+    # An incidence matrix has rank n - l: the n complexes its reactions touch
+    # minus the linkage classes they form; ``edges`` number them 0..n-1.
+    n = len(complexes)
     return n - len(_undirected_components(n, edges))
 
 
@@ -169,12 +170,13 @@ def verify_decomposition(net: Network, parts: Iterable[Iterable[int]]) -> Indepe
     canon = _canonical_partition(parts, net.reaction_count)
     span = _eliminate([net.sparse_reaction_vector(i) for part in canon for i in part])
     network_rank = len(span.position)
-    n, edges = net.complex_count, _complex_edges(net)
-    incidence_network_rank = _incidence_rank(n, edges)
+    # A validated network touches every complex, so only the parts are renumbered.
+    edges = _complex_edges(net)
+    incidence_network_rank = _incidence_rank(range(net.complex_count), edges)
     # Part k is rows bounds[k]..bounds[k + 1] - 1 of the elimination.
     bounds = list(accumulate(map(len, canon), initial=0))
     part_ranks = tuple(span.rank(range(a, b)) for a, b in zip(bounds, bounds[1:]))
-    incidence_part_ranks = tuple(_incidence_rank(n, [edges[i] for i in p]) for p in canon)
+    incidence_part_ranks = tuple(_incidence_rank(*_local_edges(edges, p)) for p in canon)
     return _independence(network_rank, part_ranks, incidence_network_rank, incidence_part_ranks)
 
 

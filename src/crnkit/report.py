@@ -9,14 +9,8 @@ from __future__ import annotations
 
 from typing import Any, Mapping, NamedTuple
 
-from .analysis import DeficiencyVerdict, NetworkNumbers, _Structure
-from .decomposition import (
-    IndependenceReport,
-    _coordinate_edges,
-    _Finest,
-    _finest,
-    _independence,
-)
+from .analysis import DeficiencyVerdict, NetworkNumbers, _Structure, _structures
+from .decomposition import IndependenceReport, _coordinate_edges, _finest, _independence
 from .model import Network
 
 SCHEMA_VERSION = "1"
@@ -153,17 +147,6 @@ class AnalysisReport(NamedTuple):
         )
 
 
-def _structures(net: Network, finest: _Finest) -> tuple[_Structure, list[_Structure]]:
-    """The network's structure and each part's, all ranks read from the finder's relations."""
-    whole = _Structure(net, finest.span)
-    # A part made of every reaction of a network whose species all occur in
-    # some complex is the network itself, so it shares the network's structure.
-    used = {s for c in net.complexes for s in c.support}
-    if len(finest.parts) == 1 and len(used) == net.species_count:
-        return whole, [whole]
-    return whole, [_Structure.part(net, whole.edges, part, finest.span) for part in finest.parts]
-
-
 def _incidence_rank(st: _Structure) -> int:
     # An incidence matrix has rank n - l: complexes minus linkage classes.
     return st.numbers.complex_count - st.numbers.linkage_class_count
@@ -172,7 +155,7 @@ def _incidence_rank(st: _Structure) -> int:
 def build_report(net: Network) -> AnalysisReport:
     """Run the whole pipeline on a network and assemble the report."""
     finest = _finest(net)
-    whole, parts = _structures(net, finest)
+    whole, parts = _structures(net, finest.parts, finest.span)
     position = finest.span.position
     return AnalysisReport(
         network=whole.numbers,

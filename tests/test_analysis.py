@@ -358,3 +358,14 @@ class TestIsSteadyState:
         kin = Kinetics.mass_action(mass_action_demo, [1, 1, 3, 1])
         with pytest.raises(ValueError):
             is_steady_state(mass_action_demo, kin, [2, 3, 3, 2], tol=-1.0)
+
+    @pytest.mark.parametrize("tol", [-1.0, math.inf, math.nan])
+    def test_point_errors_come_before_the_tolerance(self, mass_action_demo, tol):
+        # As in `crn steady-state`: a bad point is reported, not the bad tolerance.
+        kin = Kinetics.mass_action(mass_action_demo, [1, 1, 3, 1])
+        with pytest.raises(NonPositivePointError):
+            is_steady_state(mass_action_demo, kin, [2, 3, 3, 0], tol=tol)
+        with pytest.raises(DimensionError):
+            is_steady_state(mass_action_demo, kin, [2, 3, 3], tol=tol)
+        with pytest.raises(OverflowError):
+            is_steady_state(mass_action_demo, kin, [2, 3, 1e300, 1e300], tol=tol)

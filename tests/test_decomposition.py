@@ -236,6 +236,36 @@ class TestVerify:
         assert (first.rows, first.cols) == (3, 2)
         assert (second.rows, second.cols) == (4, 2)
 
+    @pytest.mark.parametrize("singletons", [True, False], ids=["singletons", "seeded"])
+    def test_part_incidence_ranks_search_only_the_touched_complexes(
+        self, monkeypatch, singletons
+    ):
+        # The network's union-find runs over its n complexes and each part's
+        # over the complexes the part touches: n + sum(touched) vertices in
+        # all, not (parts + 1) * n.  A structural check, not a timing gate.
+        rng = random.Random(1717)
+        net = random_sparse_network(rng, 300, 150)
+        r, edges = net.reaction_count, [(rx.reactant, rx.product) for rx in net.reactions]
+        if singletons:
+            parts = [[i] for i in range(r)]
+        else:
+            owner = [rng.randrange(40) for _ in range(r)]
+            parts = [[i for i in range(r) if owner[i] == k] for k in sorted(set(owner))]
+        sizes = []
+        components = crnkit.decomposition._undirected_components
+
+        def counted(n, graph_edges):
+            sizes.append(n)
+            return components(n, graph_edges)
+
+        monkeypatch.setattr(crnkit.decomposition, "_undirected_components", counted)
+        rep = verify_decomposition(net, parts)
+        touched = [len({c for i in part for c in edges[i]}) for part in parts]
+        assert sizes == [net.complex_count, *touched]
+        assert sum(sizes) < (len(parts) + 1) * net.complex_count
+        if singletons:
+            assert rep.incidence_part_ranks == (1,) * r
+
     def test_feedforward_split_not_independent(self):
         net = parse_network(FEEDFORWARD)
         rep = verify_decomposition(net, [[0, 1], [2, 3]])

@@ -37,10 +37,9 @@ from crnkit import (
     subnetwork,
     verify_decomposition,
 )
-from crnkit.analysis import _Structure
+from crnkit.analysis import _Structure, _structures
 from crnkit.decomposition import _coordinate_edges, _finest, _reaction_rows
 from crnkit.linalg import _Echelon, _eliminate
-from crnkit.report import _structures
 from conftest import ALL_NETWORK_FILES, load
 from netgen import random_network, random_sparse_network
 
@@ -322,7 +321,7 @@ def test_class_deficiencies_agree_with_rref():
     most_parts = most_classes = 0
     for net in CORPUS + NETWORKS:
         finest = _finest(net)
-        whole, parts = _structures(net, finest)
+        whole, parts = _structures(net, finest.parts, finest.span)
         subs = [net, net, *(subnetwork(net, part) for part in finest.parts)]
         for st, sub in zip((_Structure(net), whole, *parts), subs, strict=True):
             assert st.numbers.rank == rref_rank(stoichiometric_matrix(sub))

@@ -6,7 +6,10 @@ match networkx.  So must the union-find (`_undirected_components`) and the
 two-search strong components (`_strong_components`) on seeded random
 digraphs with isolated vertices, self-loops and parallel edges, and both
 must keep their order contract: each vertex set sorted, the sets ordered by
-smallest vertex.  The whole module is skipped when networkx is not installed.
+smallest vertex.  Each part's incidence rank, from `verify_decomposition` and
+from a part's `_Structure`, must be the node count minus the component count
+of the part's edges taken in the parent's complex numbers.  The whole module
+is skipped when networkx is not installed.
 """
 
 import random
@@ -23,8 +26,13 @@ from crnkit import (  # noqa: E402 - after the importorskip
     parse_file,
     strong_linkage_classes,
     terminal_strong_linkage_classes,
+    verify_decomposition,
 )
-from crnkit.analysis import _strong_components, _undirected_components  # noqa: E402
+from crnkit.analysis import (  # noqa: E402
+    _strong_components,
+    _Structure,
+    _undirected_components,
+)
 
 from conftest import ALL_NETWORK_FILES  # noqa: E402
 from netgen import random_network, random_sparse_network  # noqa: E402
@@ -97,6 +105,40 @@ def test_complex_graph_classes_agree_with_networkx(net):
         nx.is_strongly_connected(g.subgraph(c)) for c in nx.weakly_connected_components(g)
     )
     assert network_numbers(net).weakly_reversible == weakly_reversible
+
+
+def seeded_partitions(r, rng):
+    """All singletons, the whole set, and a few random partitions of range(r)."""
+    yield [[i] for i in range(r)]
+    yield [list(range(r))]
+    for blocks in (2, 3, 5):
+        owner = [rng.randrange(blocks) for _ in range(r)]
+        yield [[i for i in range(r) if owner[i] == k] for k in sorted(set(owner))]
+
+
+def incidence_rank(nodes, edges):
+    g = nx.MultiGraph()
+    g.add_nodes_from(nodes)
+    g.add_edges_from(edges)
+    return g.number_of_nodes() - nx.number_connected_components(g)
+
+
+@pytest.mark.parametrize("net", NETWORKS, ids=NETWORK_IDS)
+def test_part_incidence_ranks_agree_with_networkx(net):
+    # Each part's graph keeps the parent's complex numbers: no renumbering.
+    edges = [(rx.reactant, rx.product) for rx in net.reactions]
+    whole = _Structure(net)
+    rng = random.Random(net.reaction_count)
+    for parts in seeded_partitions(net.reaction_count, rng):
+        expected = tuple(
+            incidence_rank({c for i in part for c in edges[i]}, [edges[i] for i in part])
+            for part in parts
+        )
+        rep = verify_decomposition(net, parts)
+        assert rep.incidence_part_ranks == expected
+        assert rep.incidence_network_rank == incidence_rank(range(net.complex_count), edges)
+        numbers = [_Structure.part(net, whole.edges, part, whole.span).numbers for part in parts]
+        assert tuple(nn.complex_count - nn.linkage_class_count for nn in numbers) == expected
 
 
 def random_digraphs(count, seed):

@@ -2,7 +2,10 @@
 is constructed only by `linalg._eliminate`, the greedy scan, and by
 `linalg._Span.rank`, which eliminates the relation tags of a subset.  The
 report describes parts without `subnetwork`, and the finder checks its
-answers with the integer certificate, never with `verify_decomposition`."""
+answers with the integer certificate, never with `verify_decomposition`.
+A part's complexes are renumbered only by `analysis._local_edges`, a
+partition's structures are built only by `analysis._structures`, and the CLI
+evaluates a steady state only through `analysis._steady_state`."""
 
 import ast
 from pathlib import Path
@@ -67,3 +70,38 @@ def test_the_guard_sees_a_call_by_name_or_attribute():
     source = "def f(net):\n    return analysis.subnetwork(net, [0]), subnetwork(net, [1])\n"
     assert call_sites(source, "subnetwork") == ["f", "f"]
     assert call_sites(source, "verify_decomposition") == []
+
+
+def callers(callee: str) -> set[str]:
+    """``module.function`` for every function in the package that calls ``callee``."""
+    return {
+        f"{module.stem}.{name}"
+        for module in sorted(SRC.glob("*.py"))
+        for name in call_sites(module.read_text(encoding="utf-8"), callee)
+    }
+
+
+def test_a_parts_complexes_are_renumbered_in_one_place():
+    assert callers("_local_edges") == {
+        "analysis._Structure.part",
+        "analysis.subnetwork",
+        "decomposition.verify_decomposition",
+    }
+
+
+def test_a_partition_reaches_its_structures_by_one_path():
+    assert callers("_structures") == {"report.build_report", "cli._cmd_numbers"}
+
+
+def test_the_cli_reads_structures_and_steady_states_through_analysis():
+    for callee in ("_Structure", "part", "_fluxes", "_formation_rate"):
+        assert module_calls("cli", callee) == []
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    private = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "analysis"
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert private == {"_steady_state", "_structures"}

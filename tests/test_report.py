@@ -29,9 +29,8 @@ from crnkit import (
     subnetwork,
     verify_decomposition,
 )
-from crnkit.analysis import _Structure
+from crnkit.analysis import _Structure, _structures
 from crnkit.decomposition import _finest
-from crnkit.report import _structures
 from conftest import ALL_NETWORK_FILES, load
 from netgen import random_network, random_sparse_network
 
@@ -84,7 +83,7 @@ def assert_same_structure(st, ref):
 def assert_part_structures_match_subnetworks(net, rng):
     """The report's part structures, and those of random user partitions, against subnetworks."""
     finest = _finest(net)
-    _, parts = _structures(net, finest)
+    _, parts = _structures(net, finest.parts, finest.span)
     for part, st in zip(finest.parts, parts, strict=True):
         assert_same_structure(st, _Structure(subnetwork(net, part), finest.span.restrict(part)))
     # `crn numbers --parts`: any partition, in label order, over one elimination
