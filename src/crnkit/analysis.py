@@ -302,7 +302,9 @@ def subnetwork(net: Network, reactions: Iterable[int]) -> Network:
     if chosen[0] < 0 or chosen[-1] >= net.reaction_count:
         raise NetworkError(f"reaction index out of range in {chosen}")
 
-    touched_complexes, edges = _local_edges(_complex_edges(net), chosen)
+    # Only the chosen reactions' edges: the cost follows the subset, not the parent.
+    picked = [(rx.reactant, rx.product) for rx in map(net.reactions.__getitem__, chosen)]
+    touched_complexes, edges = _local_edges(picked, range(len(picked)))
     touched_species = sorted(
         {s for c in touched_complexes for s in net.complexes[c].support}
     )

@@ -10,7 +10,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Sequence
+from typing import Any, Sequence
 
 from .analysis import Kinetics, _steady_state, _structures
 from .decomposition import (
@@ -45,46 +45,6 @@ class _ArgumentParser(argparse.ArgumentParser):
     # The exit-code contract reserves 1 for usage errors (argparse uses 2).
     def error(self, message: str):  # noqa: D102 - argparse hook
         raise _UsageError(message)
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(
-        prog="crn",
-        description="Analyze chemical reaction networks: independent decompositions, "
-        "network numbers, deficiency theorems, and steady-state checks.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="full analysis report")
-    p.add_argument("file", help="reaction network file (.crn)")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = sub.add_parser("decompose", help="finest independent decomposition")
-    p.add_argument("file")
-    p.add_argument(
-        "--contains",
-        metavar="LABEL",
-        help="check whether {LABEL} and its complement form an independent decomposition",
-    )
-
-    p = sub.add_parser("check", help="verify a user-supplied partition")
-    p.add_argument("file")
-    p.add_argument(
-        "--parts",
-        required=True,
-        help="partition by labels: ',' within a part, '|' between parts",
-    )
-
-    p = sub.add_parser("numbers", help="network numbers table")
-    p.add_argument("file")
-    p.add_argument("--parts", help="optionally add one column per part")
-
-    p = sub.add_parser("steady-state", help="test a point for steady state")
-    p.add_argument("file")
-    p.add_argument("--rates", required=True, help="per-reaction rate constants, e.g. R1=1,R2=2")
-    p.add_argument("--point", required=True, help="per-species concentrations, e.g. X1=2,X2=3")
-    p.add_argument("--tol", type=float, default=1e-9, help="relative tolerance (default 1e-9)")
-    return parser
 
 
 def _parse_parts(spec: str, net: Network) -> list[list[int]]:
@@ -225,23 +185,100 @@ def _cmd_steady_state(args: argparse.Namespace, net: Network) -> int:
     return EXIT_OK if steady else EXIT_NEGATIVE
 
 
-_HANDLERS = {
-    "analyze": _cmd_analyze,
-    "decompose": _cmd_decompose,
-    "check": _cmd_check,
-    "numbers": _cmd_numbers,
-    "steady-state": _cmd_steady_state,
+def _arg(*flags: str, **options: Any) -> tuple[tuple[str, ...], dict[str, Any]]:
+    return flags, options
+
+
+# Each command's help line, its handler and its arguments as (flags, options) pairs.
+_COMMANDS = {
+    "analyze": (
+        "full analysis report",
+        _cmd_analyze,
+        (
+            _arg("file", help="reaction network file (.crn)"),
+            _arg("--format", choices=("text", "json"), default="text"),
+        ),
+    ),
+    "decompose": (
+        "finest independent decomposition",
+        _cmd_decompose,
+        (
+            _arg("file"),
+            _arg(
+                "--contains",
+                metavar="LABEL",
+                help="check whether {LABEL} and its complement form an independent decomposition",
+            ),
+        ),
+    ),
+    "check": (
+        "verify a user-supplied partition",
+        _cmd_check,
+        (
+            _arg("file"),
+            _arg(
+                "--parts",
+                required=True,
+                help="partition by labels: ',' within a part, '|' between parts",
+            ),
+        ),
+    ),
+    "numbers": (
+        "network numbers table",
+        _cmd_numbers,
+        (_arg("file"), _arg("--parts", help="optionally add one column per part")),
+    ),
+    "steady-state": (
+        "test a point for steady state",
+        _cmd_steady_state,
+        (
+            _arg("file"),
+            _arg("--rates", required=True, help="per-reaction rate constants, e.g. R1=1,R2=2"),
+            _arg("--point", required=True, help="per-species concentrations, e.g. X1=2,X2=3"),
+            _arg("--tol", type=float, default=1e-9, help="relative tolerance (default 1e-9)"),
+        ),
+    ),
 }
 
 
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The ``crn`` parser with every command registered and only ``command``'s filled in.
+
+    The others keep their name and help line, so the top-level help, usage
+    and "invalid choice" texts are unchanged, but get no arguments and no
+    ``-h``: a call pays for the parser of the command it runs.
+    """
+    parser = _ArgumentParser(
+        prog="crn",
+        description="Analyze chemical reaction networks: independent decompositions, "
+        "network numbers, deficiency theorems, and steady-state checks.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, _, arguments) in _COMMANDS.items():
+        if name != command:
+            sub.add_parser(name, help=help_line, add_help=False)
+            continue
+        p = sub.add_parser(name, help=help_line)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+    return parser
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    # The top-level parser's only option is -h, so argparse enters the
+    # subparser named by the first word that is not an option; a word that is
+    # no command is refused before any subparser is entered.
+    command = next((word for word in argv if not word.startswith("-")), None)
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(command).parse_args(argv)
         try:
             net = parse_file(args.file)
         except OSError as exc:
             raise _UsageError(exc) from None
-        return _HANDLERS[args.command](args, net)
+        handler = _COMMANDS[args.command][1]
+        return handler(args, net)
     except (_UsageError, NetworkError, PartitionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

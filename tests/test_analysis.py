@@ -1,20 +1,26 @@
 """Network numbers, linkage structure, deficiency theorems, and kinetics."""
 
 import math
+import random
 import sys
 
 import pytest
 
+import crnkit.analysis
 from crnkit import (
     CONCLUSION_AT_MOST_ONE,
     CONCLUSION_EXACTLY_ONE,
     CONCLUSION_NO_POSITIVE_STEADY_STATE,
     CONCLUSION_NOT_APPLICABLE,
+    Complex,
     DimensionError,
     EmptySubsetError,
     Kinetics,
+    Network,
     NetworkError,
     NonPositivePointError,
+    Reaction,
+    Species,
     deficiency_one_check,
     deficiency_zero_check,
     is_steady_state,
@@ -27,6 +33,7 @@ from crnkit import (
     terminal_strong_linkage_classes,
 )
 from conftest import ALL_NETWORK_FILES, load
+from netgen import random_sparse_network
 
 
 def numbers_tuple(nn):
@@ -199,6 +206,52 @@ class TestSubnetwork:
     def test_non_integer_index_is_a_network_error(self, baccam, reactions):
         with pytest.raises(NetworkError, match="not an integer"):
             subnetwork(baccam, reactions)
+
+    @staticmethod
+    def by_definition(net, reactions):
+        """The chosen reactions, the complexes they touch and those complexes' species."""
+        chosen = sorted(set(reactions))
+        rxs = [net.reactions[i] for i in chosen]
+        complexes = sorted({c for rx in rxs for c in (rx.reactant, rx.product)})
+        species = sorted({s for c in complexes for s in net.complexes[c].support})
+        new_complex = {c: k for k, c in enumerate(complexes)}
+        new_species = {s: k for k, s in enumerate(species)}
+        return Network(
+            [Species(net.species[s].name, new_species[s]) for s in species],
+            [Complex({new_species[s]: v for s, v in net.complexes[c].terms}) for c in complexes],
+            [
+                Reaction(new_complex[rx.reactant], new_complex[rx.product], net.reaction_label(i))
+                for i, rx in zip(chosen, rxs)
+            ],
+        )
+
+    @staticmethod
+    def subsets(net, rng, count):
+        r = net.reaction_count
+        yield from ([i] for i in range(r))
+        for _ in range(count):
+            yield rng.sample(range(r), rng.randint(1, r))
+
+    @pytest.mark.parametrize("file", ALL_NETWORK_FILES, ids=lambda p: p.stem)
+    def test_corpus_subsets_match_the_definition(self, file):
+        net = load(file.name)
+        for chosen in self.subsets(net, random.Random(file.stem), 20):
+            assert subnetwork(net, chosen) == self.by_definition(net, chosen)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_subsets_match_the_definition(self, seed):
+        rng = random.Random(seed)
+        net = random_sparse_network(rng, 60, 20, blocks=1 + seed % 2)
+        for chosen in self.subsets(net, rng, 20):
+            assert subnetwork(net, chosen) == self.by_definition(net, chosen)
+
+    def test_only_the_chosen_reactions_edges_are_built(self, purine, monkeypatch):
+        # The parent's whole edge list costs O(r) per call, whatever the subset.
+        def refuse(net):
+            raise AssertionError("subnetwork built the parent's whole edge list")
+
+        monkeypatch.setattr(crnkit.analysis, "_complex_edges", refuse)
+        assert subnetwork(purine, [40, 3]) == self.by_definition(purine, [3, 40])
 
 
 class TestDeficiencyZero:
