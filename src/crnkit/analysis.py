@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 from .linalg import _eliminate, _Span
@@ -86,8 +87,8 @@ def _local_edges(
 ) -> tuple[list[int], list[tuple[int, int]]]:
     """The complexes ``rows`` touch, in increasing order, and the rows' edges numbered over them."""
     picked = [edges[i] for i in rows]
-    touched = sorted({c for edge in picked for c in edge})
-    local = {c: k for k, c in enumerate(touched)}
+    touched = sorted(set(chain.from_iterable(picked)))
+    local = dict(zip(touched, range(len(touched))))
     return touched, [(local[a], local[b]) for a, b in picked]
 
 
@@ -107,18 +108,21 @@ def _undirected_components(n: int, edges: Iterable[tuple[int, int]]) -> list[tup
     Each set is sorted and the sets are ordered by their smallest vertex.
     """
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-    return _grouped(map(find, range(n)))
+        # Find both roots, halving the paths; the larger root joins the smaller.
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    # Each root is its set's smallest vertex, so no vertex points above itself
+    # and one upward pass points every vertex at its root.
+    for v in range(n):
+        parent[v] = parent[parent[v]]
+    return _grouped(parent)
 
 
 def _strong_components(n: int, edges: Iterable[tuple[int, int]]) -> list[tuple[int, ...]]:
@@ -191,21 +195,30 @@ def _irreversible_count(edges: list[tuple[int, int]]) -> int:
 
 
 class _Structure:
-    """The structural facts of one network or part, each computed at most once.
+    """The structural facts of one network or part, each computed on first read.
 
     The public numbers and deficiency checks read one of these, and
-    `_structures` builds one per network and per part (`part`).  ``span`` is
-    an elimination of the network's reaction vectors, in reaction order (a
+    `_structures` builds one per network and per part (`part`) for the
+    report, `crn numbers --parts` and `verify_decomposition`.  ``span`` is an
+    elimination of the network's reaction vectors, in reaction order (a
     report passes the finder's); without it they are eliminated here, once.
-    The rank and every linkage class's rank are read from it.  The complex
-    graph's edge list is built once and feeds every class search, the
-    irreversible count and the linkage-class map.
+    A part keeps its network's ``span``, and its rank and every linkage
+    class's rank are the ranks of their rows in it.  The complex graph's edge
+    list is built at once; every other fact is computed when it is first
+    read, so `verify_decomposition`, which reads only ``rank`` and
+    ``incidence_rank``, runs no strong-class search and counts no species.
     """
 
     def __init__(self, net: Network, span: _Span | None = None):
+        rows = range(net.reaction_count)
         if span is None:
-            span = _eliminate([net.sparse_reaction_vector(i) for i in range(net.reaction_count)])
-        self._settle(net.species_count, net.complex_count, _complex_edges(net), span)
+            span = _eliminate([net.sparse_reaction_vector(i) for i in rows])
+            # The network's own elimination keeps one basis row per unit of rank.
+            self.rank = len(span.position)
+        # Local reaction k is row ``rows[k]`` of ``span``; ``_touched`` holds a
+        # part's complexes in ``net`` and is None for the network itself.
+        self._net, self.span, self._rows, self._touched = net, span, rows, None
+        self.edges, self.complex_count = _complex_edges(net), net.complex_count
 
     @classmethod
     def part(
@@ -216,38 +229,58 @@ class _Structure:
         ``edges`` is the parent's complex edge list and ``span`` the parent's
         elimination.  The facts are those of `subnetwork(net, reactions)`: the
         complex graph of `_local_edges`, the species in its complexes'
-        supports, and the rank from ``span.restrict``.
+        supports, and the ranks of its rows in ``span``.
         """
-        rows = sorted(reactions)
-        touched, part_edges = _local_edges(edges, rows)
-        species = {s for c in touched for s in net.complexes[c].support}
         st = cls.__new__(cls)
-        st._settle(len(species), len(touched), part_edges, span.restrict(rows))
+        st._net, st.span, st._rows = net, span, sorted(reactions)
+        st._touched, st.edges = _local_edges(edges, st._rows)
+        st.complex_count = len(st._touched)
         return st
 
-    def _settle(
-        self, species_count: int, n: int, edges: list[tuple[int, int]], span: _Span
-    ) -> None:
-        self.edges = edges
-        self.linkage_classes = _undirected_components(n, edges)
-        self.class_of = {c: k for k, cls in enumerate(self.linkage_classes) for c in cls}
-        self.strong_linkage_classes = _strong_components(n, edges)
-        self.terminal_strong_linkage_classes = _terminal(edges, self.strong_linkage_classes)
-        self.span = span
-        r = len(edges)
-        rank = span.rank(range(r))
+    @cached_property
+    def linkage_classes(self) -> list[tuple[int, ...]]:
+        return _undirected_components(self.complex_count, self.edges)
+
+    @cached_property
+    def class_of(self) -> dict[int, int]:
+        return {c: k for k, cls in enumerate(self.linkage_classes) for c in cls}
+
+    @cached_property
+    def strong_linkage_classes(self) -> list[tuple[int, ...]]:
+        return _strong_components(self.complex_count, self.edges)
+
+    @cached_property
+    def terminal_strong_linkage_classes(self) -> list[tuple[int, ...]]:
+        return _terminal(self.edges, self.strong_linkage_classes)
+
+    @cached_property
+    def rank(self) -> int:
+        return self.span.rank(self._rows)
+
+    @property
+    def incidence_rank(self) -> int:
+        """The incidence matrix's rank n - l: complexes minus linkage classes."""
+        return self.complex_count - len(self.linkage_classes)
+
+    @cached_property
+    def numbers(self) -> NetworkNumbers:
+        net, touched = self._net, self._touched
+        if touched is None:
+            species_count = net.species_count
+        else:
+            species_count = len({s for c in touched for s in net.complexes[c].support})
         l = len(self.linkage_classes)
         sl = len(self.strong_linkage_classes)
-        self.numbers = NetworkNumbers(
+        return NetworkNumbers(
             species_count=species_count,
-            complex_count=n,
-            reaction_count=r,
-            irreversible_reaction_count=_irreversible_count(edges),
+            complex_count=self.complex_count,
+            reaction_count=len(self.edges),
+            irreversible_reaction_count=_irreversible_count(self.edges),
             linkage_class_count=l,
             strong_linkage_class_count=sl,
             terminal_strong_linkage_class_count=len(self.terminal_strong_linkage_classes),
-            rank=rank,
-            deficiency=n - l - rank,
+            rank=self.rank,
+            deficiency=self.incidence_rank - self.rank,
             weakly_reversible=sl == l,
         )
 
@@ -256,8 +289,8 @@ class _Structure:
         """Deficiency of each linkage class: n_i - 1 - s_i over the class's reactions."""
         classes = self.linkage_classes
         members: list[list[int]] = [[] for _ in classes]
-        for i, (reactant, _) in enumerate(self.edges):
-            members[self.class_of[reactant]].append(i)
+        for row, (reactant, _) in zip(self._rows, self.edges):
+            members[self.class_of[reactant]].append(row)
         return [
             len(cls) - 1 - self.span.rank(reactions) for cls, reactions in zip(classes, members)
         ]
@@ -275,8 +308,7 @@ def _structures(
     whole = _Structure(net, span)
     # A part made of every reaction of a network whose species all occur in
     # some complex is the network itself, so it shares the network's structure.
-    used = {s for c in net.complexes for s in c.support}
-    if len(parts) == 1 and len(used) == net.species_count:
+    if len(parts) == 1 and len({s for c in net.complexes for s in c.support}) == net.species_count:
         return whole, [whole]
     return whole, [_Structure.part(net, whole.edges, part, whole.span) for part in parts]
 

@@ -26,19 +26,20 @@ That proves each part's span is its basis rows' span, so the part ranks are
 its basis counts and they sum to the network rank.  A single part is the
 whole reaction set, independent by definition, and is reported with the
 finder's own rank.  `verify_decomposition` checks a user partition and is
-independent of the finder: one `_eliminate` of its own, in part order, gives
-every rank, and each part's incidence rank is read from its own complex
-graph (`analysis._local_edges`); the brute-force oracle runs one elimination
-per part.
+independent of the finder: it reads the network's and each part's rank and
+incidence rank from `analysis._structures`, which runs one `_eliminate` of
+its own, in reaction order, and builds no strong linkage class.  It and the
+report state their conditions through one helper, `_independence`.  The
+brute-force oracle runs one elimination per part.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import accumulate, chain
+from itertools import chain
 from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
 
-from .analysis import _complex_edges, _local_edges, _undirected_components
+from .analysis import _Structure, _structures, _undirected_components
 from .linalg import BasisSelection, _eliminate, _eliminate_over, _Span
 from .model import Network, _Checked, _is_int
 
@@ -152,48 +153,26 @@ def _canonical_partition(
     return tuple(canon)
 
 
-def _incidence_rank(complexes: Sequence[int], edges: list[tuple[int, int]]) -> int:
-    # An incidence matrix has rank n - l: the n complexes its reactions touch
-    # minus the linkage classes they form; ``edges`` number them 0..n-1.
-    n = len(complexes)
-    return n - len(_undirected_components(n, edges))
-
-
 def verify_decomposition(net: Network, parts: Iterable[Iterable[int]]) -> IndependenceReport:
     """Check a user partition for independence and incidence independence.
 
     Part order is preserved from the input; raises `PartitionError` when the
-    parts overlap, leave a gap, or contain an empty part.  The reaction
-    vectors are eliminated once, part after part, and every part rank is
-    read from that one elimination's relations.
+    parts overlap, leave a gap, or contain an empty part.  The ranks are
+    those of `_structures`, which eliminates the reaction vectors once, in
+    reaction order, and reads every part rank from that elimination.
     """
     canon = _canonical_partition(parts, net.reaction_count)
-    span = _eliminate([net.sparse_reaction_vector(i) for part in canon for i in part])
-    network_rank = len(span.position)
-    # A validated network touches every complex, so only the parts are renumbered.
-    edges = _complex_edges(net)
-    incidence_network_rank = _incidence_rank(range(net.complex_count), edges)
-    # Part k is rows bounds[k]..bounds[k + 1] - 1 of the elimination.
-    bounds = list(accumulate(map(len, canon), initial=0))
-    part_ranks = tuple(span.rank(range(a, b)) for a, b in zip(bounds, bounds[1:]))
-    incidence_part_ranks = tuple(_incidence_rank(*_local_edges(edges, p)) for p in canon)
-    return _independence(network_rank, part_ranks, incidence_network_rank, incidence_part_ranks)
+    return _independence(*_structures(net, canon))
 
 
-def _independence(
-    rank: int,
-    part_ranks: tuple[int, ...],
-    incidence_rank: int,
-    incidence_part_ranks: tuple[int, ...],
-) -> IndependenceReport:
-    """The report on given ranks: each condition holds when the part ranks sum to the whole's."""
+def _independence(whole: _Structure, parts: Sequence[_Structure]) -> IndependenceReport:
+    """The independence report: each condition holds when the parts' ranks sum to the whole's."""
+    rank, incidence_rank = whole.rank, whole.incidence_rank
+    part_ranks = tuple(st.rank for st in parts)
+    incidence_part_ranks = tuple(st.incidence_rank for st in parts)
     return IndependenceReport(
-        network_rank=rank,
-        part_ranks=part_ranks,
-        independent=sum(part_ranks) == rank,
-        incidence_network_rank=incidence_rank,
-        incidence_part_ranks=incidence_part_ranks,
-        incidence_independent=sum(incidence_part_ranks) == incidence_rank,
+        rank, part_ranks, sum(part_ranks) == rank,
+        incidence_rank, incidence_part_ranks, sum(incidence_part_ranks) == incidence_rank,
     )
 
 
@@ -338,19 +317,26 @@ def find_independent_decomposition(net: Network) -> Decomposition | None:
     return Decomposition(finest.parts, finest.part_ranks)
 
 
+def _require_int(name: str, value: object) -> None:
+    if not _is_int(value):
+        raise TypeError(f"{name} must be an int, not {value!r}")
+
+
 def iter_set_partitions(
     n: int, max_parts: int | None = None
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
     """All partitions of range(n) into at most ``max_parts`` blocks.
 
     Blocks are emitted in restricted-growth order: each block is sorted and
-    blocks are ordered by their smallest element.
+    blocks are ordered by their smallest element.  A ``bool`` or non-``int``
+    ``n`` or ``max_parts`` raises `TypeError` at the call.
     """
-    if n <= 0:
-        return
+    _require_int("n", n)
+    if max_parts is not None:
+        _require_int("max_parts", max_parts)
     limit = n if max_parts is None else min(max_parts, n)
-    if limit < 1:
-        return
+    if n <= 0 or limit < 1:
+        return iter(())
     assignment = [0] * n
 
     def rec(i: int, used: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -364,7 +350,7 @@ def iter_set_partitions(
             assignment[i] = b
             yield from rec(i + 1, max(used, b + 1))
 
-    yield from rec(0, 0)
+    return rec(0, 0)
 
 
 def brute_force_decompositions(net: Network, max_parts: int) -> list[Decomposition]:
@@ -375,13 +361,15 @@ def brute_force_decompositions(net: Network, max_parts: int) -> list[Decompositi
     whose part ranks sum to the network rank.  Each distinct part is ranked by
     one fresh `_eliminate` of its own rows, never from the finder's relations.
     The trivial single-part partition is always included.  Raises
-    `TooLargeError` for more than ``BRUTE_FORCE_REACTION_LIMIT`` reactions.
+    `TooLargeError` for more than ``BRUTE_FORCE_REACTION_LIMIT`` reactions and
+    `TypeError` for a ``bool`` or non-``int`` ``max_parts``.
     """
     r = net.reaction_count
     if r > BRUTE_FORCE_REACTION_LIMIT:
         raise TooLargeError(
             f"{r} reactions exceed the brute-force limit of {BRUTE_FORCE_REACTION_LIMIT}"
         )
+    _require_int("max_parts", max_parts)
     if max_parts < 1:
         raise ValueError("max_parts must be at least 1")
     rows = _reaction_rows(net)

@@ -164,7 +164,8 @@ class _Echelon:
         """
         w = dict(row)
         scale = 1
-        if [x for x in w.values() if type(x) is not int]:
+        # A sum of ints is an int, and a single Fraction makes it a Fraction.
+        if type(sum(w.values())) is not int:
             scale = lcm(*[x.denominator for x in w.values()])
             w = {j: x.numerator * (scale // x.denominator) for j, x in w.items()}
         tag: dict[int, int] = {}
@@ -279,24 +280,10 @@ class _Span:
                 inside.add(j)
         echelon = _Echelon()
         for i in others:
-            outside = {j: t for j, t in self.relations[i][0].items() if j not in inside}
-            if outside:
-                echelon.add(outside)
+            tag = self.relations[i][0]
+            if not tag.keys() <= inside:
+                echelon.add({j: t for j, t in tag.items() if j not in inside})
         return len(inside) + echelon.rank
-
-    def restrict(self, rows: Sequence[int]) -> "_Span":
-        """The same outcome seen from ``rows`` alone, with row ``rows[k]`` renumbered ``k``.
-
-        Tags keep their basis positions, so `rank` stays exact even where a
-        relation uses a basis row outside ``rows``.
-        """
-        part = _Span((), {})
-        for k, i in enumerate(rows):
-            if i in self.position:
-                part.position[k] = self.position[i]
-            else:
-                part.relations[k] = self.relations[i]
-        return part
 
 
 def _sparse(row: Iterable[RationalLike]) -> dict[int, Fraction]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping, NamedTuple
 
-from .analysis import DeficiencyVerdict, NetworkNumbers, _Structure, _structures
+from .analysis import DeficiencyVerdict, NetworkNumbers, _structures
 from .decomposition import IndependenceReport, _coordinate_edges, _finest, _independence
 from .model import Network
 
@@ -147,11 +147,6 @@ class AnalysisReport(NamedTuple):
         )
 
 
-def _incidence_rank(st: _Structure) -> int:
-    # An incidence matrix has rank n - l: complexes minus linkage classes.
-    return st.numbers.complex_count - st.numbers.linkage_class_count
-
-
 def build_report(net: Network) -> AnalysisReport:
     """Run the whole pipeline on a network and assemble the report."""
     finest = _finest(net)
@@ -162,12 +157,7 @@ def build_report(net: Network) -> AnalysisReport:
         trivial=len(finest.parts) == 1,
         parts=tuple(tuple(net.reaction_label(i) for i in part) for part in finest.parts),
         part_numbers=tuple(st.numbers for st in parts),
-        independence=_independence(
-            len(position),
-            finest.part_ranks,
-            _incidence_rank(whole),
-            tuple(map(_incidence_rank, parts)),
-        ),
+        independence=_independence(whole, parts),
         graph_vertices=tuple(net.reaction_label(i) for i in position),
         graph_edges=tuple(_coordinate_edges(finest.span)),
         # Relations use only earlier basis reactions, so each part starts with a

@@ -6,6 +6,7 @@ import pytest
 from conftest import ALL_NETWORK_FILES
 from netgen import random_sparse_network
 
+import crnkit.analysis
 import crnkit.decomposition
 from crnkit import (
     CoordinateGraph,
@@ -252,13 +253,13 @@ class TestVerify:
             owner = [rng.randrange(40) for _ in range(r)]
             parts = [[i for i in range(r) if owner[i] == k] for k in sorted(set(owner))]
         sizes = []
-        components = crnkit.decomposition._undirected_components
+        components = crnkit.analysis._undirected_components
 
         def counted(n, graph_edges):
             sizes.append(n)
             return components(n, graph_edges)
 
-        monkeypatch.setattr(crnkit.decomposition, "_undirected_components", counted)
+        monkeypatch.setattr(crnkit.analysis, "_undirected_components", counted)
         rep = verify_decomposition(net, parts)
         touched = [len({c for i in part for c in edges[i]}) for part in parts]
         assert sizes == [net.complex_count, *touched]
@@ -351,6 +352,27 @@ class TestBruteForce:
         # 1 + (2^(4-1) - 1) = 8 partitions of a 4-set into at most 2 blocks.
         assert len(parts) == 8
 
+
+    @pytest.mark.parametrize("max_parts", [True, 2.5, None, "2"])
+    def test_brute_force_refuses_a_non_int_max_parts(self, max_parts):
+        # True would run as max_parts=1 and 2.5 fail deep inside the
+        # enumeration; both are refused by name before any work.
+        net = parse_network("R1: 2 X1 -> X2\nR2: X2 -> X3\n")
+        with pytest.raises(TypeError, match=f"max_parts must be an int, not {max_parts!r}"):
+            brute_force_decompositions(net, max_parts)
+
+    @pytest.mark.parametrize(
+        "n, max_parts, name",
+        [(True, None, "n"), (2.0, None, "n"), (3, True, "max_parts"), (3, 2.0, "max_parts")],
+    )
+    def test_partition_enumeration_refuses_a_non_int_argument(self, n, max_parts, name):
+        # Refused at the call, not at the first partition drawn.
+        with pytest.raises(TypeError, match=f"{name} must be an int"):
+            iter_set_partitions(n, max_parts)
+
+    def test_partition_enumeration_of_nothing(self):
+        assert list(iter_set_partitions(0)) == []
+        assert list(iter_set_partitions(3, 0)) == []
 
 class TestRefineCoarsen:
     def test_refinement(self):

@@ -307,11 +307,6 @@ def test_span_ranks_of_seeded_subsets_agree_with_rref(rows):
         subset = rng.sample(range(n), rng.randint(0, n))
         expected = rows_rank([rows[i] for i in subset])
         assert span.rank(subset) == expected
-        # The same elimination restricted to a superset, renumbered, in any order.
-        outer = sorted(set(subset) | set(rng.sample(range(n), rng.randint(0, n))))
-        rng.shuffle(outer)
-        local = {i: k for k, i in enumerate(outer)}
-        assert span.restrict(outer).rank([local[i] for i in subset]) == expected
         deficient += expected < len(subset)
     # Whenever some row is dependent, some sampled subset is rank deficient.
     assert deficient or not span.relations

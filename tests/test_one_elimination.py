@@ -4,8 +4,9 @@ is constructed only by `linalg._eliminate`, the greedy scan, and by
 report describes parts without `subnetwork`, and the finder checks its
 answers with the integer certificate, never with `verify_decomposition`.
 A part's complexes are renumbered only by `analysis._local_edges`, a
-partition's structures are built only by `analysis._structures`, and the CLI
-evaluates a steady state only through `analysis._steady_state`."""
+partition's structures are built only by `analysis._structures`, which
+`verify_decomposition` reads as the report does, and the CLI evaluates a
+steady state only through `analysis._steady_state`."""
 
 import ast
 from pathlib import Path
@@ -82,15 +83,15 @@ def callers(callee: str) -> set[str]:
 
 
 def test_a_parts_complexes_are_renumbered_in_one_place():
-    assert callers("_local_edges") == {
-        "analysis._Structure.part",
-        "analysis.subnetwork",
-        "decomposition.verify_decomposition",
-    }
+    assert callers("_local_edges") == {"analysis._Structure.part", "analysis.subnetwork"}
 
 
 def test_a_partition_reaches_its_structures_by_one_path():
-    assert callers("_structures") == {"report.build_report", "cli._cmd_numbers"}
+    assert callers("_structures") == {
+        "report.build_report",
+        "cli._cmd_numbers",
+        "decomposition.verify_decomposition",
+    }
 
 
 def test_the_cli_reads_structures_and_steady_states_through_analysis():

@@ -6,8 +6,8 @@ a part's structure comes from the network's complex edges, with no
 subnetwork, and an answer of two or more parts is checked by the integer
 certificate, whose only elimination is of the basis rows alone.  These tests
 check that it agrees with the standalone public functions and with
-`_Structure(subnetwork(net, part), ...)`, that it makes no calls to them, and
-how many eliminations it runs.
+`_Structure(subnetwork(net, part))`, that it makes no calls to them, and
+how many eliminations it and `verify_decomposition` run.
 """
 
 import random
@@ -85,7 +85,7 @@ def assert_part_structures_match_subnetworks(net, rng):
     finest = _finest(net)
     _, parts = _structures(net, finest.parts, finest.span)
     for part, st in zip(finest.parts, parts, strict=True):
-        assert_same_structure(st, _Structure(subnetwork(net, part), finest.span.restrict(part)))
+        assert_same_structure(st, _Structure(subnetwork(net, part)))
     # `crn numbers --parts`: any partition, in label order, over one elimination
     # of the network whose relations may leave the part.
     whole = _Structure(net)
@@ -96,7 +96,7 @@ def assert_part_structures_match_subnetworks(net, rng):
             part = [i for i in range(r) if owner[i] == k]
             rng.shuffle(part)
             st = _Structure.part(net, whole.edges, part, whole.span)
-            ref = _Structure(subnetwork(net, part), whole.span.restrict(sorted(part)))
+            ref = _Structure(subnetwork(net, part))
             assert_same_structure(st, ref)
             assert st.numbers == network_numbers(subnetwork(net, part))
 
@@ -223,6 +223,19 @@ class TestOncePerReport:
         assert calls["_eliminate"] == 1 + certified
         assert count_vector_reads == {net: (1 + certified) * net.reaction_count}
         assert calls["subnetwork"] == 0
+
+    @pytest.mark.parametrize("name", ["baccam.crn", "handel.crn", "purine.crn", "yeast.crn"])
+    def test_the_verifier_reads_only_ranks(self, count_calls, name):
+        # `verify_decomposition` reads each structure's rank and incidence
+        # rank only: one elimination of the network, and no strong or
+        # terminal class search, which only the numbers and verdicts need.
+        net = load(name)
+        r = net.reaction_count
+        calls = count_calls("_eliminate", "_strong_components", "_terminal")
+        for parts in ([range(r)], [range(0, r, 2), range(1, r, 2)], [[i] for i in range(r)]):
+            calls.clear()
+            verify_decomposition(net, parts)
+            assert calls == {"_eliminate": 1}
 
     @pytest.mark.parametrize("name", ["purine.crn", "yeast.crn"])
     def test_the_certificate_eliminates_the_basis_rows_alone(self, monkeypatch, name):
