@@ -10,7 +10,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from .analysis import Kinetics, _steady_state, _structures
 from .decomposition import (
@@ -241,12 +241,12 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command: str | None) -> argparse.ArgumentParser:
-    """The ``crn`` parser with every command registered and only ``command``'s filled in.
+def _build_parser(commands: Iterable[str]) -> argparse.ArgumentParser:
+    """The ``crn`` parser with exactly ``commands`` registered and filled in.
 
-    The others keep their name and help line, so the top-level help, usage
-    and "invalid choice" texts are unchanged, but get no arguments and no
-    ``-h``: a call pays for the parser of the command it runs.
+    A call whose first word is a command can print no other command's name:
+    the others appear only in the top-level help and the "invalid choice"
+    error, and argparse hands every later word to the command's subparser.
     """
     parser = _ArgumentParser(
         prog="crn",
@@ -254,10 +254,8 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
         "network numbers, deficiency theorems, and steady-state checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, _, arguments) in _COMMANDS.items():
-        if name != command:
-            sub.add_parser(name, help=help_line, add_help=False)
-            continue
+    for name in commands:
+        help_line, _, arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=help_line)
         for flags, options in arguments:
             p.add_argument(*flags, **options)
@@ -267,12 +265,11 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # The top-level parser's only option is -h, so argparse enters the
-    # subparser named by the first word that is not an option; a word that is
-    # no command is refused before any subparser is entered.
-    command = next((word for word in argv if not word.startswith("-")), None)
+    # A call that starts with a command can print no other command, so it
+    # registers that command alone; help and usage errors register all five.
+    commands = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
     try:
-        args = _build_parser(command).parse_args(argv)
+        args = _build_parser(commands).parse_args(argv)
         try:
             net = parse_file(args.file)
         except OSError as exc:

@@ -1,13 +1,15 @@
-"""`crn` builds, per call, the argument parser of the command it runs only.
+"""A `crn` call that starts with a command registers that command alone.
 
-Every command stays registered by name and help line, so the top-level
-help, the usage line and the "invalid choice" error read as before; only the
-invoked command's subparser gets ``-h`` and its arguments.  The tests below
-compare `main` against a reference parser that fills in every command from
-the same table, on the interpreter under test (argparse's wording differs
-between Python versions), and check that `main` keeps no state between calls.
+Such a call can print no other command's name: the others appear only in the
+top-level help and the "invalid choice" error.  Every other call (help, no
+words, a word that is no command, options or ``--`` before the command)
+registers and fills in all five.  The tests below compare `main` against a
+reference parser that fills in every command from the same table, on the
+interpreter under test (argparse's wording differs between Python versions),
+and check that `main` keeps no state between calls.
 """
 
+import argparse
 import os
 import subprocess
 import sys
@@ -21,11 +23,11 @@ from test_one_elimination import callers
 
 BACCAM = str(NETWORKS_DIR / "baccam.crn")
 STEADY = ["--rates", "R1=1,R2=1,R3=1,R4=1", "--point", "T=1,V=1,I=1"]
-DESCRIPTION = cli._build_parser(None).description
+DESCRIPTION = cli._build_parser(()).description
 
 
-def reference_parser(command):
-    """The parser with every command's arguments, whatever ``command`` is."""
+def reference_parser(commands):
+    """The parser with every command's arguments, whatever ``commands`` are."""
     parser = cli._ArgumentParser(prog="crn", description=DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, _, arguments) in cli._COMMANDS.items():
@@ -59,6 +61,12 @@ ARGVS = [
     ["--format", "json", "analyze", BACCAM],
     ["-x", "analyze", BACCAM],
     ["--parts", "R1", "check", BACCAM],
+    ["--", "check", BACCAM, "--parts", "R1,R2|R3,R4"],
+    # another command's name after the command
+    ["analyze", BACCAM, "check"],
+    ["check", "analyze", "--parts", "R1"],
+    ["numbers", "--", BACCAM],
+    ["steady-state", "-h", "analyze"],
     # argument errors inside a command
     ["analyze"],
     ["check"],
@@ -122,23 +130,42 @@ def subparsers(parser):
     return action.choices
 
 
-def test_only_the_invoked_command_is_filled_in():
-    choices = subparsers(cli._build_parser("check"))
-    assert list(choices) == list(cli._COMMANDS)
-    assert {name for name, p in choices.items() if p._actions} == {"check"}
-    dests = [action.dest for action in choices["check"]._actions]
-    assert dests == ["help", "file", "parts"]
+def built_commands(capsys, monkeypatch, argv):
+    """The subparsers of the one parser ``main`` builds for ``argv``."""
+    built = []
+    real = cli._build_parser
+
+    def recording(commands):
+        built.append(real(commands))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "_build_parser", recording)
+    outcome(capsys, argv)
+    (parser,) = built
+    return subparsers(parser)
 
 
-@pytest.mark.parametrize("command", [None, "bogus", "-"])
-def test_a_word_that_is_no_command_fills_in_none(command):
-    assert not any(p._actions for p in subparsers(cli._build_parser(command)).values())
+def dests(choices):
+    return {name: [action.dest for action in p._actions] for name, p in choices.items()}
+
+
+def test_a_call_that_starts_with_a_command_registers_it_alone(capsys, monkeypatch):
+    choices = built_commands(capsys, monkeypatch, ["check", BACCAM, "--parts", "R1,R2|R3,R4"])
+    assert dests(choices) == {"check": ["help", "file", "parts"]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["-h"], ["-h", "check"], ["bogus"], ["-"], ["--", "analyze"]],
+    ids=lambda argv: " ".join(argv) or "<none>",
+)
+def test_help_and_usage_errors_fill_in_every_command(capsys, monkeypatch, argv):
+    choices = built_commands(capsys, monkeypatch, argv)
+    assert dests(choices) == dests(subparsers(reference_parser(None)))
 
 
 def test_the_table_lists_each_commands_arguments():
-    full = subparsers(reference_parser(None))
-    dests = {name: [a.dest for a in p._actions] for name, p in full.items()}
-    assert dests == {
+    assert dests(subparsers(reference_parser(None))) == {
         "analyze": ["help", "file", "format"],
         "decompose": ["help", "file", "contains"],
         "check": ["help", "file", "parts"],
@@ -149,24 +176,44 @@ def test_the_table_lists_each_commands_arguments():
 
 @pytest.mark.parametrize("argv", [["-h"], [], ["bogus"], ["analyze"], ["numbers", BACCAM]])
 def test_each_main_call_builds_one_parser(capsys, monkeypatch, argv):
-    built = []
-    real = cli._build_parser
-
-    def counting(command):
-        built.append(command)
-        return real(command)
-
-    monkeypatch.setattr(cli, "_build_parser", counting)
-    outcome(capsys, argv)
-    assert len(built) == 1
+    built_commands(capsys, monkeypatch, argv)
 
 
 def test_only_main_builds_the_parser():
     assert callers("_build_parser") == {"cli.main"}
 
 
+RUNS = [
+    ["analyze", BACCAM],
+    ["decompose", BACCAM],
+    ["check", BACCAM, "--parts", "R1,R2|R3,R4"],
+    ["numbers", BACCAM],
+    ["steady-state", BACCAM, *STEADY],
+]
+
+
+@pytest.mark.parametrize(
+    "argv, parsers",
+    [*((argv, 2) for argv in RUNS), (["-h"], 6), (["bogus"], 6)],
+    ids=lambda case: case[0] if isinstance(case, list) else str(case),
+)
+def test_argument_parsers_built_per_call(capsys, monkeypatch, argv, parsers):
+    # The top-level parser plus one subparser per registered command.
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._ArgumentParser, "__init__", counting)
+    code = outcome(capsys, argv)[0]
+    assert code in (0, 1, 3, ("SystemExit", 0))
+    assert len(built) == parsers
+
+
 def test_each_parser_is_built_anew():
-    assert cli._build_parser("check") is not cli._build_parser("check")
+    assert cli._build_parser(["check"]) is not cli._build_parser(["check"])
 
 
 def stateless_sequence():
