@@ -198,9 +198,9 @@ class _Structure:
     """The structural facts of one network or part, each computed on first read.
 
     The public numbers and deficiency checks read one of these, and
-    `_structures` builds one per network and per part (`part`) for the
-    report, `crn numbers --parts` and `verify_decomposition`.  ``span`` is an
-    elimination of the network's reaction vectors, in reaction order (a
+    `_structures` builds one per network and, with `part`, one per part for
+    the report, `crn numbers --parts` and `verify_decomposition`.  ``span`` is
+    an elimination of the network's reaction vectors, in reaction order (a
     report passes the finder's); without it they are eliminated here, once.
     A part keeps its network's ``span``, and its rank and every linkage
     class's rank are the ranks of their rows in it.  The complex graph's edge
@@ -213,27 +213,23 @@ class _Structure:
         rows = range(net.reaction_count)
         if span is None:
             span = _eliminate([net.sparse_reaction_vector(i) for i in rows])
-            # The network's own elimination keeps one basis row per unit of rank.
-            self.rank = len(span.position)
+        # Any elimination of every reaction keeps one basis row per unit of rank.
+        self.rank = len(span.position)
         # Local reaction k is row ``rows[k]`` of ``span``; ``_touched`` holds a
         # part's complexes in ``net`` and is None for the network itself.
         self._net, self.span, self._rows, self._touched = net, span, rows, None
         self.edges, self.complex_count = _complex_edges(net), net.complex_count
 
-    @classmethod
-    def part(
-        cls, net: Network, edges: list[tuple[int, int]], reactions: Iterable[int], span: _Span
-    ) -> "_Structure":
-        """The structure of the part on ``reactions``, read from its parent network.
+    def part(self, reactions: Iterable[int]) -> _Structure:
+        """The structure of the part of this network on ``reactions``.
 
-        ``edges`` is the parent's complex edge list and ``span`` the parent's
-        elimination.  The facts are those of `subnetwork(net, reactions)`: the
-        complex graph of `_local_edges`, the species in its complexes'
-        supports, and the ranks of its rows in ``span``.
+        Its facts are those of `subnetwork(net, reactions)`: the complex graph
+        of `_local_edges`, the species in its complexes' supports, and the
+        ranks of its rows in this network's ``span``.
         """
-        st = cls.__new__(cls)
-        st._net, st.span, st._rows = net, span, sorted(reactions)
-        st._touched, st.edges = _local_edges(edges, st._rows)
+        st = _Structure.__new__(_Structure)
+        st._net, st.span, st._rows = self._net, self.span, sorted(reactions)
+        st._touched, st.edges = _local_edges(self.edges, st._rows)
         st.complex_count = len(st._touched)
         return st
 
@@ -310,7 +306,7 @@ def _structures(
     # some complex is the network itself, so it shares the network's structure.
     if len(parts) == 1 and len({s for c in net.complexes for s in c.support}) == net.species_count:
         return whole, [whole]
-    return whole, [_Structure.part(net, whole.edges, part, whole.span) for part in parts]
+    return whole, [whole.part(part) for part in parts]
 
 
 def network_numbers(net: Network) -> NetworkNumbers:

@@ -1,7 +1,7 @@
 """Command-line interface: ``crn analyze|decompose|check|numbers|steady-state``.
 
-Exit codes: 0 success / affirmative verdict, 1 usage or parse error,
-2 internal invariant violation, 3 negative verdict.
+Exit codes: 0 success / affirmative verdict, 1 usage or parse error or a
+failed write to stdout, 2 internal invariant violation, 3 negative verdict.
 """
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Any, Iterable, Sequence
 
@@ -45,6 +46,11 @@ class _ArgumentParser(argparse.ArgumentParser):
     # The exit-code contract reserves 1 for usage errors (argparse uses 2).
     def error(self, message: str):  # noqa: D102 - argparse hook
         raise _UsageError(message)
+
+    # Only help reaches this hook: its text is flushed while `main` can catch a failed write.
+    def exit(self, status: int = 0, message: str | None = None):  # noqa: D102 - argparse hook
+        sys.stdout.flush()
+        super().exit(status, message)
 
 
 def _parse_parts(spec: str, net: Network) -> list[list[int]]:
@@ -262,6 +268,22 @@ def _build_parser(commands: Iterable[str]) -> argparse.ArgumentParser:
     return parser
 
 
+def _settle_stdout() -> None:
+    """Flush stdout, or else point its file descriptor at ``os.devnull``.
+
+    What a failed write leaves in the buffer would fail again when the
+    interpreter flushes stdout at exit, and print "Exception ignored" (see
+    the note on SIGPIPE in the `signal` documentation).  The ``sys.stdout``
+    object itself is kept, so an in-process caller gets back the one it had.
+    """
+    try:
+        sys.stdout.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -270,14 +292,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     commands = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
     try:
         args = _build_parser(commands).parse_args(argv)
-        try:
-            net = parse_file(args.file)
-        except OSError as exc:
-            raise _UsageError(exc) from None
-        handler = _COMMANDS[args.command][1]
-        return handler(args, net)
-    except (_UsageError, NetworkError, PartitionError) as exc:
+        net = parse_file(args.file)
+        code = _COMMANDS[args.command][1](args, net)
+        # A write that fails here, not at interpreter exit, keeps the exit code.
+        sys.stdout.flush()
+        return code
+    except (_UsageError, NetworkError, PartitionError, OSError) as exc:
+        # OSError: the file cannot be read, or stdout cannot be written.
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, OSError):
+            _settle_stdout()
         return EXIT_USAGE
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -10,27 +10,26 @@ non-basis reaction vector uses both basis vectors with nonzero coefficients.
 A connected graph means only the trivial decomposition exists; otherwise the
 connected components induce the finest independent partition this
 construction yields, with every non-basis reaction joining the component
-that carries its nonzero coordinates.  The finder gets both at once from
-one `linalg._eliminate` scan and one union-find that joins each non-basis
-reaction to the basis reactions of its integer relation.  It keeps the scan's
-`_Span`, so a report reads part and linkage-class ranks and the coordinate
-graph's vertices and edges from it, and each part's basis reactions are one
-graph component; the finder itself builds no edges.  The sorted edge list
-(`_coordinate_edges`) is read from one neighbour bit mask per basis
-position, not from every pair of positions of every relation.
+that carries its nonzero coordinates.  The finder, `_finest`, gets both at
+once from one `linalg._eliminate` scan and one union-find, and returns the
+scan's `_Span` beside its `Decomposition`: a report reads part and
+linkage-class ranks and the coordinate graph's vertices and edges from the
+span, and each part's basis reactions are one graph component; the finder
+itself builds no edges.  The sorted edge list (`_coordinate_edges`) is read
+from one neighbour bit mask per basis position, not from every pair of
+positions of every relation.
 The finder has every answer of two or more parts checked by an integer
 certificate (`_certify`) before it is returned: the basis rows, re-read from
 the network, are independent; every other reaction vector recomposes exactly
 from its relation; and every relation stays inside its reaction's part.
 That proves each part's span is its basis rows' span, so the part ranks are
-its basis counts and they sum to the network rank.  A single part is the
-whole reaction set, independent by definition, and is reported with the
-finder's own rank.  `verify_decomposition` checks a user partition and is
-independent of the finder: it reads the network's and each part's rank and
-incidence rank from `analysis._structures`, which runs one `_eliminate` of
-its own, in reaction order, and builds no strong linkage class.  It and the
-report state their conditions through one helper, `_independence`.  The
-brute-force oracle runs one elimination per part.
+its basis counts and they sum to the network rank.  `verify_decomposition`
+checks a user partition and is independent of the finder: it reads the
+network's and each part's rank and incidence rank from
+`analysis._structures`, which runs one `_eliminate` of its own, in reaction
+order, and builds no strong linkage class.  It and the report state their
+conditions through one helper, `_independence`.  The brute-force oracle runs
+one elimination per part.
 """
 
 from __future__ import annotations
@@ -221,22 +220,6 @@ def connected_components(graph: CoordinateGraph) -> list[tuple[int, ...]]:
     return _undirected_components(graph.vertex_count, graph.edges)
 
 
-class _Finest(NamedTuple):
-    """The finder's work for one network: its elimination, its parts and their ranks.
-
-    ``span`` holds the greedy basis and every non-basis relation, from which
-    the coordinate graph follows (`_coordinate_edges`); the basis reactions of
-    each part are one graph component, and ``parts`` is the single whole-set
-    part when the graph is connected.  ``part_ranks`` are the certified part
-    ranks when there are two or more parts, and the finder's own rank for the
-    single part; they sum to the network rank ``len(span.position)``.
-    """
-
-    span: _Span
-    parts: tuple[tuple[int, ...], ...]
-    part_ranks: tuple[int, ...]
-
-
 def _certify(net: Network, span: _Span, parts: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """Prove ``parts`` independent from the finder's ``span``; return the part ranks.
 
@@ -279,24 +262,20 @@ def _certify(net: Network, span: _Span, parts: tuple[tuple[int, ...], ...]) -> t
     return tuple(ranks)
 
 
-def _finest(net: Network) -> _Finest:
-    """One elimination pass and one union-find: the finest parts and their ranks.
+def _finest(net: Network) -> tuple[_Span, Decomposition]:
+    """The finder's span and the finest independent partition it yields.
 
-    Joining each non-basis reaction to the basis reactions of its relation
-    gives the coordinate graph's connectivity and places every reaction.
-    Two or more parts must pass the integer certificate `_certify`
-    (`InternalError` if not), which also gives their ranks; a single part,
-    the whole reaction set, is independent by definition and has the basis
-    size as its rank.  No complex-graph work is done here: a report reads the
-    incidence ranks n - l from its network and part structures.
+    The parts are the components of one union-find that joins each non-basis
+    reaction to the basis reactions of its relation.  Two or more parts take
+    their ranks from `_certify` (`InternalError` if it refuses them); the
+    single whole-set part has the basis size as its rank.
     """
     span = _eliminate(_reaction_rows(net))
     basis_rows = list(span.position)
     joins = ((i, basis_rows[j]) for i, (tag, _) in span.relations.items() for j in tag)
     parts = tuple(_undirected_components(net.reaction_count, joins))
-    if len(parts) == 1:
-        return _Finest(span, parts, (len(basis_rows),))
-    return _Finest(span, parts, _certify(net, span, parts))
+    ranks = (len(basis_rows),) if len(parts) == 1 else _certify(net, span, parts)
+    return span, Decomposition(parts, ranks)
 
 
 def find_independent_decomposition(net: Network) -> Decomposition | None:
@@ -305,16 +284,12 @@ def find_independent_decomposition(net: Network) -> Decomposition | None:
     Returns None when the coordinate graph is connected (only the trivial
     decomposition exists).  Otherwise each connected component yields one
     part: the component's basis reactions plus every non-basis reaction
-    whose nonzero coordinates all sit in that component, found by joining it
-    to the basis reactions of its integer relation.  A nontrivial result is
-    proved independent by the integer certificate `_certify`, which re-reads
-    the reaction vectors and checks the finder's relations against them,
-    before being returned; its part ranks are the parts' basis counts.
+    whose nonzero coordinates all sit in that component.  The answer is the
+    one `_finest` proves with its integer certificate, and its part ranks
+    are the parts' basis counts.
     """
-    finest = _finest(net)
-    if len(finest.parts) == 1:
-        return None
-    return Decomposition(finest.parts, finest.part_ranks)
+    found = _finest(net)[1]
+    return found if len(found.parts) > 1 else None
 
 
 def _require_int(name: str, value: object) -> None:

@@ -149,21 +149,21 @@ class AnalysisReport(NamedTuple):
 
 def build_report(net: Network) -> AnalysisReport:
     """Run the whole pipeline on a network and assemble the report."""
-    finest = _finest(net)
-    whole, parts = _structures(net, finest.parts, finest.span)
-    position = finest.span.position
+    span, found = _finest(net)
+    whole, parts = _structures(net, found.parts, span)
+    position = span.position
     return AnalysisReport(
         network=whole.numbers,
-        trivial=len(finest.parts) == 1,
-        parts=tuple(tuple(net.reaction_label(i) for i in part) for part in finest.parts),
+        trivial=len(found.parts) == 1,
+        parts=found.labels(net),
         part_numbers=tuple(st.numbers for st in parts),
         independence=_independence(whole, parts),
         graph_vertices=tuple(net.reaction_label(i) for i in position),
-        graph_edges=tuple(_coordinate_edges(finest.span)),
+        graph_edges=tuple(_coordinate_edges(span)),
         # Relations use only earlier basis reactions, so each part starts with a
         # basis reaction and the components come out in the parts' order.
         graph_components=tuple(
-            tuple(position[i] for i in part if i in position) for part in finest.parts
+            tuple(position[i] for i in part if i in position) for part in found.parts
         ),
         network_verdicts=whole.verdicts,
         part_verdicts=tuple(st.verdicts for st in parts),

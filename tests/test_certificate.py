@@ -81,7 +81,7 @@ NAMES = [name for name, _ in DECOMPOSABLE]
 RELATED = [
     (name, net)
     for name, net in DECOMPOSABLE
-    if any(tag for tag, _ in _finest(net).span.relations.values())
+    if any(tag for tag, _ in _finest(net)[0].relations.values())
 ]
 
 
@@ -92,19 +92,19 @@ def test_the_cases_cover_the_corpus_and_blocks():
 
 @pytest.mark.parametrize("net", [net for _, net in DECOMPOSABLE], ids=NAMES)
 def test_an_honest_answer_is_certified_with_the_verifier_part_ranks(net):
-    finest = _finest(net)
-    ranks = _certify(net, finest.span, finest.parts)
-    assert ranks == finest.part_ranks
-    assert ranks == verify_decomposition(net, finest.parts).part_ranks
-    assert sum(ranks) == len(finest.span.position)
+    span, found = _finest(net)
+    ranks = _certify(net, span, found.parts)
+    assert ranks == found.part_ranks
+    assert ranks == verify_decomposition(net, found.parts).part_ranks
+    assert sum(ranks) == len(span.position)
 
 
 @pytest.mark.parametrize("mutation", MUTATIONS)
 @pytest.mark.parametrize("net", [net for _, net in RELATED], ids=[name for name, _ in RELATED])
 def test_each_mutation_is_refused(net, mutation):
     mutate, reason = MUTATIONS[mutation]
-    finest = _finest(net)
-    span, parts = mutate(finest.span, finest.parts)
+    span, found = _finest(net)
+    span, parts = mutate(span, found.parts)
     with pytest.raises(InternalError, match=reason):
         _certify(net, span, parts)
 

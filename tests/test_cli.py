@@ -1,15 +1,20 @@
 """Command-line interface: outputs, exit codes, and format consistency."""
 
+import errno
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from crnkit import network_numbers, parse_file, subnetwork
+import crnkit
+from crnkit import network_numbers, parse_file, subnetwork, to_dsl
 from crnkit.cli import main
 from crnkit.report import format_numbers_table, numbers_to_dict, render_text
-from conftest import ALL_NETWORK_FILES
-from netgen import random_network
+from conftest import ALL_NETWORK_FILES, NETWORKS_DIR
+from netgen import random_network, random_sparse_network
 
 FEEDFORWARD = "R1: 0 -> X1\nR2: X1 -> X2\nR3: X2 + X3 -> X1 + X3\nR4: X2 -> X3\n"
 
@@ -22,6 +27,18 @@ def run(capsys, *argv):
 
 def path(networks_dir, name):
     return str(networks_dir / name)
+
+
+def crn_child(*argv):
+    """``python -m crnkit.cli`` argv and environment for the crnkit under test, installed or not."""
+    src = os.path.dirname(os.path.dirname(crnkit.__file__))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath)
+    # A console script's stdout is buffered.  With PYTHONUNBUFFERED set,
+    # Python's text layer drops the unwritten rest of one short write to a
+    # closed pipe without an error, so a cut text report would exit 0.
+    env.pop("PYTHONUNBUFFERED", None)
+    return [sys.executable, "-m", "crnkit.cli", *argv], env
 
 
 class TestDecompose:
@@ -428,33 +445,12 @@ class TestAnalyze:
 
     def test_byte_identical_across_processes(self, networks_dir):
         # Different hash seeds must not leak into the output ordering.
-        import os
-        import subprocess
-        import sys
-
-        import crnkit
-
-        # The child imports the crnkit under test, installed or not.
-        src = os.path.dirname(os.path.dirname(crnkit.__file__))
-        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         outputs = []
         for seed in ("0", "424242"):
-            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath)
             for fmt in ("text", "json"):
-                proc = subprocess.run(
-                    [
-                        sys.executable,
-                        "-m",
-                        "crnkit.cli",
-                        "analyze",
-                        path(networks_dir, "yeast.crn"),
-                        "--format",
-                        fmt,
-                    ],
-                    capture_output=True,
-                    env=env,
-                    check=True,
-                )
+                argv, env = crn_child("analyze", path(networks_dir, "yeast.crn"), "--format", fmt)
+                env["PYTHONHASHSEED"] = seed
+                proc = subprocess.run(argv, capture_output=True, env=env, check=True)
                 outputs.append((fmt, proc.stdout))
         assert outputs[0] == outputs[2]
         assert outputs[1] == outputs[3]
@@ -638,3 +634,77 @@ class TestErrorsAndExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("internal error:")
+
+
+def failed_write(code):
+    """The one stderr line of a failed write to stdout."""
+    return f"error: [Errno {code}] {os.strerror(code)}\n"
+
+
+@pytest.fixture(scope="module")
+def big_crn(tmp_path_factory):
+    """A seeded 1000-reaction network: both report formats far exceed a pipe's buffer."""
+    f = tmp_path_factory.mktemp("big") / "big.crn"
+    f.write_text(to_dsl(random_sparse_network(random.Random(1000), 1000, 500)))
+    return str(f)
+
+
+class TestWriteFailures:
+    """A failed write to stdout exits 1 with one error line and no traceback."""
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_a_reader_that_closes_the_pipe_early(self, big_crn, fmt):
+        argv, env = crn_child("analyze", big_crn, "--format", fmt)
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert len(head) == 100
+        assert "Traceback" not in err and "Exception ignored" not in err
+        assert err == failed_write(errno.EPIPE)
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux") or not os.path.exists("/dev/full"),
+        reason="/dev/full is a Linux device",
+    )
+    @pytest.mark.parametrize(
+        "words",
+        [
+            "analyze PURINE",
+            "analyze PURINE --format json",
+            "analyze BIG",
+            "analyze BIG --format json",
+            # argparse prints help, then leaves through its own exit hook.
+            "-h",
+            "analyze -h",
+        ],
+    )
+    def test_a_full_disk(self, big_crn, words):
+        files = {"PURINE": str(NETWORKS_DIR / "purine.crn"), "BIG": big_crn}
+        argv, env = crn_child(*(files.get(word, word) for word in words.split()))
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, env=env, timeout=120)
+        err = proc.stderr.decode()
+        assert proc.returncode == 1
+        assert "Traceback" not in err and "Exception ignored" not in err
+        assert err == failed_write(errno.ENOSPC)
+
+    def test_in_process_main_keeps_the_callers_stdout(self, capsys, monkeypatch):
+        # The table stays in the stream's buffer until main flushes it, and the
+        # flush meets the closed pipe; main then points the stream's own
+        # descriptor at os.devnull, so closing it flushes the rest there.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as stream:
+            monkeypatch.setattr(sys, "stdout", stream)
+            code = main(["numbers", str(NETWORKS_DIR / "baccam.crn")])
+            assert sys.stdout is stream
+        assert code == 1
+        assert capsys.readouterr().err == failed_write(errno.EPIPE)
+
+    def test_an_unreadable_file_keeps_its_message(self, capsys):
+        code, out, err = run(capsys, "analyze", "does_not_exist.crn")
+        assert (code, out) == (1, "")
+        assert err == "error: [Errno 2] No such file or directory: 'does_not_exist.crn'\n"

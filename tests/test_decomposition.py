@@ -10,6 +10,7 @@ import crnkit.analysis
 import crnkit.decomposition
 from crnkit import (
     CoordinateGraph,
+    Decomposition,
     IndependenceReport,
     MismatchedReactionSetError,
     PartitionError,
@@ -154,6 +155,23 @@ def test_finder_verifies_exactly_its_nontrivial_answers(path, monkeypatch):
     assert (found is None) == (path.name == "sorribas.crn")
     assert checked == ([] if found is None else [found.parts])
     assert verified == []
+
+
+@pytest.mark.parametrize("path", ALL_NETWORK_FILES, ids=lambda p: p.stem)
+def test_the_finder_answers_with_its_span_and_a_decomposition(path):
+    # The public answer is the finder's own record; the single part of an
+    # indecomposable network is every reaction, ranked by the basis size.
+    net = parse_file(path)
+    span, found = crnkit.decomposition._finest(net)
+    assert type(found) is Decomposition
+    public = find_independent_decomposition(net)
+    if public is None:
+        assert path.name == "sorribas.crn"
+        assert found.parts == (tuple(range(net.reaction_count)),)
+        assert found.part_ranks == (network_numbers(net).rank,) == (len(span.position),)
+    else:
+        assert found == public
+        assert sum(found.part_ranks) == network_numbers(net).rank
 
 
 def single_part_networks():

@@ -315,9 +315,9 @@ def test_span_ranks_of_seeded_subsets_agree_with_rref(rows):
 def test_class_deficiencies_agree_with_rref():
     most_parts = most_classes = 0
     for net in CORPUS + NETWORKS:
-        finest = _finest(net)
-        whole, parts = _structures(net, finest.parts, finest.span)
-        subs = [net, net, *(subnetwork(net, part) for part in finest.parts)]
+        span, found = _finest(net)
+        whole, parts = _structures(net, found.parts, span)
+        subs = [net, net, *(subnetwork(net, part) for part in found.parts)]
         for st, sub in zip((_Structure(net), whole, *parts), subs, strict=True):
             assert st.numbers.rank == rref_rank(stoichiometric_matrix(sub))
             expected = []

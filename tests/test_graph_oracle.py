@@ -137,7 +137,7 @@ def test_part_incidence_ranks_agree_with_networkx(net):
         rep = verify_decomposition(net, parts)
         assert rep.incidence_part_ranks == expected
         assert rep.incidence_network_rank == incidence_rank(range(net.complex_count), edges)
-        numbers = [_Structure.part(net, whole.edges, part, whole.span).numbers for part in parts]
+        numbers = [whole.part(part).numbers for part in parts]
         assert tuple(nn.complex_count - nn.linkage_class_count for nn in numbers) == expected
 
 

@@ -27,7 +27,6 @@ from crnkit import (
     Reaction,
     Species,
 )
-from crnkit.decomposition import _Finest
 
 RECORDS = [
     Species,
@@ -39,7 +38,6 @@ RECORDS = [
     CoordinateGraph,
     Decomposition,
     IndependenceReport,
-    _Finest,
     AnalysisReport,
 ]
 

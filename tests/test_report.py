@@ -31,6 +31,7 @@ from crnkit import (
 )
 from crnkit.analysis import _Structure, _structures
 from crnkit.decomposition import _finest
+from crnkit.linalg import _Span
 from conftest import ALL_NETWORK_FILES, load
 from netgen import random_network, random_sparse_network
 
@@ -82,9 +83,9 @@ def assert_same_structure(st, ref):
 
 def assert_part_structures_match_subnetworks(net, rng):
     """The report's part structures, and those of random user partitions, against subnetworks."""
-    finest = _finest(net)
-    _, parts = _structures(net, finest.parts, finest.span)
-    for part, st in zip(finest.parts, parts, strict=True):
+    span, found = _finest(net)
+    _, parts = _structures(net, found.parts, span)
+    for part, st in zip(found.parts, parts, strict=True):
         assert_same_structure(st, _Structure(subnetwork(net, part)))
     # `crn numbers --parts`: any partition, in label order, over one elimination
     # of the network whose relations may leave the part.
@@ -95,7 +96,7 @@ def assert_part_structures_match_subnetworks(net, rng):
         for k in set(owner):
             part = [i for i in range(r) if owner[i] == k]
             rng.shuffle(part)
-            st = _Structure.part(net, whole.edges, part, whole.span)
+            st = whole.part(part)
             ref = _Structure(subnetwork(net, part))
             assert_same_structure(st, ref)
             assert st.numbers == network_numbers(subnetwork(net, part))
@@ -124,6 +125,24 @@ class TestSharedStructureEquivalence:
         assert report.trivial is not decomposable
         assert report.network.species_count == 4
         assert sum(n.species_count for n in report.part_numbers) == 3
+
+
+@pytest.mark.parametrize("path", ALL_NETWORK_FILES, ids=lambda p: p.stem)
+def test_a_networks_rank_is_its_spans_basis_size(path, monkeypatch):
+    # A whole network reads its rank from the span it was given, or from its
+    # own elimination, without ranking its rows in it: any elimination of
+    # every reaction keeps one basis row per unit of rank.
+    net = load(path.name)
+    expected = network_numbers(net)
+    span = _finest(net)[0]
+
+    def refuse(self, rows):
+        raise AssertionError("the network's rank was read from its relations")
+
+    monkeypatch.setattr(_Span, "rank", refuse)
+    for whole in (_structures(net, (), span)[0], _structures(net, ())[0]):
+        assert whole.rank == expected.rank
+        assert whole.numbers == expected
 
 
 def _crnkit_modules():
