@@ -82,6 +82,10 @@ def _complex_edges(net: Network) -> list[tuple[int, int]]:
     return [(rx.reactant, rx.product) for rx in net.reactions]
 
 
+def _reaction_rows(net: Network) -> list[tuple[tuple[int, int], ...]]:
+    return [net.sparse_reaction_vector(i) for i in range(net.reaction_count)]
+
+
 def _local_edges(
     edges: list[tuple[int, int]], rows: Iterable[int]
 ) -> tuple[list[int], list[tuple[int, int]]]:
@@ -195,7 +199,7 @@ def _irreversible_count(edges: list[tuple[int, int]]) -> int:
 
 
 class _Structure:
-    """The structural facts of one network or part, each computed on first read.
+    """The structural facts of one network or part.
 
     The public numbers and deficiency checks read one of these, and
     `_structures` builds one per network and, with `part`, one per part for
@@ -203,22 +207,22 @@ class _Structure:
     an elimination of the network's reaction vectors, in reaction order (a
     report passes the finder's); without it they are eliminated here, once.
     A part keeps its network's ``span``, and its rank and every linkage
-    class's rank are the ranks of their rows in it.  The complex graph's edge
-    list is built at once; every other fact is computed when it is first
-    read, so `verify_decomposition`, which reads only ``rank`` and
+    class's rank are the ranks of their rows in it.  The facts every reader
+    reads, the complex graph's edge list, ``rank`` and ``linkage_classes``,
+    are set when the structure is built; every other fact is computed when it
+    is first read, so `verify_decomposition`, which reads only ``rank`` and
     ``incidence_rank``, runs no strong-class search and counts no species.
     """
 
     def __init__(self, net: Network, span: _Span | None = None):
-        rows = range(net.reaction_count)
-        if span is None:
-            span = _eliminate([net.sparse_reaction_vector(i) for i in rows])
+        self.span = _eliminate(_reaction_rows(net)) if span is None else span
         # Any elimination of every reaction keeps one basis row per unit of rank.
-        self.rank = len(span.position)
-        # Local reaction k is row ``rows[k]`` of ``span``; ``_touched`` holds a
+        self.rank = len(self.span.position)
+        # Local reaction k is row ``_rows[k]`` of ``span``; ``_touched`` holds a
         # part's complexes in ``net`` and is None for the network itself.
-        self._net, self.span, self._rows, self._touched = net, span, rows, None
+        self._net, self._rows, self._touched = net, range(net.reaction_count), None
         self.edges, self.complex_count = _complex_edges(net), net.complex_count
+        self.linkage_classes = _undirected_components(self.complex_count, self.edges)
 
     def part(self, reactions: Iterable[int]) -> _Structure:
         """The structure of the part of this network on ``reactions``.
@@ -229,13 +233,11 @@ class _Structure:
         """
         st = _Structure.__new__(_Structure)
         st._net, st.span, st._rows = self._net, self.span, sorted(reactions)
+        st.rank = self.span.rank(st._rows)
         st._touched, st.edges = _local_edges(self.edges, st._rows)
         st.complex_count = len(st._touched)
+        st.linkage_classes = _undirected_components(st.complex_count, st.edges)
         return st
-
-    @cached_property
-    def linkage_classes(self) -> list[tuple[int, ...]]:
-        return _undirected_components(self.complex_count, self.edges)
 
     @cached_property
     def class_of(self) -> dict[int, int]:
@@ -248,10 +250,6 @@ class _Structure:
     @cached_property
     def terminal_strong_linkage_classes(self) -> list[tuple[int, ...]]:
         return _terminal(self.edges, self.strong_linkage_classes)
-
-    @cached_property
-    def rank(self) -> int:
-        return self.span.rank(self._rows)
 
     @property
     def incidence_rank(self) -> int:

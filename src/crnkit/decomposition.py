@@ -22,8 +22,9 @@ The finder has every answer of two or more parts checked by an integer
 certificate (`_certify`) before it is returned: the basis rows, re-read from
 the network, are independent; every other reaction vector recomposes exactly
 from its relation; and every relation stays inside its reaction's part.
-That proves each part's span is its basis rows' span, so the part ranks are
-its basis counts and they sum to the network rank.  `verify_decomposition`
+That proves each part's span is its basis rows' span; the certificate only
+proves, and `_finest` ranks every answer, of one part or many, by its parts'
+basis counts, which therefore sum to the network rank.  `verify_decomposition`
 checks a user partition and is independent of the finder: it reads the
 network's and each part's rank and incidence rank from
 `analysis._structures`, which runs one `_eliminate` of its own, in reaction
@@ -38,7 +39,7 @@ from functools import cache
 from itertools import chain
 from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
 
-from .analysis import _Structure, _structures, _undirected_components
+from .analysis import _reaction_rows, _Structure, _structures, _undirected_components
 from .linalg import BasisSelection, _eliminate, _eliminate_over, _Span
 from .model import Network, _Checked, _is_int
 
@@ -200,10 +201,6 @@ def _coordinate_edges(span: _Span) -> list[tuple[int, int]]:
     return edges
 
 
-def _reaction_rows(net: Network) -> list[tuple[tuple[int, int], ...]]:
-    return [net.sparse_reaction_vector(i) for i in range(net.reaction_count)]
-
-
 def build_coordinate_graph(net: Network, basis: BasisSelection) -> CoordinateGraph:
     """Coordinate graph of the reaction vectors for the given basis rows.
 
@@ -220,8 +217,8 @@ def connected_components(graph: CoordinateGraph) -> list[tuple[int, ...]]:
     return _undirected_components(graph.vertex_count, graph.edges)
 
 
-def _certify(net: Network, span: _Span, parts: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """Prove ``parts`` independent from the finder's ``span``; return the part ranks.
+def _certify(net: Network, span: _Span, parts: tuple[tuple[int, ...], ...]) -> None:
+    """Prove ``parts`` independent from the finder's ``span``, or raise `InternalError`.
 
     The reaction vectors are re-read from ``net`` and none of the finder's
     echelon state is trusted.  The certificate holds when (a) a fresh
@@ -230,7 +227,7 @@ def _certify(net: Network, span: _Span, parts: tuple[tuple[int, ...], ...]) -> t
     ``scale * v[i] + sum(tag[j] * b[j]) == 0`` with ``scale > 0``; and (c)
     every tag position of reaction i is a basis row in i's own part.  Then
     each part spans what its basis rows span, so its rank is their count, and
-    the counts sum to the network rank.  Any failure raises `InternalError`.
+    the counts sum to the network rank.
     """
     every = list(range(net.reaction_count))
     if sorted(chain(*parts)) != every or sorted([*span.position, *span.relations]) != every:
@@ -238,10 +235,7 @@ def _certify(net: Network, span: _Span, parts: tuple[tuple[int, ...], ...]) -> t
     basis = list(span.position)
     if list(span.position.values()) != list(range(len(basis))):
         raise InternalError("the basis positions are not numbered in basis order")
-    owner = [0] * len(every)
-    for k, part in enumerate(parts):
-        for i in part:
-            owner[i] = k
+    owner = {i: k for k, part in enumerate(parts) for i in part}
     vectors = [net.sparse_reaction_vector(i) for i in basis]
     if len(_eliminate(vectors).position) != len(basis):  # (a)
         raise InternalError("the basis reactions are linearly dependent")
@@ -256,25 +250,23 @@ def _certify(net: Network, span: _Span, parts: tuple[tuple[int, ...], ...]) -> t
                 w[s] = w.get(s, 0) + t * c
         if any(w.values()):  # (b)
             raise InternalError(f"reaction {i}'s relation does not recompose it")
-    ranks = [0] * len(parts)
-    for i in basis:
-        ranks[owner[i]] += 1
-    return tuple(ranks)
 
 
 def _finest(net: Network) -> tuple[_Span, Decomposition]:
     """The finder's span and the finest independent partition it yields.
 
     The parts are the components of one union-find that joins each non-basis
-    reaction to the basis reactions of its relation.  Two or more parts take
-    their ranks from `_certify` (`InternalError` if it refuses them); the
-    single whole-set part has the basis size as its rank.
+    reaction to the basis reactions of its relation.  Two or more parts must
+    pass `_certify` (`InternalError` if it refuses them), which proves each
+    part's rank is its number of basis rows; every answer is ranked so.
     """
     span = _eliminate(_reaction_rows(net))
     basis_rows = list(span.position)
     joins = ((i, basis_rows[j]) for i, (tag, _) in span.relations.items() for j in tag)
     parts = tuple(_undirected_components(net.reaction_count, joins))
-    ranks = (len(basis_rows),) if len(parts) == 1 else _certify(net, span, parts)
+    if len(parts) > 1:
+        _certify(net, span, parts)
+    ranks = tuple(sum(i in span.position for i in part) for part in parts)
     return span, Decomposition(parts, ranks)
 
 

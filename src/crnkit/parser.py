@@ -45,8 +45,9 @@ class DslSyntaxError(NetworkError):
     """Malformed DSL line; carries the 1-based line number."""
 
 
-_LABEL_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(.*)$")
-_TERM_RE = re.compile(r"^([0-9]+)?\s*([A-Za-z_][A-Za-z0-9_]*)$")
+_IDENTIFIER = "[A-Za-z_][A-Za-z0-9_]*"  # a species name or a reaction label
+_LABEL_RE = re.compile(rf"^({_IDENTIFIER})\s*:\s*(.*)$")
+_TERM_RE = re.compile(rf"^([0-9]+)?\s*({_IDENTIFIER})$")
 
 
 def parse_network(text: str) -> Network:
@@ -210,9 +211,15 @@ def parse_file(path: str | os.PathLike[str]) -> Network:
 
 
 def to_dsl(net: Network) -> str:
-    """Serialize a network to DSL text.
+    """Serialize a network to DSL text, one labeled ``->`` reaction per line.
 
-    Labels are written explicitly and every reaction appears on its own line
-    with a plain ``->`` arrow, so ``parse_network(to_dsl(net)) == net``.
+    ``parse_network(to_dsl(net)) == net`` when the species and complexes are
+    in first-appearance order and every species occurs in some complex, as in
+    any parsed network.  `NetworkError` names the first species name or label
+    that is not a DSL identifier: ``2A`` would be read back as ``2 A``.
     """
+    for kind, names in (("species name", net.species_names), ("label", net.labels)):
+        bad = next((name for name in names if not re.fullmatch(_IDENTIFIER, name)), None)
+        if bad is not None:
+            raise NetworkError(f"{kind} {bad!r} is not a DSL identifier")
     return "".join(net.reaction_string(i) + "\n" for i in range(net.reaction_count))

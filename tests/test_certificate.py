@@ -3,9 +3,11 @@
 `decomposition._certify` re-reads the reaction vectors and checks the
 finder's span: (a) the basis rows alone are independent, (b) every relation
 recomposes its reaction exactly with a positive scale, and (c) every relation
-stays inside its reaction's part.  Each mutation below breaks exactly one of
-these on an honest answer, and the certificate must refuse it; `crn analyze`
-and `crn decompose` then exit 2 with ``internal error:``.
+stays inside its reaction's part, after checking that the parts and the
+relations cover each reaction once and the basis positions are numbered in
+basis order.  Each mutation below breaks exactly one of these on an honest
+answer, and the certificate must refuse it; `crn analyze` and `crn
+decompose` then exit 2 with ``internal error:``.
 """
 
 import random
@@ -59,11 +61,27 @@ def zero_scale(span, parts):
     return _Span(span.position, {**span.relations, i: ({}, 0)}), parts
 
 
+def dropped_reaction(span, parts):
+    """A related reaction left out of its part: the parts no longer cover every reaction."""
+    i = _related(span)
+    return span, tuple(tuple(x for x in part if x != i) for part in parts)
+
+
+def swapped_positions(span, parts):
+    """The first two basis rows' positions swapped: they are out of basis order."""
+    swapped = _Span(span.position, span.relations)
+    a, b = list(swapped.position)[:2]
+    swapped.position[a], swapped.position[b] = swapped.position[b], swapped.position[a]
+    return swapped, parts
+
+
 MUTATIONS = {
     "corrupted-coefficient": (corrupt_coefficient, "does not recompose"),
     "cross-part-tag": (cross_part_tag, "leaves its part"),
     "dependent-basis": (dependent_basis, "linearly dependent"),
     "zero-scale": (zero_scale, "scale 0"),
+    "dropped-reaction": (dropped_reaction, "do not cover each reaction once"),
+    "swapped-positions": (swapped_positions, "not numbered in basis order"),
 }
 
 
@@ -93,10 +111,9 @@ def test_the_cases_cover_the_corpus_and_blocks():
 @pytest.mark.parametrize("net", [net for _, net in DECOMPOSABLE], ids=NAMES)
 def test_an_honest_answer_is_certified_with_the_verifier_part_ranks(net):
     span, found = _finest(net)
-    ranks = _certify(net, span, found.parts)
-    assert ranks == found.part_ranks
-    assert ranks == verify_decomposition(net, found.parts).part_ranks
-    assert sum(ranks) == len(span.position)
+    assert _certify(net, span, found.parts) is None
+    assert found.part_ranks == verify_decomposition(net, found.parts).part_ranks
+    assert sum(found.part_ranks) == len(span.position)
 
 
 @pytest.mark.parametrize("mutation", MUTATIONS)

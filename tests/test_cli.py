@@ -89,6 +89,15 @@ class TestDecompose:
         assert "unknown reaction label" in err
 
 
+    def test_contains_on_a_one_reaction_network(self, capsys, tmp_path):
+        # {R1} has no complement to test against: it is the trivial decomposition.
+        f = tmp_path / "one.crn"
+        f.write_text("R1: A -> B\n")
+        code, out, err = run(capsys, "decompose", str(f), "--contains", "R1")
+        assert code == 0
+        assert out == "{R1} is the whole network (trivial decomposition)\n"
+        assert err == ""
+
 class TestCheck:
     def test_two_chains_independent(self, capsys, networks_dir):
         code, out, _ = run(
@@ -436,6 +445,30 @@ class TestSteadyState:
             verdict = "steady state" if steady else "not a steady state"
             assert (code, out, err) == (0 if steady else 3, f"f(x) = ({values})\n{verdict}\n", "")
 
+
+    @pytest.mark.parametrize(
+        "rates,message",
+        [
+            ("R1=abc", "invalid number 'abc' for 'R1'"),
+            ("R1=1,R1=2", "'R1' assigned twice in --rates"),
+        ],
+    )
+    def test_a_bad_rate_assignment_exits_one(self, capsys, tmp_path, rates, message):
+        f = tmp_path / "ab.crn"
+        f.write_text("R1: A -> B\nR2: B -> A\n")
+        code, out, err = run(capsys, "steady-state", str(f), "--rates", rates, "--point", "A=1,B=1")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_an_empty_rate_chunk_is_skipped(self, capsys, tmp_path):
+        f = tmp_path / "ab.crn"
+        f.write_text("R1: A -> B\nR2: B -> A\n")
+        code, out, _ = run(
+            capsys, "steady-state", str(f), "--rates", "R1=1,,R2=1", "--point", "A=1,B=1"
+        )
+        assert code == 0
+        assert out == "f(x) = (A: 0, B: 0)\nsteady state\n"
 
 class TestAnalyze:
     def test_text_output_is_deterministic(self, capsys, networks_dir):

@@ -1,5 +1,6 @@
 """Coordinate graph, decomposition finder, verifier, and brute-force oracle."""
 
+import functools
 import random
 
 import pytest
@@ -284,6 +285,30 @@ class TestVerify:
         assert sum(sizes) < (len(parts) + 1) * net.complex_count
         if singletons:
             assert rep.incidence_part_ranks == (1,) * r
+
+    @pytest.mark.parametrize("path", ALL_NETWORK_FILES, ids=lambda p: p.stem)
+    def test_the_verifier_reads_no_lazy_fact(self, path, monkeypatch):
+        # Ranks and linkage classes are set when a structure is built, so the
+        # verifier reads no `functools.cached_property` on any partition.
+        net = parse_file(path)
+        r = net.reaction_count
+
+        def refuse(prop, instance, owner=None):
+            raise AssertionError(f"{prop.attrname} read")
+
+        monkeypatch.setattr(functools.cached_property, "__get__", refuse)
+        for parts in ([range(r)], [range(0, r, 2), range(1, r, 2)], [[i] for i in range(r)]):
+            rep = verify_decomposition(net, parts)
+            assert len(rep.part_ranks) == len(parts)
+
+    def test_a_structure_holds_its_rank_and_linkage_classes_when_built(self, baccam):
+        whole = crnkit.analysis._Structure(baccam)
+        part = whole.part([0, 1])
+        for st in (whole, part):
+            assert {"rank", "linkage_classes"} <= vars(st).keys()
+        assert (whole.rank, part.rank) == (3, 2)
+        # T + V -> I + V and I -> 0: two linkage classes over four complexes.
+        assert part.linkage_classes == [(0, 1), (2, 3)]
 
     def test_feedforward_split_not_independent(self):
         net = parse_network(FEEDFORWARD)

@@ -3,11 +3,16 @@
 import pytest
 
 from crnkit import (
+    Complex,
     DslSyntaxError,
     DuplicateLabelError,
     DuplicateReactionError,
     EmptyNetworkError,
+    Network,
+    NetworkError,
+    Reaction,
     SelfLoopError,
+    Species,
     parse_file,
     parse_network,
     to_dsl,
@@ -187,6 +192,34 @@ class TestRoundTrip:
         net = parse_network("bind: A + B <-> C\n")
         assert parse_network(to_dsl(net)) == net
 
+    @pytest.mark.parametrize(
+        "species, label, message",
+        [
+            # '2A -> 0' would be read back as '2 A -> 0', vector -2 for -1.
+            ("2A", "R1", "species name '2A' is not a DSL identifier"),
+            # 'R1: 0 -> 0' would read the species as the zero complex.
+            ("0", "R1", "species name '0' is not a DSL identifier"),
+            ("A", "k-on", "label 'k-on' is not a DSL identifier"),
+        ],
+    )
+    def test_a_name_that_would_not_read_back_is_refused(self, species, label, message):
+        complexes = [Complex({0: 1}), Complex({})]
+        net = Network([Species(species, 0)], complexes, [Reaction(0, 1, label)])
+        with pytest.raises(NetworkError, match=f"^{message}$"):
+            to_dsl(net)
+
+    def test_species_come_back_in_first_appearance_order(self):
+        net = Network(
+            [Species("B", 0), Species("A", 1)],
+            [Complex({1: 1}), Complex({0: 1})],
+            [Reaction(0, 1, "R1")],
+        )
+        text = to_dsl(net)
+        assert text == "R1: A -> B\n"
+        back = parse_network(text)
+        assert back.species_names == ("A", "B")
+        assert back != net
+        assert to_dsl(back) == text
 
 class TestFiles:
     def test_byte_order_mark_and_crlf(self, tmp_path):
