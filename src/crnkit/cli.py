@@ -11,7 +11,7 @@ import json
 import math
 import os
 import sys
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from .analysis import Kinetics, _steady_state, _structures
 from .decomposition import (
@@ -129,7 +129,7 @@ def _cmd_decompose(args: argparse.Namespace, net: Network) -> int:
         rest = [i for i in range(net.reaction_count) if i != chosen]
         if not rest:
             print(f"{{{args.contains}}} is the whole network (trivial decomposition)")
-            return EXIT_OK
+            return EXIT_NEGATIVE
         rep = verify_decomposition(net, [[chosen], rest])
         eq = rank_equation(rep.network_rank, list(rep.part_ranks))
         verb = "form" if rep.independent else "do not form"
@@ -247,12 +247,24 @@ _COMMANDS = {
 }
 
 
-def _build_parser(commands: Iterable[str]) -> argparse.ArgumentParser:
-    """The ``crn`` parser with exactly ``commands`` registered and filled in.
+def _fill_in(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """``parser`` with the arguments of command ``name`` added."""
+    for flags, options in _COMMANDS[name][2]:
+        parser.add_argument(*flags, **options)
+    return parser
 
-    A call whose first word is a command can print no other command's name:
-    the others appear only in the top-level help and the "invalid choice"
-    error, and argparse hands every later word to the command's subparser.
+
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """Command ``name``'s own parser: the subparser `_build_parser` registers for it."""
+    return _fill_in(_ArgumentParser(prog=f"crn {name}"), name)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The full ``crn`` parser, every command registered and filled in.
+
+    `main` builds it only for a call whose first word is no command (help,
+    no words, an unknown word, an option or ``--`` first), which may print
+    the top-level help or the "invalid choice" error: both name every command.
     """
     parser = _ArgumentParser(
         prog="crn",
@@ -260,11 +272,8 @@ def _build_parser(commands: Iterable[str]) -> argparse.ArgumentParser:
         "network numbers, deficiency theorems, and steady-state checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in commands:
-        help_line, _, arguments = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_line)
-        for flags, options in arguments:
-            p.add_argument(*flags, **options)
+    for name, (help_line, _, _) in _COMMANDS.items():
+        _fill_in(sub.add_parser(name, help=help_line), name)
     return parser
 
 
@@ -285,15 +294,24 @@ def _settle_stdout() -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one ``crn`` call, ``argv`` being the words after ``crn``; return its exit code.
+
+    A call that starts with a command builds one parser, the command's own,
+    since the full parser would hand every later word to it; any other call
+    builds the full parser.  Each call builds its parser anew, so argparse
+    reads the terminal width and colour settings of that call.
+    """
     if argv is None:
         argv = sys.argv[1:]
-    # A call that starts with a command can print no other command, so it
-    # registers that command alone; help and usage errors register all five.
-    commands = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
     try:
-        args = _build_parser(commands).parse_args(argv)
+        if argv and argv[0] in _COMMANDS:
+            name = argv[0]
+            args = _command_parser(name).parse_args(argv[1:])
+        else:
+            args = _build_parser().parse_args(argv)
+            name = args.command
         net = parse_file(args.file)
-        code = _COMMANDS[args.command][1](args, net)
+        code = _COMMANDS[name][1](args, net)
         # A write that fails here, not at interpreter exit, keeps the exit code.
         sys.stdout.flush()
         return code

@@ -90,13 +90,15 @@ class TestDecompose:
 
 
     def test_contains_on_a_one_reaction_network(self, capsys, tmp_path):
-        # {R1} has no complement to test against: it is the trivial decomposition.
+        # {R1} has no complement to test against: it is the trivial
+        # decomposition, the negative verdict `crn decompose FILE` gives too.
         f = tmp_path / "one.crn"
         f.write_text("R1: A -> B\n")
         code, out, err = run(capsys, "decompose", str(f), "--contains", "R1")
-        assert code == 0
+        assert code == 3
         assert out == "{R1} is the whole network (trivial decomposition)\n"
         assert err == ""
+        assert run(capsys, "decompose", str(f)) == (3, "trivial only\n", "")
 
 class TestCheck:
     def test_two_chains_independent(self, capsys, networks_dir):

@@ -1,12 +1,14 @@
-"""A `crn` call that starts with a command registers that command alone.
+"""A `crn` call that starts with a command builds one parser, the command's own.
 
-Such a call can print no other command's name: the others appear only in the
-top-level help and the "invalid choice" error.  Every other call (help, no
-words, a word that is no command, options or ``--`` before the command)
-registers and fills in all five.  The tests below compare `main` against a
-reference parser that fills in every command from the same table, on the
-interpreter under test (argparse's wording differs between Python versions),
-and check that `main` keeps no state between calls.
+The full parser would hand every word after the command to that command's
+subparser, so such a call can print no other command's name: the others
+appear only in the top-level help and the "invalid choice" error.  Every
+other call (help, no words, a word that is no command, options or ``--``
+before the command) builds the full parser, with all five commands filled
+in.  The tests below compare `main` against a reference parser that fills in
+every command from the same table, and against its subparser of each
+command, on the interpreter under test (argparse's wording differs between
+Python versions), and check that `main` keeps no state between calls.
 """
 
 import argparse
@@ -23,11 +25,11 @@ from test_one_elimination import callers
 
 BACCAM = str(NETWORKS_DIR / "baccam.crn")
 STEADY = ["--rates", "R1=1,R2=1,R3=1,R4=1", "--point", "T=1,V=1,I=1"]
-DESCRIPTION = cli._build_parser(()).description
+DESCRIPTION = cli._build_parser().description
 
 
-def reference_parser(commands):
-    """The parser with every command's arguments, whatever ``commands`` are."""
+def reference_parser():
+    """The parser with every command's arguments."""
     parser = cli._ArgumentParser(prog="crn", description=DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, _, arguments) in cli._COMMANDS.items():
@@ -93,6 +95,23 @@ ARGVS = [
 ]
 
 
+def subparsers(parser):
+    (action,) = parser._subparsers._group_actions
+    return action.choices
+
+
+def reference_command_parser(name):
+    """The reference parser's subparser of command ``name``."""
+    parser = subparsers(reference_parser())[name]
+    assert parser.prog == f"crn {name}"
+    return parser
+
+
+def use_reference_parsers(monkeypatch):
+    monkeypatch.setattr(cli, "_build_parser", reference_parser)
+    monkeypatch.setattr(cli, "_command_parser", reference_command_parser)
+
+
 def outcome(capsys, argv):
     """``main``'s exit code (or ``SystemExit`` code), stdout and stderr for ``argv``."""
     try:
@@ -111,7 +130,7 @@ def test_the_argv_cases_cover_the_listed_kinds():
 def test_main_matches_the_parser_of_every_command(capsys, monkeypatch, argv):
     got = outcome(capsys, list(argv))
     with monkeypatch.context() as m:
-        m.setattr(cli, "_build_parser", reference_parser)
+        use_reference_parsers(m)
         want = outcome(capsys, list(argv))
     assert got == want
     assert got[0] in (0, 1, 3, ("SystemExit", 0))
@@ -120,29 +139,38 @@ def test_main_matches_the_parser_of_every_command(capsys, monkeypatch, argv):
 def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["crn", "check", BACCAM, "--parts", "R1,R2|R3,R4"])
     got = outcome(capsys, None)
-    monkeypatch.setattr(cli, "_build_parser", reference_parser)
+    use_reference_parsers(monkeypatch)
     assert got == outcome(capsys, None)
     assert got[0] == 0
 
 
-def subparsers(parser):
-    (action,) = parser._subparsers._group_actions
-    return action.choices
+@pytest.mark.parametrize("name", cli._COMMANDS)
+def test_a_command_prints_the_same_help_through_either_parser(capsys, name):
+    # After "-x" the full parser hands "-h" to the command's subparser, which
+    # prints its help before the unknown "-x" is reported.
+    own = outcome(capsys, [name, "-h"])
+    assert own == outcome(capsys, ["-x", name, "-h"])
+    assert own[0] == ("SystemExit", 0)
+    assert own[1].startswith(f"usage: crn {name} ")
 
 
-def built_commands(capsys, monkeypatch, argv):
-    """The subparsers of the one parser ``main`` builds for ``argv``."""
+def built_parsers(capsys, monkeypatch, argv):
+    """(factory, parser) for each parser ``main`` builds for ``argv``."""
     built = []
-    real = cli._build_parser
 
-    def recording(commands):
-        built.append(real(commands))
-        return built[-1]
+    def recording(factory):
+        real = getattr(cli, factory)
 
-    monkeypatch.setattr(cli, "_build_parser", recording)
+        def record(*args):
+            built.append((factory, real(*args)))
+            return built[-1][1]
+
+        return record
+
+    for factory in ("_build_parser", "_command_parser"):
+        monkeypatch.setattr(cli, factory, recording(factory))
     outcome(capsys, argv)
-    (parser,) = built
-    return subparsers(parser)
+    return built
 
 
 def dests(choices):
@@ -150,8 +178,12 @@ def dests(choices):
 
 
 def test_a_call_that_starts_with_a_command_registers_it_alone(capsys, monkeypatch):
-    choices = built_commands(capsys, monkeypatch, ["check", BACCAM, "--parts", "R1,R2|R3,R4"])
-    assert dests(choices) == {"check": ["help", "file", "parts"]}
+    argv = ["check", BACCAM, "--parts", "R1,R2|R3,R4"]
+    ((factory, parser),) = built_parsers(capsys, monkeypatch, argv)
+    assert factory == "_command_parser"
+    assert parser.prog == "crn check"
+    assert parser._subparsers is None
+    assert [action.dest for action in parser._actions] == ["help", "file", "parts"]
 
 
 @pytest.mark.parametrize(
@@ -160,12 +192,13 @@ def test_a_call_that_starts_with_a_command_registers_it_alone(capsys, monkeypatc
     ids=lambda argv: " ".join(argv) or "<none>",
 )
 def test_help_and_usage_errors_fill_in_every_command(capsys, monkeypatch, argv):
-    choices = built_commands(capsys, monkeypatch, argv)
-    assert dests(choices) == dests(subparsers(reference_parser(None)))
+    ((factory, parser),) = built_parsers(capsys, monkeypatch, argv)
+    assert factory == "_build_parser"
+    assert dests(subparsers(parser)) == dests(subparsers(reference_parser()))
 
 
 def test_the_table_lists_each_commands_arguments():
-    assert dests(subparsers(reference_parser(None))) == {
+    assert dests(subparsers(reference_parser())) == {
         "analyze": ["help", "file", "format"],
         "decompose": ["help", "file", "contains"],
         "check": ["help", "file", "parts"],
@@ -174,13 +207,24 @@ def test_the_table_lists_each_commands_arguments():
     }
 
 
-@pytest.mark.parametrize("argv", [["-h"], [], ["bogus"], ["analyze"], ["numbers", BACCAM]])
-def test_each_main_call_builds_one_parser(capsys, monkeypatch, argv):
-    built_commands(capsys, monkeypatch, argv)
+@pytest.mark.parametrize(
+    "argv, factory",
+    [
+        ([], "_build_parser"),
+        (["-h"], "_build_parser"),
+        (["bogus"], "_build_parser"),
+        (["analyze"], "_command_parser"),
+        (["numbers", BACCAM], "_command_parser"),
+    ],
+    ids=lambda case: " ".join(case) if isinstance(case, list) else case,
+)
+def test_each_main_call_builds_one_parser(capsys, monkeypatch, argv, factory):
+    assert [name for name, _ in built_parsers(capsys, monkeypatch, argv)] == [factory]
 
 
 def test_only_main_builds_the_parser():
     assert callers("_build_parser") == {"cli.main"}
+    assert callers("_command_parser") == {"cli.main"}
 
 
 RUNS = [
@@ -194,11 +238,12 @@ RUNS = [
 
 @pytest.mark.parametrize(
     "argv, parsers",
-    [*((argv, 2) for argv in RUNS), (["-h"], 6), (["bogus"], 6)],
+    [*((argv, 1) for argv in RUNS), (["-h"], 6), (["bogus"], 6)],
     ids=lambda case: case[0] if isinstance(case, list) else str(case),
 )
 def test_argument_parsers_built_per_call(capsys, monkeypatch, argv, parsers):
-    # The top-level parser plus one subparser per registered command.
+    # A run builds its command's parser; help and usage errors build the
+    # top-level parser and one subparser per command.
     built = []
     real = argparse.ArgumentParser.__init__
 
@@ -213,7 +258,8 @@ def test_argument_parsers_built_per_call(capsys, monkeypatch, argv, parsers):
 
 
 def test_each_parser_is_built_anew():
-    assert cli._build_parser(["check"]) is not cli._build_parser(["check"])
+    assert cli._build_parser() is not cli._build_parser()
+    assert cli._command_parser("check") is not cli._command_parser("check")
 
 
 def stateless_sequence():
@@ -239,26 +285,32 @@ def stateless_sequence():
     return sequence
 
 
-def test_main_keeps_no_state_between_calls(capsys, monkeypatch):
-    # The child imports the crnkit under test, installed or not, and reads
-    # the same terminal width and colour settings as this process.
-    monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.setenv("NO_COLOR", "1")
+def fresh_outcome(argv):
+    """The exit code, stdout and stderr of ``argv`` in a new ``crn`` process.
+
+    The child imports the crnkit under test, installed or not, and reads the
+    same terminal width and colour settings as this process.
+    """
     src = os.path.dirname(os.path.dirname(crnkit.__file__))
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=pythonpath)
+    proc = subprocess.run(
+        [sys.executable, "-m", "crnkit.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_main_keeps_no_state_between_calls(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setenv("NO_COLOR", "1")
     fresh = {}
     sequence = stateless_sequence()
     for argv in sequence:
         key = tuple(argv)
         if key not in fresh:
-            proc = subprocess.run(
-                [sys.executable, "-m", "crnkit.cli", *argv],
-                capture_output=True,
-                text=True,
-                env=env,
-            )
-            fresh[key] = (proc.returncode, proc.stdout, proc.stderr)
+            fresh[key] = fresh_outcome(argv)
     codes = set()
     for _ in range(2):
         for argv in sequence:
@@ -266,3 +318,23 @@ def test_main_keeps_no_state_between_calls(capsys, monkeypatch):
             assert got == fresh[tuple(argv)], argv
             codes.add(got[0])
     assert codes == {0, 1, 3}
+
+
+def test_a_commands_help_follows_the_terminal_width_of_each_call(capsys, monkeypatch):
+    # Each call's parser reads the terminal width when it formats its help,
+    # so a width set between in-process calls shows in the next help.
+    monkeypatch.setenv("NO_COLOR", "1")
+    widths = ("40", "120")
+    fresh = {}
+    for columns in widths:
+        monkeypatch.setenv("COLUMNS", columns)
+        for name in cli._COMMANDS:
+            code, out, err = fresh_outcome([name, "-h"])
+            assert code == 0
+            fresh[columns, name] = (("SystemExit", 0), out, err)
+    for name in cli._COMMANDS:
+        assert fresh["40", name] != fresh["120", name]
+    for columns in (*widths, *widths):
+        monkeypatch.setenv("COLUMNS", columns)
+        for name in cli._COMMANDS:
+            assert outcome(capsys, [name, "-h"]) == fresh[columns, name], (columns, name)
