@@ -15,7 +15,6 @@ complexes they touch (`_local_edges`), for every caller that needs one.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
@@ -198,6 +197,24 @@ def _irreversible_count(edges: list[tuple[int, int]]) -> int:
     return sum(1 for a, b in edges if (b, a) not in pairs)
 
 
+class _lazy:
+    """A method read as an attribute, computed on first read and stored on the instance.
+
+    `functools.cached_property` does the same, but before Python 3.12 it takes a
+    class-wide lock on every first read.  This is a non-data descriptor, so
+    once the value is in the instance ``__dict__`` it is read from there.
+    """
+
+    def __init__(self, func):
+        self.func, self.attrname, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
+
+
 class _Structure:
     """The structural facts of one network or part.
 
@@ -239,15 +256,15 @@ class _Structure:
         st.linkage_classes = _undirected_components(st.complex_count, st.edges)
         return st
 
-    @cached_property
+    @_lazy
     def class_of(self) -> dict[int, int]:
         return {c: k for k, cls in enumerate(self.linkage_classes) for c in cls}
 
-    @cached_property
+    @_lazy
     def strong_linkage_classes(self) -> list[tuple[int, ...]]:
         return _strong_components(self.complex_count, self.edges)
 
-    @cached_property
+    @_lazy
     def terminal_strong_linkage_classes(self) -> list[tuple[int, ...]]:
         return _terminal(self.edges, self.strong_linkage_classes)
 
@@ -256,7 +273,7 @@ class _Structure:
         """The incidence matrix's rank n - l: complexes minus linkage classes."""
         return self.complex_count - len(self.linkage_classes)
 
-    @cached_property
+    @_lazy
     def numbers(self) -> NetworkNumbers:
         net, touched = self._net, self._touched
         if touched is None:
@@ -278,7 +295,7 @@ class _Structure:
             weakly_reversible=sl == l,
         )
 
-    @cached_property
+    @_lazy
     def class_deficiencies(self) -> list[int]:
         """Deficiency of each linkage class: n_i - 1 - s_i over the class's reactions."""
         classes = self.linkage_classes
@@ -289,7 +306,7 @@ class _Structure:
             len(cls) - 1 - self.span.rank(reactions) for cls, reactions in zip(classes, members)
         ]
 
-    @cached_property
+    @_lazy
     def verdicts(self) -> tuple[DeficiencyVerdict, DeficiencyVerdict]:
         """The deficiency-zero and deficiency-one verdicts."""
         return _deficiency_zero_verdict(self.numbers), _deficiency_one_verdict(self)

@@ -7,6 +7,7 @@ failed write to stdout, 2 internal invariant violation, 3 negative verdict.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
@@ -303,6 +304,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     """
     if argv is None:
         argv = sys.argv[1:]
+    stdout = sys.stdout
+    # Unbuffered, stdout's buffer is the raw file, and its text layer drops the
+    # rest of a short write to a closed pipe without an error.  A buffered
+    # writer retries the rest, so the closed pipe raises EPIPE below.
+    if isinstance(getattr(stdout, "buffer", None), io.RawIOBase):
+        sys.stdout = io.TextIOWrapper(
+            io.BufferedWriter(stdout.buffer), stdout.encoding, stdout.errors
+        )
     try:
         if argv and argv[0] in _COMMANDS:
             name = argv[0]
@@ -324,6 +333,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if sys.stdout is not stdout:
+            # Flushed, or pointed at os.devnull; the raw file stays stdout's.
+            sys.stdout.detach().detach()
+            sys.stdout = stdout
 
 
 if __name__ == "__main__":

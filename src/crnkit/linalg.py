@@ -6,9 +6,12 @@ fraction-free integer elimination: there is no tolerance anywhere, and no
 `_eliminate`, drives it: it scans the rows in order, clears each row's
 denominators, keeps each row that is not spanned by the rows before it as a
 basis row, and returns a `_Span` of the basis rows and every other row's
-integer relation to them.  The greedy basis, the rank, and which coordinates
-are nonzero fall out of that single scan; only `coordinates` turns relations
-into `Fraction`s.  A caller's own basis is scanned first (`_eliminate_over`).
+integer relation to them.  It pivots on the columns rarest first: a column
+used by fewer rows meets fewer rows to update, which keeps the fill-in (and
+the tags along the way) small.  The greedy basis, the rank, and which
+coordinates are nonzero fall out of that single scan, whatever the column
+order; only `coordinates` turns relations into `Fraction`s.  A caller's own
+basis is scanned first (`_eliminate_over`).
 `_Span.rank` reads the rank of any subset of the rows from the relations, so
 ranks of parts and of linkage classes need no scan of their own.
 `RationalMatrix` and `rref` compute with `Fraction`; `rref` is a separate
@@ -17,7 +20,9 @@ dense implementation kept as an independent reference.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
@@ -140,8 +145,9 @@ class _Echelon:
     """Row echelon form grown one row at a time, in integers, with provenance.
 
     Every stored row is sparse (column -> nonzero `int`), has a positive
-    pivot of its own at its smallest nonzero column, and carries a tag (basis
-    position -> nonzero `int`) with ``row == sum(tag[j] * basis_row[j])``.
+    pivot of its own at its smallest nonzero column (`_eliminate` numbers the
+    columns rarest first), and carries a tag (basis position -> nonzero
+    `int`) with ``row == sum(tag[j] * basis_row[j])``.
     Row and tag together have content 1 (the gcd of all their entries), which
     keeps coefficients from growing.
     """
@@ -218,14 +224,23 @@ class _Echelon:
 def _eliminate(rows: Sequence[SparseRow]) -> _Span:
     """The one greedy scan: each row not spanned by the rows before it joins the basis.
 
-    Rows are scanned in order, which gives the greedy basis.  The returned
-    `_Span` lists the basis rows in basis order and holds, for every other
-    row, its `_Echelon.add` relation over the basis positions.
+    Rows are scanned in order, which gives the greedy basis.  The columns
+    are numbered in order of how many rows use them, fewest first (ties by
+    index), and each row is handed to `_Echelon.add` in that numbering, so
+    each pivot is at the rarest column its reduced row still uses.  The order
+    changes the fill-in, not the outcome: the basis, and each relation up to
+    a positive factor, are those of any column order.  The returned `_Span`
+    lists the basis rows in basis order and holds, for every other row, its
+    `_Echelon.add` relation over the basis positions.
     """
+    rows = [dict(row) for row in rows]
+    uses = Counter(chain.from_iterable(rows))
+    # Stable: among columns used equally often, the smaller index comes first.
+    order = {j: k for k, j in enumerate(sorted(sorted(uses), key=uses.__getitem__))}
     echelon = _Echelon()
     span = _Span((), {})
     for i, row in enumerate(rows):
-        relation = echelon.add(row)
+        relation = echelon.add({order[j]: x for j, x in row.items()})
         if relation is None:
             span.position[i] = echelon.rank - 1
         else:
@@ -268,7 +283,9 @@ class _Span:
 
         The basis rows are independent, so the rank is the number of basis
         rows among ``rows`` plus the rank of the other rows' tags restricted
-        to the positions of the basis rows outside ``rows``.
+        to the positions of the basis rows outside ``rows``.  The tags are
+        eliminated in basis-position order, not rarest first: they are few
+        and short, and choosing an order costs more than it saves.
         """
         inside: set[int] = set()
         others: list[int] = []

@@ -1,11 +1,13 @@
 """Command-line interface: outputs, exit codes, and format consistency."""
 
 import errno
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -29,15 +31,18 @@ def path(networks_dir, name):
     return str(networks_dir / name)
 
 
-def crn_child(*argv):
-    """``python -m crnkit.cli`` argv and environment for the crnkit under test, installed or not."""
+def crn_child(*argv, unbuffered=False):
+    """``python -m crnkit.cli`` argv and environment for the crnkit under test, installed or not.
+
+    The child's stdout is buffered, as a console script's is, unless
+    ``unbuffered`` sets ``PYTHONUNBUFFERED``.
+    """
     src = os.path.dirname(os.path.dirname(crnkit.__file__))
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=pythonpath)
-    # A console script's stdout is buffered.  With PYTHONUNBUFFERED set,
-    # Python's text layer drops the unwritten rest of one short write to a
-    # closed pipe without an error, so a cut text report would exit 0.
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return [sys.executable, "-m", "crnkit.cli", *argv], env
 
 
@@ -687,9 +692,12 @@ def big_crn(tmp_path_factory):
 class TestWriteFailures:
     """A failed write to stdout exits 1 with one error line and no traceback."""
 
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("fmt", ["json", "text"])
-    def test_a_reader_that_closes_the_pipe_early(self, big_crn, fmt):
-        argv, env = crn_child("analyze", big_crn, "--format", fmt)
+    def test_a_reader_that_closes_the_pipe_early(self, big_crn, fmt, unbuffered):
+        # Unbuffered, Python's text layer alone would drop the rest of the one
+        # short write of a text report to the closed pipe and exit 0.
+        argv, env = crn_child("analyze", big_crn, "--format", fmt, unbuffered=unbuffered)
         proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
         head = proc.stdout.read(100)
         proc.stdout.close()
@@ -736,6 +744,22 @@ class TestWriteFailures:
             monkeypatch.setattr(sys, "stdout", stream)
             code = main(["numbers", str(NETWORKS_DIR / "baccam.crn")])
             assert sys.stdout is stream
+        assert code == 1
+        assert capsys.readouterr().err == failed_write(errno.EPIPE)
+
+    def test_in_process_main_keeps_an_unbuffered_stdout(self, capsys, monkeypatch, big_crn):
+        # A text layer straight over the raw file, as with PYTHONUNBUFFERED.
+        # The reader takes the first bytes of the report and closes the pipe,
+        # which cuts main's one large write short.
+        read_end, write_end = os.pipe()
+        reader = threading.Thread(target=lambda: (os.read(read_end, 100), os.close(read_end)))
+        reader.start()
+        with io.TextIOWrapper(io.FileIO(write_end, "w"), write_through=True) as stream:
+            monkeypatch.setattr(sys, "stdout", stream)
+            code = main(["analyze", big_crn])
+            reader.join(timeout=60)
+            assert not reader.is_alive()
+            assert sys.stdout is stream and not stream.buffer.closed
         assert code == 1
         assert capsys.readouterr().err == failed_write(errno.EPIPE)
 

@@ -1,6 +1,5 @@
 """Coordinate graph, decomposition finder, verifier, and brute-force oracle."""
 
-import functools
 import random
 
 import pytest
@@ -289,17 +288,26 @@ class TestVerify:
     @pytest.mark.parametrize("path", ALL_NETWORK_FILES, ids=lambda p: p.stem)
     def test_the_verifier_reads_no_lazy_fact(self, path, monkeypatch):
         # Ranks and linkage classes are set when a structure is built, so the
-        # verifier reads no `functools.cached_property` on any partition.
+        # verifier reads no lazy `_Structure` fact on any partition.
         net = parse_file(path)
         r = net.reaction_count
 
         def refuse(prop, instance, owner=None):
             raise AssertionError(f"{prop.attrname} read")
 
-        monkeypatch.setattr(functools.cached_property, "__get__", refuse)
+        monkeypatch.setattr(crnkit.analysis._lazy, "__get__", refuse)
+        # The patch is live: a fresh structure's first read of a lazy fact is refused.
+        with pytest.raises(AssertionError, match="^numbers read$"):
+            crnkit.analysis._Structure(net).numbers
         for parts in ([range(r)], [range(0, r, 2), range(1, r, 2)], [[i] for i in range(r)]):
             rep = verify_decomposition(net, parts)
             assert len(rep.part_ranks) == len(parts)
+
+    def test_a_lazy_fact_is_computed_once_and_kept_on_the_structure(self, baccam):
+        st = crnkit.analysis._Structure(baccam)
+        assert "numbers" not in vars(st)
+        numbers = st.numbers
+        assert vars(st)["numbers"] is numbers and st.numbers is numbers
 
     def test_a_structure_holds_its_rank_and_linkage_classes_when_built(self, baccam):
         whole = crnkit.analysis._Structure(baccam)

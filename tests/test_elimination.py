@@ -10,6 +10,9 @@ denominators, entries beyond 2**200), against `rref` (a separate dense
 N = Y * Ia.  The coordinate graph's edge list, read from neighbour bit
 masks, is checked against every pair of each relation on spans of rank up
 to several hundred, and integer rows against the same rows as `Fraction`s.
+`_eliminate` pivots on the columns rarest first; its basis and relations are
+checked against a scan in natural column order on networks of up to 1000
+reactions.
 """
 
 import math
@@ -385,3 +388,80 @@ def test_integer_rows_eliminate_as_their_fractions_do(rows):
         assert type(scale) is int and all(type(t) is int for t in tag.values())
     # The scan copies its rows: the caller's dicts are left as given.
     assert as_ints == [dict(row) for row in rows]
+
+
+def natural_order_scan(rows):
+    """The greedy scan with each row handed to `_Echelon.add` as given: pivots in index order."""
+    echelon = _Echelon()
+    basis, relations = [], {}
+    for i, row in enumerate(rows):
+        relation = echelon.add(row)
+        if relation is None:
+            basis.append(i)
+        else:
+            relations[i] = relation
+    return basis, relations
+
+
+def column_order_cases():
+    """(id, sparse rows): the corpus, seeded networks of up to 1000 reactions, rational rows."""
+    for net in CORPUS:
+        yield f"net-{net.species_count}x{net.reaction_count}", list(map(dict, _reaction_rows(net)))
+    for r in (100, 300, 1000):
+        for s in (r // 2, r // 4):
+            net = random_sparse_network(random.Random(r + s), r, s)
+            yield f"sparse-{r}x{s}", [dict(row) for row in _reaction_rows(net)]
+    for rows in RATIONAL_CASES:
+        yield f"rows-{rows_id(rows)}", [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+COLUMN_ORDER_CASES = list(column_order_cases())
+
+
+@pytest.mark.parametrize(
+    "rows", [r for _, r in COLUMN_ORDER_CASES], ids=[i for i, _ in COLUMN_ORDER_CASES]
+)
+def test_the_column_order_changes_no_basis_and_no_relation(rows, monkeypatch):
+    fed = []
+    add = _Echelon.add
+    monkeypatch.setattr(_Echelon, "add", lambda self, row: fed.append(dict(row)) or add(self, row))
+    span = _eliminate(rows)
+    # Every row reaches the echelon relabelled by one order of the columns:
+    # fewest rows using it first, ties by the smaller index.
+    uses = {}
+    for row in rows:
+        for j in row:
+            uses[j] = uses.get(j, 0) + 1
+    order = {j: k for k, j in enumerate(sorted(uses, key=lambda j: (uses[j], j)))}
+    assert fed == [{order[j]: x for j, x in row.items()} for row in rows]
+    monkeypatch.undo()
+    basis, relations = natural_order_scan(rows)
+    assert list(span.position) == basis
+    assert list(span.position.values()) == list(range(len(basis)))
+    assert span.relations.keys() == relations.keys()
+    for i, (tag, scale) in span.relations.items():
+        other_tag, other_scale = relations[i]
+        assert tag.keys() == other_tag.keys()
+        for j, t in tag.items():
+            assert Fraction(-t, scale) == Fraction(-other_tag[j], other_scale)
+        # Divided by its content, the relation recomposes the row as given
+        # (in integers, for integer rows): scale * row + sum(tag[j] * basis[j]) == 0.
+        g = math.gcd(scale, *tag.values())
+        total = {c: scale // g * x for c, x in rows[i].items()}
+        for j, t in tag.items():
+            for c, x in rows[basis[j]].items():
+                total[c] = total.get(c, 0) + t // g * x
+        assert not any(total.values())
+
+
+def test_the_column_order_is_rarest_first_with_ties_by_index(monkeypatch):
+    fed = []
+    add = _Echelon.add
+    monkeypatch.setattr(_Echelon, "add", lambda self, row: fed.append(dict(row)) or add(self, row))
+    # Column 1 is used once; columns 0, 2 and 3 twice each, first met in the order 3, 0, 2.
+    rows = [{3: 1, 0: 2}, {2: 1, 3: -1}, {0: 1, 2: 1, 1: 5}]
+    given = [dict(row) for row in rows]
+    span = _eliminate(rows)
+    assert fed == [{3: 1, 1: 2}, {2: 1, 3: -1}, {1: 1, 2: 1, 0: 5}]
+    assert rows == given
+    assert list(span.position) == [0, 1, 2] and not span.relations

@@ -1,6 +1,8 @@
 """crnkit drives its exact elimination kernel from one routine: an `_Echelon`
 is constructed only by `linalg._eliminate`, the greedy scan, and by
-`linalg._Span.rank`, which eliminates the relation tags of a subset.  The
+`linalg._Span.rank`, which eliminates the relation tags of a subset, and
+only `_eliminate` chooses a column order: it counts the columns and relabels
+each row before `_Echelon.add` sees it, so every caller gets the order.  The
 report describes parts without `subnetwork`, and the finder checks its
 answers with the integer certificate, never with `verify_decomposition`.
 A part's complexes are renumbered only by `analysis._local_edges`, a
@@ -49,6 +51,27 @@ def test_echelons_are_built_only_by_the_elimination_driver_and_span_rank():
         for name in echelon_constructions(module.read_text(encoding="utf-8"))
     }
     assert sites == {"linalg._eliminate", "linalg._Span.rank"}
+
+
+def test_only_the_elimination_driver_chooses_a_column_order():
+    # The columns are counted in `_eliminate` alone, and echelon rows reach
+    # `_Echelon.add` only from it (`_Span.rank` adds tags, and to a set).
+    assert callers("Counter") == {"linalg._eliminate"}
+    assert set(module_calls("linalg", "add")) == {"_eliminate", "_Span.rank"}
+    # Every other elimination in the package goes through `_eliminate`.
+    assert callers("_eliminate") == {
+        "analysis._Structure.__init__",
+        "decomposition._certify",
+        "decomposition._finest",
+        "decomposition.brute_force_decompositions.part_rank",
+        "linalg._eliminate_over",
+        "linalg.rank_of_rows",
+        "linalg.select_basis_rows",
+    }
+    assert callers("_eliminate_over") == {
+        "decomposition.build_coordinate_graph",
+        "linalg.coordinates",
+    }
 
 
 def test_the_guard_sees_a_construction_anywhere():
