@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import math
 import os
 import sys
@@ -27,6 +26,7 @@ from .report import (
     build_report,
     format_numbers_table,
     independence_to_dict,
+    json_dumps,
     numbers_to_dict,
     rank_condition_lines,
     render_text,
@@ -115,7 +115,7 @@ def _in_order(
 def _cmd_analyze(args: argparse.Namespace, net: Network) -> int:
     report = build_report(net).to_dict()
     if args.format == "json":
-        print(json.dumps(report, indent=2))
+        print(json_dumps(report))
     else:
         print(render_text(report), end="")
     return EXIT_OK

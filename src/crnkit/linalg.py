@@ -24,12 +24,14 @@ from collections import Counter
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Sequence, Union
 
 Rational = Fraction
 RationalLike = Union[int, Fraction]
 Relation = tuple[dict[int, int], int]  # (tag, scale), see `_Echelon.add`
-SparseRow = Union[Mapping[int, RationalLike], Iterable[tuple[int, RationalLike]]]
+# A dict, or a sequence of (column, value) pairs such as a reaction vector.
+SparseRow = Union[dict[int, RationalLike], Sequence[tuple[int, RationalLike]]]
 
 
 class NotInSpanError(ValueError):
@@ -158,9 +160,12 @@ class _Echelon:
         self._pivots: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
         self.rank = 0
 
-    def add(self, row: SparseRow) -> Relation | None:
+    def add(self, row: dict[int, RationalLike]) -> Relation | None:
         """Reduce ``row``; return its relation ``(tag, scale)``, or None if it joins the basis.
 
+        ``add`` takes ownership of ``row``: it reduces the dict in place and
+        may keep it as a pivot row, so a caller hands it a fresh dict (both
+        callers build one anyway) and does not use it afterwards.
         A row that joins the basis becomes basis position ``rank - 1``.  The
         row is cleared of denominators (a row of `int`s, such as a reaction
         vector or a tag, has none and starts at scale 1) and reduced
@@ -168,7 +173,7 @@ class _Echelon:
         ``w == scale * row + sum(tag[j] * basis_row[j])`` with ``scale > 0``;
         when ``w`` vanishes, the row's coordinates are ``-tag[j] / scale``.
         """
-        w = dict(row)
+        w = row
         scale = 1
         # A sum of ints is an int, and a single Fraction makes it a Fraction.
         if type(sum(w.values())) is not int:
@@ -231,16 +236,18 @@ def _eliminate(rows: Sequence[SparseRow]) -> _Span:
     changes the fill-in, not the outcome: the basis, and each relation up to
     a positive factor, are those of any column order.  The returned `_Span`
     lists the basis rows in basis order and holds, for every other row, its
-    `_Echelon.add` relation over the basis positions.
+    `_Echelon.add` relation over the basis positions.  The rows are left as
+    given: each is counted from its pairs, and `_Echelon.add` gets its
+    relabelled dict, the one copy made of it.
     """
-    rows = [dict(row) for row in rows]
-    uses = Counter(chain.from_iterable(rows))
+    pairs = [row.items() if type(row) is dict else row for row in rows]
+    uses = Counter(map(itemgetter(0), chain.from_iterable(pairs)))
     # Stable: among columns used equally often, the smaller index comes first.
     order = {j: k for k, j in enumerate(sorted(sorted(uses), key=uses.__getitem__))}
     echelon = _Echelon()
     span = _Span((), {})
-    for i, row in enumerate(rows):
-        relation = echelon.add({order[j]: x for j, x in row.items()})
+    for i, row in enumerate(pairs):
+        relation = echelon.add({order[j]: x for j, x in row})
         if relation is None:
             span.position[i] = echelon.rank - 1
         else:

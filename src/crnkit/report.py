@@ -2,11 +2,14 @@
 
 The report is built once from a network, serializes to a stable dict (the
 JSON schema, version "1"), deserializes losslessly, and renders to text from
-the same values, so the two output formats can never disagree.
+the same values, so the two output formats can never disagree.  `json_dumps`
+writes the dict as ``json.dumps(d, indent=2)`` does, without the pure-Python
+encoder that ``indent`` selects in `json`.
 """
 
 from __future__ import annotations
 
+from json.encoder import encode_basestring_ascii
 from typing import Any, Mapping, NamedTuple
 
 from .analysis import DeficiencyVerdict, NetworkNumbers, _structures
@@ -168,6 +171,46 @@ def build_report(net: Network) -> AnalysisReport:
         network_verdicts=whole.verdicts,
         part_verdicts=tuple(st.verdicts for st in parts),
     )
+
+
+def json_dumps(report_dict: Mapping[str, Any]) -> str:
+    """The text of ``json.dumps(report_dict, indent=2)``, byte for byte.
+
+    Only the types a report dict holds are written: `str`, `int`, `bool`,
+    None, and `dict` (with `str` keys) and `list` of them, each by exact
+    type.  Any other value, a float, a tuple or an `int` subclass among
+    them, raises `TypeError`.
+    """
+    return _json_text(report_dict, "\n")
+
+
+def _json_text(value: Any, newline: str) -> str:
+    """``value`` as JSON, its lines after the first indented as ``newline`` says."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [
+            encode_basestring_ascii(key) + ": " + _json_text(item, inner)
+            for key, item in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def format_numbers_table(columns: list[tuple[str, Mapping[str, Any]]]) -> str:

@@ -237,7 +237,7 @@ def test_stored_echelon_rows_are_primitive_integer_rows(case):
     echelon = _Echelon()
     basis, relations = [], []
     for row in rows:
-        relation = echelon.add(row)
+        relation = echelon.add(dict(row))  # `add` keeps and reduces the dict it is given
         if relation is None:
             basis.append(row)
         else:
@@ -391,11 +391,11 @@ def test_integer_rows_eliminate_as_their_fractions_do(rows):
 
 
 def natural_order_scan(rows):
-    """The greedy scan with each row handed to `_Echelon.add` as given: pivots in index order."""
+    """The greedy scan, each row copied into `_Echelon.add` unrelabelled: pivots in index order."""
     echelon = _Echelon()
     basis, relations = [], {}
     for i, row in enumerate(rows):
-        relation = echelon.add(row)
+        relation = echelon.add(dict(row))
         if relation is None:
             basis.append(i)
         else:

@@ -9,6 +9,7 @@ To re-record one after such a change::
         > tests/golden/yeast.json
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -32,3 +33,15 @@ def test_analyze_output_is_byte_identical(capsys, path, fmt, suffix):
     assert main(["analyze", str(path), "--format", fmt]) == 0
     out = capsys.readouterr().out
     assert out.encode("utf-8") == (GOLDEN_DIR / (path.stem + suffix)).read_bytes()
+
+
+@pytest.mark.parametrize("path", ALL_NETWORK_FILES, ids=lambda p: p.stem)
+def test_analyze_json_is_written_without_json_dumps(capsys, monkeypatch, path):
+    # The CLI prints `report.json_dumps`; `json.dumps(indent=2)` is only the tests' oracle.
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    assert main(["analyze", str(path), "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out.encode("utf-8") == (GOLDEN_DIR / (path.stem + ".json")).read_bytes()
