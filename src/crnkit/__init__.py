@@ -49,7 +49,6 @@ from .decomposition import (
 from .linalg import (
     BasisSelection,
     NotInSpanError,
-    Rational,
     RationalMatrix,
     coordinates,
     rank,
@@ -75,6 +74,16 @@ from .parser import DslSyntaxError, parse_file, parse_network, to_dsl
 from .report import AnalysisReport, build_report, json_dumps, render_text
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # PEP 562: `Rational` (`fractions.Fraction`) resolves on first access, as in `linalg`.
+    if name == "Rational":
+        from .linalg import Rational
+
+        return Rational
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AnalysisReport",

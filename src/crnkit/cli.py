@@ -1,12 +1,14 @@
 """Command-line interface: ``crn analyze|decompose|check|numbers|steady-state``.
 
 Exit codes: 0 success / affirmative verdict, 1 usage or parse error or a
-failed write to stdout, 2 internal invariant violation, 3 negative verdict.
+failed write to stdout (a closed stdout included), 2 internal invariant
+violation, 3 negative verdict.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import math
 import os
@@ -48,9 +50,14 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: D102 - argparse hook
         raise _UsageError(message)
 
+    # With stdout closed, argparse would print help to stderr instead; `exit` reports it.
+    def print_help(self, file=None):  # noqa: D102 - argparse hook
+        if file is not None or sys.stdout is not None:
+            super().print_help(file)
+
     # Only help reaches this hook: its text is flushed while `main` can catch a failed write.
     def exit(self, status: int = 0, message: str | None = None):  # noqa: D102 - argparse hook
-        sys.stdout.flush()
+        _flush_stdout()
         super().exit(status, message)
 
 
@@ -278,6 +285,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flush_stdout() -> None:
+    """Flush stdout; a closed stdout fails as a write to a closed descriptor does.
+
+    Python sets ``sys.stdout`` to None when file descriptor 1 is closed at
+    start-up, and `print` then writes nothing, so the failure is raised here.
+    """
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    sys.stdout.flush()
+
+
 def _settle_stdout() -> None:
     """Flush stdout, or else point its file descriptor at ``os.devnull``.
 
@@ -285,7 +303,11 @@ def _settle_stdout() -> None:
     interpreter flushes stdout at exit, and print "Exception ignored" (see
     the note on SIGPIPE in the `signal` documentation).  The ``sys.stdout``
     object itself is kept, so an in-process caller gets back the one it had.
+    A closed stdout (None) holds nothing, and descriptor 1 may since belong
+    to another file, so it is left alone.
     """
+    if sys.stdout is None:
+        return
     try:
         sys.stdout.flush()
     except OSError:
@@ -322,7 +344,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         net = parse_file(args.file)
         code = _COMMANDS[name][1](args, net)
         # A write that fails here, not at interpreter exit, keeps the exit code.
-        sys.stdout.flush()
+        _flush_stdout()
         return code
     except (_UsageError, NetworkError, PartitionError, OSError) as exc:
         # OSError: the file cannot be read, or stdout cannot be written.

@@ -16,22 +16,36 @@ basis is scanned first (`_eliminate_over`).
 ranks of parts and of linkage classes need no scan of their own.
 `RationalMatrix` and `rref` compute with `Fraction`; `rref` is a separate
 dense implementation kept as an independent reference.
+The dense helpers, `coordinates` and the `Rational` alias are library-only,
+so `fractions` (and `decimal` and `numbers` behind it) is imported where a
+`Fraction` is built, and `Rational` resolves on first access: the analysis
+report and the `crn` command never load it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, Union
 
-Rational = Fraction
-RationalLike = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+RationalLike = Union[int, "Fraction"]
 Relation = tuple[dict[int, int], int]  # (tag, scale), see `_Echelon.add`
 # A dict, or a sequence of (column, value) pairs such as a reaction vector.
 SparseRow = Union[dict[int, RationalLike], Sequence[tuple[int, RationalLike]]]
+
+
+def __getattr__(name: str):
+    # PEP 562: `Rational` is `fractions.Fraction`, imported on first access.
+    if name == "Rational":
+        from fractions import Fraction
+
+        return Fraction
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class NotInSpanError(ValueError):
@@ -44,6 +58,8 @@ class RationalMatrix:
     __slots__ = ("_entries", "_cols")
 
     def __init__(self, rows: Iterable[Iterable[RationalLike]]):
+        from fractions import Fraction
+
         data = tuple(tuple(Fraction(v) for v in row) for row in rows)
         width = len(data[0]) if data else 0
         if any(len(r) != width for r in data):
@@ -103,6 +119,8 @@ class RationalMatrix:
 
 
 def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
+    from fractions import Fraction
+
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
@@ -311,6 +329,8 @@ class _Span:
 
 
 def _sparse(row: Iterable[RationalLike]) -> dict[int, Fraction]:
+    from fractions import Fraction
+
     return {j: x for j, x in enumerate(map(Fraction, row)) if x}
 
 
@@ -352,4 +372,6 @@ def coordinates(
     p = len(basis_rows)
     rows = [_sparse(row) for row in basis_rows] + [_sparse(vector)]
     tag, scale = _eliminate_over(rows, range(p)).relations[p]
+    from fractions import Fraction
+
     return tuple(Fraction(-tag.get(j, 0), scale) for j in range(p))

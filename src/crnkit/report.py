@@ -4,12 +4,14 @@ The report is built once from a network, serializes to a stable dict (the
 JSON schema, version "1"), deserializes losslessly, and renders to text from
 the same values, so the two output formats can never disagree.  `json_dumps`
 writes the dict as ``json.dumps(d, indent=2)`` does, without the pure-Python
-encoder that ``indent`` selects in `json`.
+encoder that ``indent`` selects in `json`.  Its string encoder is the C
+function that `json.encoder` re-exports, taken from `_json` itself, so the
+`json` package is never imported.
 """
 
 from __future__ import annotations
 
-from json.encoder import encode_basestring_ascii
+from _json import encode_basestring_ascii
 from typing import Any, Mapping, NamedTuple
 
 from .analysis import DeficiencyVerdict, NetworkNumbers, _structures

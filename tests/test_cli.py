@@ -734,6 +734,49 @@ class TestWriteFailures:
         assert "Traceback" not in err and "Exception ignored" not in err
         assert err == failed_write(errno.ENOSPC)
 
+    @pytest.mark.skipif(os.name != "posix", reason="closes the child's descriptor 1 before exec")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "words",
+        [
+            ("analyze", "purine.crn"),
+            ("analyze", "purine.crn", "--format", "json"),
+            ("decompose", "purine.crn"),
+            ("check", "baccam.crn", "--parts", "R1,R2|R3,R4"),
+            ("numbers", "purine.crn"),
+            (
+                "steady-state",
+                "mass_action_demo.crn",
+                "--rates",
+                "R1=1,R2=1,R3=3,R4=1",
+                "--point",
+                "X1=2,X2=3,X3=3,X4=2",
+            ),
+            ("-h",),
+            ("analyze", "-h"),
+        ],
+        ids=" ".join,
+    )
+    def test_a_closed_stdout(self, words, unbuffered):
+        # With descriptor 1 closed, Python sets sys.stdout to None and print writes nothing.
+        words = [str(NETWORKS_DIR / w) if w.endswith(".crn") else w for w in words]
+        argv, env = crn_child(*words, unbuffered=unbuffered)
+        proc = subprocess.run(
+            argv, stderr=subprocess.PIPE, env=env, timeout=120, preexec_fn=lambda: os.close(1)
+        )
+        err = proc.stderr.decode()
+        assert proc.returncode == 1
+        assert "Traceback" not in err and "Exception ignored" not in err
+        assert err == failed_write(errno.EBADF)
+
+    @pytest.mark.parametrize("words", [("numbers", "baccam.crn"), ("-h",)], ids=" ".join)
+    def test_in_process_main_with_a_closed_stdout(self, capsys, monkeypatch, words):
+        words = [str(NETWORKS_DIR / w) if w.endswith(".crn") else w for w in words]
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(words) == 1
+        assert sys.stdout is None
+        assert capsys.readouterr().err == failed_write(errno.EBADF)
+
     def test_in_process_main_keeps_the_callers_stdout(self, capsys, monkeypatch):
         # The table stays in the stream's buffer until main flushes it, and the
         # flush meets the closed pipe; main then points the stream's own

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+import crnkit
+import crnkit.linalg
 from crnkit import (
     NotInSpanError,
     RationalMatrix,
@@ -16,6 +18,7 @@ from crnkit import (
     select_basis_rows,
     stoichiometric_matrix,
 )
+from crnkit.linalg import _dot
 
 
 def det_int(rows):
@@ -195,3 +198,37 @@ class TestCoordinates:
     def test_dependent_basis_rejected(self):
         with pytest.raises(ValueError):
             coordinates([1, 2], [(1, 2), (2, 4)])
+
+
+class TestFractionResults:
+    """`fractions` is imported where a `Fraction` is built; the results stay `Fraction`s."""
+
+    @pytest.mark.parametrize("module", [crnkit, crnkit.linalg], ids=lambda m: m.__name__)
+    def test_rational_is_fraction(self, module):
+        assert module.Rational is Fraction
+
+    def test_star_import_binds_every_public_name(self):
+        namespace = {}
+        exec("from crnkit import *", namespace)
+        assert all(namespace[name] is getattr(crnkit, name) for name in crnkit.__all__)
+
+    def test_an_unknown_attribute_is_still_an_attribute_error(self):
+        for module in (crnkit, crnkit.linalg):
+            with pytest.raises(AttributeError, match="no attribute 'Irrational'"):
+                module.Irrational
+
+    @pytest.mark.parametrize("rows", [[[1, -2], [0, 0]], [[0, 0, 0]], [[3], [6]]])
+    def test_int_input_gives_fractions(self, rows):
+        m = RationalMatrix(rows)
+        reduced, _ = rref(m)
+        for matrix in (m, reduced, m @ RationalMatrix.identity(m.cols)):
+            assert {type(x) for row in matrix.to_lists() for x in row} == {Fraction}
+
+    def test_coordinates_are_fractions(self):
+        for vector in ([3, 4, 0], [0, 0, 0]):
+            coeffs = coordinates(vector, [(1, 0, 0), (0, 2, 0)])
+            assert {type(a) for a in coeffs} == {Fraction}
+
+    def test_dot_starts_from_a_fraction_zero(self):
+        assert type(_dot([], [])) is Fraction and _dot([], []) == 0
+        assert type(_dot([1, 2], [3, 4])) is Fraction and _dot([1, 2], [3, 4]) == 11

@@ -3,7 +3,6 @@ its syntax parses on the oldest Python that pyproject.toml admits, and the
 CLI's import leaves out the standard modules that only slow a cold start."""
 
 import ast
-import json
 import os
 import re
 import subprocess
@@ -56,14 +55,17 @@ def test_syntax_parses_on_the_oldest_supported_python(module):
 
 # `dataclasses` imports `inspect`, which imports `ast`, `dis` and `tokenize`:
 # about 10 ms of every cold `crn` process that crnkit's records do not need.
-SLOW_IMPORTS = ("dataclasses", "inspect")
+# `json` (the report takes its C string encoder from `_json`) and `fractions`
+# (with `decimal` and `numbers` behind it) serve only library calls.
+SLOW_IMPORTS = ("dataclasses", "inspect", "json", "fractions", "decimal", "numbers")
 
 
 def test_the_cli_import_loads_no_slow_modules():
     # A fresh interpreter, so modules that other tests imported do not count.
+    # The probe imports nothing before its snapshot that the list could name.
     probe = (
-        "import json, sys; before = set(sys.modules); import crnkit.cli; "
-        "print(json.dumps(sorted(set(sys.modules) - before)))"
+        "import sys; before = set(sys.modules); import crnkit.cli; "
+        "print(repr(sorted(set(sys.modules) - before)))"
     )
     path = [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
@@ -71,7 +73,7 @@ def test_the_cli_import_loads_no_slow_modules():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    loaded = set(json.loads(done.stdout))
+    loaded = set(ast.literal_eval(done.stdout))
     assert "crnkit.cli" in loaded
     slow = sorted(loaded & set(SLOW_IMPORTS))
     assert not slow, f"import crnkit.cli loaded {slow}"
