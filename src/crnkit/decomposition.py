@@ -27,10 +27,10 @@ proves, and `_finest` ranks every answer, of one part or many, by its parts'
 basis counts, which therefore sum to the network rank.  `verify_decomposition`
 checks a user partition and is independent of the finder: it reads the
 network's and each part's rank and incidence rank from
-`analysis._structures`, which runs one `_eliminate` of its own, in reaction
-order, and builds no strong linkage class.  It and the report state their
-conditions through one helper, `_independence`.  The brute-force oracle runs
-one elimination per part.
+`analysis._structures`, which eliminates the reaction vectors once, in
+reaction order, and builds no strong linkage class.  It and the report state
+their conditions through one helper, `_independence`.  The brute-force oracle
+runs one elimination per part.
 """
 
 from __future__ import annotations

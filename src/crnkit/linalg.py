@@ -12,8 +12,8 @@ the tags along the way) small.  The greedy basis, the rank, and which
 coordinates are nonzero fall out of that single scan, whatever the column
 order; only `coordinates` turns relations into `Fraction`s.  A caller's own
 basis is scanned first (`_eliminate_over`).
-`_Span.rank` reads the rank of any subset of the rows from the relations, so
-ranks of parts and of linkage classes need no scan of their own.
+`_Span.rank` reads the rank of any subset of the rows from the relations, whose
+restricted tags go through `_eliminate` too: every rank comes from one scan.
 `RationalMatrix` and `rref` compute with `Fraction`; `rref` is a separate
 dense implementation kept as an independent reference.
 The dense helpers, `coordinates` and the `Rational` alias are library-only,
@@ -182,8 +182,8 @@ class _Echelon:
         """Reduce ``row``; return its relation ``(tag, scale)``, or None if it joins the basis.
 
         ``add`` takes ownership of ``row``: it reduces the dict in place and
-        may keep it as a pivot row, so a caller hands it a fresh dict (both
-        callers build one anyway) and does not use it afterwards.
+        may keep it as a pivot row, so its one caller, `_eliminate`, hands it
+        a fresh dict and does not use it afterwards.
         A row that joins the basis becomes basis position ``rank - 1``.  The
         row is cleared of denominators (a row of `int`s, such as a reaction
         vector or a tag, has none and starts at scale 1) and reduced
@@ -307,25 +307,24 @@ class _Span:
         """Rank of the given rows, exact and without eliminating them again.
 
         The basis rows are independent, so the rank is the number of basis
-        rows among ``rows`` plus the rank of the other rows' tags restricted
-        to the positions of the basis rows outside ``rows``.  The tags are
-        eliminated in basis-position order, not rarest first: they are few
-        and short, and choosing an order costs more than it saves.
+        rows among ``rows`` plus the rank, by `_eliminate`, of the other rows'
+        tags restricted to the positions of the basis rows outside ``rows``.
         """
-        inside: set[int] = set()
-        others: list[int] = []
+        positions: list[int] = []
+        tags: list[dict[int, int]] = []
         for i in rows:
             j = self.position.get(i)
             if j is None:
-                others.append(i)
+                tags.append(self.relations[i][0])
             else:
-                inside.add(j)
-        echelon = _Echelon()
-        for i in others:
-            tag = self.relations[i][0]
-            if not tag.keys() <= inside:
-                echelon.add({j: t for j, t in tag.items() if j not in inside})
-        return len(inside) + echelon.rank
+                positions.append(j)
+        inside = set(positions)
+        leaving = [
+            [(j, t) for j, t in tag.items() if j not in inside]
+            for tag in tags
+            if not tag.keys() <= inside
+        ]
+        return len(inside) + (len(_eliminate(leaving).position) if leaving else 0)
 
 
 def _sparse(row: Iterable[RationalLike]) -> dict[int, Fraction]:

@@ -12,11 +12,13 @@ masks, is checked against every pair of each relation on spans of rank up
 to several hundred, and integer rows against the same rows as `Fraction`s.
 `_eliminate` pivots on the columns rarest first; its basis and relations are
 checked against a scan in natural column order on networks of up to 1000
-reactions.
+reactions, and `_Span.rank`, which eliminates a subset's restricted tags
+through it, against fresh scans of the subset on networks of 200 to 400.
 """
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -313,6 +315,38 @@ def test_span_ranks_of_seeded_subsets_agree_with_rref(rows):
         deficient += expected < len(subset)
     # Whenever some row is dependent, some sampled subset is rank deficient.
     assert deficient or not span.relations
+
+
+@pytest.mark.parametrize("reactions, species, blocks", [(200, 100, 1), (300, 60, 1), (400, 200, 4)])
+def test_span_ranks_at_scale_agree_with_fresh_scans(reactions, species, blocks, monkeypatch):
+    # `_Span.rank` hands a subset's restricted tags to `_eliminate`; at these
+    # sizes the rarest-first order permutes their columns.  Each subset's rank
+    # is checked against fresh scans of its own reaction vectors, in that
+    # order and in natural column order.
+    net = random_sparse_network(random.Random(reactions + blocks), reactions, species, blocks)
+    rows = _reaction_rows(net)
+    span = _eliminate(rows)
+    rng = random.Random(reactions)
+    subsets = [rng.sample(range(reactions), rng.randint(1, reactions)) for _ in range(4)]
+    labels = [rng.randrange(2) for _ in range(reactions)]
+    subsets += [[i for i, lab in enumerate(labels) if lab == k] for k in range(2)]
+    classes = _Structure(net).linkage_classes
+    subsets += [[i for i, rx in enumerate(net.reactions) if rx.reactant in cls] for cls in classes]
+    permuted = 0
+
+    def recorded(tags):
+        nonlocal permuted
+        uses = Counter(j for tag in tags for j, _ in tag)
+        permuted += sorted(uses, key=lambda j: (uses[j], j)) != sorted(uses)
+        return _eliminate(tags)
+
+    monkeypatch.setattr("crnkit.linalg._eliminate", recorded)
+    for subset in subsets:
+        own = [rows[i] for i in subset]
+        expected = len(_eliminate(own).position)
+        assert len(natural_order_scan(own)[0]) == expected
+        assert span.rank(subset) == expected
+    assert len(classes) > 1 and permuted >= 6
 
 
 def test_class_deficiencies_agree_with_rref():

@@ -1,8 +1,9 @@
 """crnkit drives its exact elimination kernel from one routine: an `_Echelon`
-is constructed only by `linalg._eliminate`, the greedy scan, and by
-`linalg._Span.rank`, which eliminates the relation tags of a subset, and
-only `_eliminate` chooses a column order: it counts the columns and relabels
-each row before `_Echelon.add` sees it, so every caller gets the order.  The
+is constructed, and rows are added to it, only by `linalg._eliminate`, the
+greedy scan.  `linalg._Span.rank` hands a subset's restricted relation tags
+to it like any other caller.  Only `_eliminate` chooses a column order: it
+counts the columns and relabels each row before `_Echelon.add` sees it, so
+every caller, every rank included, gets the same order.  The
 report describes parts without `subnetwork`, and the finder checks its
 answers with the integer certificate, never with `verify_decomposition`.
 A part's complexes are renumbered only by `analysis._local_edges`, a
@@ -44,26 +45,27 @@ def module_calls(module: str, callee: str) -> list[str]:
     return call_sites((SRC / f"{module}.py").read_text(encoding="utf-8"), callee)
 
 
-def test_echelons_are_built_only_by_the_elimination_driver_and_span_rank():
+def test_echelons_are_built_only_by_the_elimination_driver():
     sites = {
         f"{module.stem}.{name}"
         for module in sorted(SRC.glob("*.py"))
         for name in echelon_constructions(module.read_text(encoding="utf-8"))
     }
-    assert sites == {"linalg._eliminate", "linalg._Span.rank"}
+    assert sites == {"linalg._eliminate"}
 
 
 def test_only_the_elimination_driver_chooses_a_column_order():
-    # The columns are counted in `_eliminate` alone, and echelon rows reach
-    # `_Echelon.add` only from it (`_Span.rank` adds tags, and to a set).
+    # The columns are counted in `_eliminate` alone, and rows reach
+    # `_Echelon.add` only from it.
     assert callers("Counter") == {"linalg._eliminate"}
-    assert set(module_calls("linalg", "add")) == {"_eliminate", "_Span.rank"}
+    assert set(module_calls("linalg", "add")) == {"_eliminate"}
     # Every other elimination in the package goes through `_eliminate`.
     assert callers("_eliminate") == {
         "analysis._Structure.__init__",
         "decomposition._certify",
         "decomposition._finest",
         "decomposition.brute_force_decompositions.part_rank",
+        "linalg._Span.rank",
         "linalg._eliminate_over",
         "linalg.rank_of_rows",
         "linalg.select_basis_rows",
