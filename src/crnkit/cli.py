@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import io
 import math
 import os
@@ -255,20 +256,26 @@ _COMMANDS = {
 }
 
 
-def _fill_in(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """``parser`` with the arguments of command ``name`` added."""
+@functools.cache
+def _arguments(name: str) -> argparse.ArgumentParser:
+    """Command ``name``'s arguments, ``-h`` included, declared once per process.
+
+    Each call's parser copies the declarations in through ``parents=``, so a
+    call adds no argument of its own and formats its help itself.
+    """
+    parser = argparse.ArgumentParser(prog=f"crn {name}")
     for flags, options in _COMMANDS[name][2]:
         parser.add_argument(*flags, **options)
     return parser
 
 
 def _command_parser(name: str) -> argparse.ArgumentParser:
-    """Command ``name``'s own parser: the subparser `_build_parser` registers for it."""
-    return _fill_in(_ArgumentParser(prog=f"crn {name}"), name)
+    """A new parser of command ``name``: the subparser `_build_parser` registers for it."""
+    return _ArgumentParser(prog=f"crn {name}", parents=[_arguments(name)], add_help=False)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    """The full ``crn`` parser, every command registered and filled in.
+    """A new full ``crn`` parser, every command registered with its `_arguments`.
 
     `main` builds it only for a call whose first word is no command (help,
     no words, an unknown word, an option or ``--`` first), which may print
@@ -281,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, _, _) in _COMMANDS.items():
-        _fill_in(sub.add_parser(name, help=help_line), name)
+        sub.add_parser(name, help=help_line, parents=[_arguments(name)], add_help=False)
     return parser
 
 
@@ -322,7 +329,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     A call that starts with a command builds one parser, the command's own,
     since the full parser would hand every later word to it; any other call
     builds the full parser.  Each call builds its parser anew, so argparse
-    reads the terminal width and colour settings of that call.
+    reads the terminal width and colour settings of that call; what each
+    process builds once is each command's argument declarations, ``-h``
+    included (`_arguments`), which every later call's parser copies in.
     """
     if argv is None:
         argv = sys.argv[1:]

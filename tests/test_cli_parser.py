@@ -5,13 +5,17 @@ subparser, so such a call can print no other command's name: the others
 appear only in the top-level help and the "invalid choice" error.  Every
 other call (help, no words, a word that is no command, options or ``--``
 before the command) builds the full parser, with all five commands filled
-in.  The tests below compare `main` against a reference parser that fills in
-every command from the same table, and against its subparser of each
-command, on the interpreter under test (argparse's wording differs between
-Python versions), and check that `main` keeps no state between calls.
+in.  Each call builds its parser anew; what each process builds once is
+each command's argument declarations, ``-h`` included (`cli._arguments`),
+which every call's parser copies in unchanged.  The tests below compare
+`main` against a reference parser that fills in every command from the same
+table, and against its subparser of each command, on the interpreter under
+test (argparse's wording differs between Python versions), and check that
+`main` keeps no state between calls beyond those declarations.
 """
 
 import argparse
+import copy
 import os
 import subprocess
 import sys
@@ -338,3 +342,125 @@ def test_a_commands_help_follows_the_terminal_width_of_each_call(capsys, monkeyp
         monkeypatch.setenv("COLUMNS", columns)
         for name in cli._COMMANDS:
             assert outcome(capsys, [name, "-h"]) == fresh[columns, name], (columns, name)
+
+
+def add_argument_calls(monkeypatch):
+    """The (prog, flags) of each ``add_argument`` call made from now on.
+
+    ``prog`` is None for a call on an argument group.
+    """
+    calls = []
+    real = argparse._ActionsContainer.add_argument
+
+    def recording(self, *args, **kwargs):
+        calls.append((getattr(self, "prog", None), args))
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", recording)
+    return calls
+
+
+@pytest.mark.parametrize("argv", RUNS, ids=lambda argv: argv[0])
+def test_a_commands_arguments_are_declared_once_per_process(capsys, monkeypatch, argv):
+    cli._arguments.cache_clear()
+    calls = add_argument_calls(monkeypatch)
+    name = argv[0]
+    assert outcome(capsys, list(argv))[0] in (0, 3)
+    declared = [("-h", "--help"), *(flags for flags, _ in cli._COMMANDS[name][2])]
+    assert calls == [(f"crn {name}", flags) for flags in declared]
+    calls.clear()
+    assert outcome(capsys, list(argv))[0] in (0, 3)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["-h"], ["-h", "check"], ["bogus"], ["-x", "analyze", "-h"]],
+    ids=lambda argv: " ".join(argv) or "<none>",
+)
+def test_help_and_usage_errors_declare_only_the_top_level_help(capsys, monkeypatch, argv):
+    # The subparsers copy each command's declarations; only the top-level
+    # parser's own -h is declared by the call.
+    for run in RUNS:
+        outcome(capsys, list(run))
+    calls = add_argument_calls(monkeypatch)
+    assert outcome(capsys, list(argv))[0] in (1, ("SystemExit", 0))
+    assert calls == [("crn", ("-h", "--help"))]
+
+
+@pytest.mark.parametrize("name", cli._COMMANDS)
+def test_each_parser_shares_its_commands_declarations(name):
+    first, second = cli._command_parser(name), cli._command_parser(name)
+    assert first is not second
+    assert first._actions is not second._actions
+    shared = cli._arguments(name)._actions
+    for parser in (first, second, subparsers(cli._build_parser())[name]):
+        assert len(parser._actions) == len(shared)
+        assert all(a is b for a, b in zip(parser._actions, shared))
+
+
+def declarations():
+    """A deep copy of every command's declared actions, each with its identity.
+
+    argparse writes ``container`` into an action each time a parser copies
+    it in; only ``conflict_handler="resolve"``, which crn does not use, reads it.
+    """
+    return {
+        name: [
+            (id(action), copy.deepcopy({k: v for k, v in vars(action).items() if k != "container"}))
+            for action in cli._arguments(name)._actions
+        ]
+        for name in cli._COMMANDS
+    }
+
+
+def test_no_call_changes_the_shared_declarations(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    before = declarations()
+    codes = set()
+    for argv in [*stateless_sequence(), ["-h"], *([name, "-h"] for name in cli._COMMANDS)]:
+        codes.add(outcome(capsys, list(argv))[0])
+    assert codes == {0, 1, 3, ("SystemExit", 0)}
+    assert declarations() == before
+
+
+def test_importing_the_cli_builds_no_argument_parser():
+    # A fresh interpreter, so no earlier call has built a parser.
+    probe = (
+        "import argparse; built = []; real = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(self); real(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import crnkit.cli; print(len(built))"
+    )
+    src = os.path.dirname(os.path.dirname(crnkit.__file__))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", BACCAM, "--parts", "R1,R2|R3,R4"],
+        ["check", "-h"],
+        ["-h"],
+        ["check", BACCAM],
+        ["bogus"],
+    ],
+    ids=" ".join,
+)
+def test_main_needs_no_program_name_in_sys_argv(capsys, monkeypatch, argv):
+    # Every parser and declaration names its prog, so none reads sys.argv[0].
+    want = outcome(capsys, list(argv))
+    cli._arguments.cache_clear()
+    monkeypatch.setattr(sys, "argv", [])
+    assert outcome(capsys, list(argv)) == want
+    assert want[0] in (0, 1, ("SystemExit", 0))
