@@ -3,21 +3,22 @@
 Rank, row-basis selection and coordinate extraction are decided by exact
 fraction-free integer elimination: there is no tolerance anywhere, and no
 `fractions.Fraction` arithmetic inside the elimination loop.  One routine,
-`_eliminate`, drives it: it scans the rows in order, clears each row's
-denominators, keeps each row that is not spanned by the rows before it as a
-basis row, and returns a `_Span` of the basis rows and every other row's
-integer relation to them.  It pivots on the columns rarest first: a column
-used by fewer rows meets fewer rows to update, which keeps the fill-in (and
-the tags along the way) small.  The greedy basis, the rank, and which
-coordinates are nonzero fall out of that single scan, whatever the column
-order; only `coordinates` turns relations into `Fraction`s.  A caller's own
-basis is scanned first (`_eliminate_over`).
-`_Span.rank` reads the rank of any subset of the rows from the relations, whose
-restricted tags go through `_eliminate` too: every rank comes from one scan.
-`RationalMatrix` and `rref` compute with `Fraction`; `rref` is a separate
-dense implementation kept as an independent reference.
-The dense helpers, `coordinates` and the `Rational` alias are library-only,
-so `fractions` (and `decimal` and `numbers` behind it) is imported where a
+`_eliminate`, drives it: it scans rows of (column, `int`) pairs in order,
+keeps each row that is not spanned by the rows before it as a basis row, and
+returns a `_Span` of the basis rows and every other row's integer relation to
+them.  It pivots on the columns rarest first: a column used by fewer rows
+meets fewer rows to update, which keeps the fill-in (and the tags along the
+way) small.  The greedy basis, the rank, and which coordinates are nonzero
+fall out of that single scan, whatever the column order; only `coordinates`
+turns relations into `Fraction`s.  A caller's own basis is scanned first
+(`_eliminate_over`).  `_Span.rank` reads the rank of any subset of the rows
+from the relations, whose restricted tags go through `_eliminate` too: every
+rank comes from one scan.  The library entry points clear each row's
+denominators in one place, `_sparse`, which builds no `Fraction` for a row of
+`int`s.  `RationalMatrix` and `rref` compute with `Fraction`; `rref` is a
+separate dense implementation kept as an independent reference.  The dense
+helpers, `coordinates` and the `Rational` alias are library-only, so
+`fractions` (and `decimal` and `numbers` behind it) is imported where a
 `Fraction` is built, and `Rational` resolves on first access: the analysis
 report and the `crn` command never load it.
 """
@@ -35,8 +36,6 @@ if TYPE_CHECKING:
 
 RationalLike = Union[int, "Fraction"]
 Relation = tuple[dict[int, int], int]  # (tag, scale), see `_Echelon.add`
-# A dict, or a sequence of (column, value) pairs such as a reaction vector.
-SparseRow = Union[dict[int, RationalLike], Sequence[tuple[int, RationalLike]]]
 
 
 def __getattr__(name: str):
@@ -178,25 +177,19 @@ class _Echelon:
         self._pivots: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
         self.rank = 0
 
-    def add(self, row: dict[int, RationalLike]) -> Relation | None:
+    def add(self, row: dict[int, int]) -> Relation | None:
         """Reduce ``row``; return its relation ``(tag, scale)``, or None if it joins the basis.
 
         ``add`` takes ownership of ``row``: it reduces the dict in place and
         may keep it as a pivot row, so its one caller, `_eliminate`, hands it
         a fresh dict and does not use it afterwards.
         A row that joins the basis becomes basis position ``rank - 1``.  The
-        row is cleared of denominators (a row of `int`s, such as a reaction
-        vector or a tag, has none and starts at scale 1) and reduced
-        fraction-free, keeping
+        row, of nonzero `int`s, is reduced fraction-free, keeping
         ``w == scale * row + sum(tag[j] * basis_row[j])`` with ``scale > 0``;
         when ``w`` vanishes, the row's coordinates are ``-tag[j] / scale``.
         """
         w = row
         scale = 1
-        # A sum of ints is an int, and a single Fraction makes it a Fraction.
-        if type(sum(w.values())) is not int:
-            scale = lcm(*[x.denominator for x in w.values()])
-            w = {j: x.numerator * (scale // x.denominator) for j, x in w.items()}
         tag: dict[int, int] = {}
         pivots = self._pivots
         while w:
@@ -244,27 +237,26 @@ class _Echelon:
         return None
 
 
-def _eliminate(rows: Sequence[SparseRow]) -> _Span:
+def _eliminate(rows: Sequence[Sequence[tuple[int, int]]]) -> _Span:
     """The one greedy scan: each row not spanned by the rows before it joins the basis.
 
-    Rows are scanned in order, which gives the greedy basis.  The columns
-    are numbered in order of how many rows use them, fewest first (ties by
-    index), and each row is handed to `_Echelon.add` in that numbering, so
-    each pivot is at the rarest column its reduced row still uses.  The order
-    changes the fill-in, not the outcome: the basis, and each relation up to
-    a positive factor, are those of any column order.  The returned `_Span`
-    lists the basis rows in basis order and holds, for every other row, its
-    `_Echelon.add` relation over the basis positions.  The rows are left as
-    given: each is counted from its pairs, and `_Echelon.add` gets its
-    relabelled dict, the one copy made of it.
+    Each row is a sequence of (column, nonzero `int`) pairs, and the rows are
+    scanned in order, which gives the greedy basis.  The columns are numbered in
+    order of how many rows use them, fewest first (ties by index), and each row
+    is handed to `_Echelon.add` in that numbering, so each pivot is at the
+    rarest column its reduced row still uses.  The order changes the fill-in,
+    not the outcome: the basis, and each relation up to a positive factor, are
+    those of any column order.  The returned `_Span` lists the basis rows in
+    basis order and holds, for every other row, its `_Echelon.add` relation over
+    the basis positions.  The rows are left as given: each is counted from its
+    pairs, and `_Echelon.add` gets its relabelled dict, the one copy made of it.
     """
-    pairs = [row.items() if type(row) is dict else row for row in rows]
-    uses = Counter(map(itemgetter(0), chain.from_iterable(pairs)))
+    uses = Counter(map(itemgetter(0), chain.from_iterable(rows)))
     # Stable: among columns used equally often, the smaller index comes first.
     order = {j: k for k, j in enumerate(sorted(sorted(uses), key=uses.__getitem__))}
     echelon = _Echelon()
     span = _Span((), {})
-    for i, row in enumerate(pairs):
+    for i, row in enumerate(rows):
         relation = echelon.add({order[j]: x for j, x in row})
         if relation is None:
             span.position[i] = echelon.rank - 1
@@ -273,7 +265,7 @@ def _eliminate(rows: Sequence[SparseRow]) -> _Span:
     return span
 
 
-def _eliminate_over(rows: Sequence[SparseRow], basis: Sequence[int]) -> _Span:
+def _eliminate_over(rows: Sequence[Sequence[tuple[int, int]]], basis: Sequence[int]) -> _Span:
     """`_eliminate` with the given basis rows first, in their order, indexed like ``rows``.
 
     The basis rows must be independent (`ValueError`) and span every row
@@ -327,10 +319,19 @@ class _Span:
         return len(inside) + (len(_eliminate(leaving).position) if leaving else 0)
 
 
-def _sparse(row: Iterable[RationalLike]) -> dict[int, Fraction]:
+def _sparse(row: Sequence[RationalLike]) -> tuple[list[tuple[int, int]], int]:
+    """``m * row`` as (column, nonzero `int`) pairs, with the least ``m > 0`` that clears it.
+
+    The one place where denominators are cleared: an `int` entry passes
+    through as it is, and any other entry is read as ``Fraction(x)``.
+    """
+    if all(type(x) is int for x in row):
+        return [(j, x) for j, x in enumerate(row) if x], 1
     from fractions import Fraction
 
-    return {j: x for j, x in enumerate(map(Fraction, row)) if x}
+    pairs = [(j, x) for j, x in enumerate(x if type(x) is int else Fraction(x) for x in row) if x]
+    m = lcm(*[x.denominator for _, x in pairs])
+    return [(j, x.numerator * (m // x.denominator)) for j, x in pairs], m
 
 
 def rank(matrix: RationalMatrix) -> int:
@@ -343,12 +344,12 @@ def rank_of_rows(rows: Iterable[Sequence[RationalLike]]) -> int:
     rows = list(rows)
     if len({len(row) for row in rows}) > 1:
         raise ValueError("all rows must have the same length")
-    return len(_eliminate([_sparse(row) for row in rows]).position)
+    return len(_eliminate([_sparse(row)[0] for row in rows]).position)
 
 
 def select_basis_rows(matrix: RationalMatrix) -> BasisSelection:
     """Greedy scan in row order: keep each row not spanned by earlier picks."""
-    chosen = tuple(_eliminate([_sparse(matrix.row(i)) for i in range(matrix.rows)]).position)
+    chosen = tuple(_eliminate([_sparse(row)[0] for row in matrix._entries]).position)
     return BasisSelection(chosen, len(chosen))
 
 
@@ -362,15 +363,13 @@ def coordinates(
     matrix containing ``vector`` guarantees this).  Raises `NotInSpanError`
     when the vector is not in the row span.
     """
-    if isinstance(basis, RationalMatrix):
-        basis_rows = [basis.row(j) for j in range(basis.rows)]
-    else:
-        basis_rows = list(basis)
+    basis_rows = list(basis._entries if isinstance(basis, RationalMatrix) else basis)
     if any(len(row) != len(vector) for row in basis_rows):
         raise ValueError("basis row length does not match vector length")
     p = len(basis_rows)
-    rows = [_sparse(row) for row in basis_rows] + [_sparse(vector)]
+    rows, m = zip(*map(_sparse, [*basis_rows, vector]))
+    # scale * m[p] * vector + sum(tag[j] * m[j] * basis_row[j]) == 0
     tag, scale = _eliminate_over(rows, range(p)).relations[p]
     from fractions import Fraction
 
-    return tuple(Fraction(-tag.get(j, 0), scale) for j in range(p))
+    return tuple(Fraction(-tag.get(j, 0) * m[j], scale * m[p]) for j in range(p))

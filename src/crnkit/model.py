@@ -214,7 +214,7 @@ class Network:
     numbers, and builds its network through `_assemble` alone.
     """
 
-    __slots__ = ("_species", "_complexes", "_reactions", "_labels", "_vectors")
+    __slots__ = ("_species", "_names", "_complexes", "_reactions", "_labels", "_vectors")
 
     def __init__(
         self,
@@ -240,6 +240,7 @@ class Network:
         line numbers, before it calls this.
         """
         self._species = species
+        self._names = tuple(s.name for s in species)
         self._complexes = tuple(Complex._of(t) for t in terms)
         self._reactions = reactions
         self._labels = _labels(reactions)
@@ -330,7 +331,7 @@ class Network:
 
     @property
     def species_names(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self._species)
+        return self._names
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -355,7 +356,7 @@ class Network:
         return self._vectors[i]
 
     def complex_string(self, complex_index: int) -> str:
-        return self._complexes[complex_index].format(self.species_names)
+        return self._complexes[complex_index].format(self._names)
 
     def reaction_string(self, i: int) -> str:
         rx = self._reactions[i]

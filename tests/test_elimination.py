@@ -9,7 +9,13 @@ denominators, entries beyond 2**200), against `rref` (a separate dense
 `Fraction` implementation), exact recomposition, and the matrix product
 N = Y * Ia.  The coordinate graph's edge list, read from neighbour bit
 masks, is checked against every pair of each relation on spans of rank up
-to several hundred, and integer rows against the same rows as `Fraction`s.
+to several hundred.
+`_eliminate` takes integer (column, value) pairs only; the library entry
+points clear a row's denominators at the boundary, `_sparse`, and rational
+rows reach the kernel through it here too.  Integer rows, the same rows as
+`Fraction`s and mixed rows reach it as identical integer pairs, the public
+functions accept `int`, `Fraction`, mixed, float, `Decimal`, `str` and
+`bool` entries alike, and a `Fraction` handed to the kernel is refused.
 `_eliminate` pivots on the columns rarest first; its basis and relations are
 checked against a scan in natural column order on networks of up to 1000
 reactions, and `_Span.rank`, which eliminates a subset's restricted tags
@@ -19,6 +25,7 @@ through it, against fresh scans of the subset on networks of 200 to 400.
 import math
 import random
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 
@@ -44,7 +51,7 @@ from crnkit import (
 )
 from crnkit.analysis import _Structure, _structures
 from crnkit.decomposition import _coordinate_edges, _finest, _reaction_rows
-from crnkit.linalg import _Echelon, _eliminate
+from crnkit.linalg import _Echelon, _eliminate, _sparse
 from conftest import ALL_NETWORK_FILES, load
 from netgen import random_network, random_sparse_network
 
@@ -233,27 +240,32 @@ class TestRationalRows:
 def test_stored_echelon_rows_are_primitive_integer_rows(case):
     # Content 1 (of row and tag together) is the guard against coefficient growth.
     if case < len(NETWORKS):
-        rows = [dict(r) for r in _reaction_rows(NETWORKS[case])]
+        net = NETWORKS[case]
+        dense = [net.reaction_vector(i) for i in range(net.reaction_count)]
     else:
-        rows = [{j: x for j, x in enumerate(r) if x} for r in RATIONAL_CASES[case - len(NETWORKS)]]
+        dense = RATIONAL_CASES[case - len(NETWORKS)]
     echelon = _Echelon()
     basis, relations = [], []
-    for row in rows:
-        relation = echelon.add(dict(row))  # `add` keeps and reduces the dict it is given
+    for given in dense:
+        # The boundary hands the kernel m * row in integers, m = 1 for integer rows.
+        pairs, m = _sparse(given)
+        row = {j: x for j, x in enumerate(given) if x}
+        assert dict(pairs) == {j: m * x for j, x in row.items()}
+        relation = echelon.add(dict(pairs))  # `add` keeps and reduces the dict it is given
         if relation is None:
-            basis.append(row)
+            basis.append((row, m))
         else:
-            relations.append((row, relation))
+            relations.append((row, m, relation))
     assert len(echelon._pivots) == echelon.rank == len(basis)
     # A row that does not join the basis comes back as its integer relation:
-    # scale * row + sum(tag[j] * basis[j]) == 0 with scale > 0.
-    for row, (tag, scale) in relations:
+    # scale * m * row + sum(tag[j] * m[j] * basis[j]) == 0 with scale > 0.
+    for row, m, (tag, scale) in relations:
         assert type(scale) is int and scale > 0
         assert all(type(t) is int and t for t in tag.values())
-        total = {c: scale * x for c, x in row.items()}
+        total = {c: scale * m * x for c, x in row.items()}
         for j, t in tag.items():
-            for c, x in basis[j].items():
-                total[c] = total.get(c, 0) + t * x
+            for c, x in basis[j][0].items():
+                total[c] = total.get(c, 0) + t * basis[j][1] * x
         assert not any(total.values())
     for col, (row, tag) in echelon._pivots.items():
         assert min(row) == col and row[col] > 0
@@ -262,8 +274,8 @@ def test_stored_echelon_rows_are_primitive_integer_rows(case):
         assert math.gcd(*values) == 1
         combo = {}
         for j, t in tag.items():
-            for c, x in basis[j].items():
-                combo[c] = combo.get(c, 0) + t * x
+            for c, x in basis[j][0].items():
+                combo[c] = combo.get(c, 0) + t * basis[j][1] * x
         assert {c: x for c, x in combo.items() if x} == row
 
 
@@ -304,7 +316,7 @@ SPAN_CASES = list(span_cases())
 @pytest.mark.parametrize("rows", [rows for _, rows in SPAN_CASES], ids=[i for i, _ in SPAN_CASES])
 def test_span_ranks_of_seeded_subsets_agree_with_rref(rows):
     rng = random.Random(len(rows) * 1009 + len(rows[0]))
-    span = _eliminate([{j: x for j, x in enumerate(row) if x} for row in rows])
+    span = _eliminate([_sparse(row)[0] for row in rows])
     n = len(rows)
     assert span.rank(range(n)) == rows_rank(rows)
     deficient = 0
@@ -396,32 +408,147 @@ def test_coordinate_edges_are_every_pair_of_each_relation(span):
 
 
 def integer_row_cases():
-    """(id, integer rows) for the corpus, the seeded networks and a 200-reaction network."""
+    """(id, network) for the corpus, the seeded networks and a 200-reaction network."""
     for net in CORPUS + NETWORKS:
-        yield f"net-{net.species_count}x{net.reaction_count}", _reaction_rows(net)
-    net = random_sparse_network(random.Random(1313), 200, 100, 6)
-    yield "sparse-200x100-6", _reaction_rows(net)
+        yield f"net-{net.species_count}x{net.reaction_count}", net
+    yield "sparse-200x100-6", random_sparse_network(random.Random(1313), 200, 100, 6)
 
 
 INTEGER_ROW_CASES = list(integer_row_cases())
 
 
+def typed(pairs):
+    return [(j, x, type(x)) for j, x in pairs]
+
+
 @pytest.mark.parametrize(
-    "rows", [r for _, r in INTEGER_ROW_CASES], ids=[i for i, _ in INTEGER_ROW_CASES]
+    "net", [n for _, n in INTEGER_ROW_CASES], ids=[i for i, _ in INTEGER_ROW_CASES]
 )
-def test_integer_rows_eliminate_as_their_fractions_do(rows):
-    # Integer rows skip the denominator pass; the outcome must not show it.
-    as_ints = [dict(row) for row in rows]
-    as_fractions = [{j: Fraction(x) for j, x in row} for row in rows]
-    by_ints, by_fractions = _eliminate(as_ints), _eliminate(as_fractions)
-    assert list(by_ints.position.items()) == list(by_fractions.position.items())
-    assert list(by_ints.relations) == list(by_fractions.relations)
-    for i, (tag, scale) in by_ints.relations.items():
-        other_tag, other_scale = by_fractions.relations[i]
-        assert list(tag.items()) == list(other_tag.items()) and scale == other_scale
-        assert type(scale) is int and all(type(t) is int for t in tag.values())
-    # The scan copies its rows: the caller's dicts are left as given.
-    assert as_ints == [dict(row) for row in rows]
+def test_integer_rows_eliminate_as_their_fractions_do(net):
+    # Integer rows, the same rows as `Fraction`s and mixed rows reach the
+    # kernel as identical integer pairs: the reaction vectors' own pairs.
+    rows = [net.reaction_vector(i) for i in range(net.reaction_count)]
+    as_fractions = [tuple(map(Fraction, row)) for row in rows]
+    mixed = [tuple(Fraction(x) if (i + j) % 2 else x for j, x in enumerate(row))
+             for i, row in enumerate(rows)]
+    own = [typed(pairs) for pairs in _reaction_rows(net)]
+    spans = []
+    for given in (rows, as_fractions, mixed):
+        cleared = [_sparse(row) for row in given]
+        assert [typed(pairs) for pairs, _ in cleared] == own
+        assert all(type(m) is int and m == 1 for _, m in cleared)
+        spans.append(_eliminate([pairs for pairs, _ in cleared]))
+    by_ints = spans[0]
+    for other in spans[1:]:
+        assert list(by_ints.position.items()) == list(other.position.items())
+        assert list(by_ints.relations) == list(other.relations)
+        for i, (tag, scale) in by_ints.relations.items():
+            other_tag, other_scale = other.relations[i]
+            assert list(tag.items()) == list(other_tag.items()) and scale == other_scale
+            assert type(scale) is int and all(type(t) is int for t in tag.values())
+    # The scan copies its rows: the caller's pairs are left as given.
+    pairs = [_sparse(row)[0] for row in rows]
+    _eliminate(pairs)
+    assert [typed(p) for p in pairs] == own
+
+
+def boundary_cases():
+    """(id, rows) of each entry type the library functions accept."""
+    rng = random.Random(1414)
+    ints = [[net.reaction_vector(i) for i in range(net.reaction_count)] for net in NETWORKS[4:7]]
+    # Dyadic entries, so that float and Decimal hold them exactly.
+    dyadic = []
+    for nrows, ncols, dim in [(8, 5, 3), (14, 9, 6), (12, 12, 12)]:
+        gens = [[Fraction(rng.randint(-8, 8), 2 ** rng.randint(0, 4)) for _ in range(ncols)]
+                for _ in range(dim)]
+        dyadic.append([])
+        for _ in range(nrows):
+            picked = rng.sample(gens, rng.randint(1, min(3, dim)))
+            coeffs = [Fraction(rng.randint(-3, 3) or 1, 2 ** rng.randint(0, 3)) for _ in picked]
+            dyadic[-1].append(tuple(sum((a * g[c] for a, g in zip(coeffs, picked)), Fraction(0))
+                                    for c in range(ncols)))
+    for k, rows in enumerate(ints):
+        yield f"int-{k}", rows
+        yield f"bool-{k}", [tuple(x % 2 == 1 for x in row) for row in rows]
+    for k, rows in enumerate(RATIONAL_CASES):
+        yield f"fraction-{rows_id(rows)}", rows
+        yield f"mixed-{rows_id(rows)}", [
+            tuple(int(x) if x.denominator == 1 else x for x in row) for row in rows
+        ]
+        yield f"str-{rows_id(rows)}", [tuple(map(str, row)) for row in rows]
+    for k, rows in enumerate(dyadic):
+        yield f"float-{k}", [tuple(map(float, row)) for row in rows]
+        yield f"decimal-{k}", [tuple(Decimal(float(x)) for x in row) for row in rows]
+
+
+BOUNDARY_CASES = list(boundary_cases())
+
+
+def test_boundary_cases_cover_every_entry_type():
+    kinds = {type(x) for _, rows in BOUNDARY_CASES for row in rows for x in row}
+    assert kinds == {int, Fraction, float, Decimal, str, bool}
+    mixed = [rows for i, rows in BOUNDARY_CASES if i.startswith("mixed")]
+    assert all({type(x) for row in rows for x in row} == {int, Fraction} for rows in mixed)
+    # Every entry type has rows outside the greedy basis, whose coordinates are read.
+    deficient = {
+        i.split("-")[0] for i, rows in BOUNDARY_CASES if rref_rank(RationalMatrix(rows)) < len(rows)
+    }
+    assert deficient == {"int", "bool", "fraction", "mixed", "str", "float", "decimal"}
+
+
+@pytest.mark.parametrize("rows", [r for _, r in BOUNDARY_CASES], ids=[i for i, _ in BOUNDARY_CASES])
+def test_library_entry_points_accept_every_entry_type(rows):
+    exact = [tuple(map(Fraction, row)) for row in rows]
+    m = RationalMatrix(rows)
+    assert m == RationalMatrix(exact)
+    expected = rref_rank(m)
+    assert rank_of_rows(rows) == expected
+    assert rank(m) == rank(m.transpose()) == expected
+    chosen = select_basis_rows(m).basis_rows
+    assert chosen == rref(m.transpose())[1]
+    # The boundary clears each row with the least positive multiplier.
+    for row, fractions in zip(rows, exact):
+        pairs, mult = _sparse(row)
+        assert all(type(j) is int and type(x) is int for j, x in pairs)
+        assert mult == math.lcm(*(x.denominator for x in fractions))
+        assert dict(pairs) == {j: mult * x for j, x in enumerate(fractions) if x}
+    # Coordinates over the greedy basis, given in the same entry type, recompose each row.
+    basis_rows = [rows[i] for i in chosen]
+    for k, row in enumerate(rows):
+        a = coordinates(row, basis_rows)
+        assert all(type(x) is Fraction for x in a)
+        if k in chosen:
+            assert a == tuple(int(i == k) for i in chosen)
+        recomposed = tuple(
+            sum((aj * exact[i][c] for aj, i in zip(a, chosen)), Fraction(0))
+            for c in range(len(row))
+        )
+        assert recomposed == exact[k]
+
+
+def test_int_entries_pass_the_boundary_untouched():
+    row = [0, 2**100 + 1, -(2**90), 0, 7]
+    pairs, m = _sparse(row)
+    assert m == 1 and [j for j, _ in pairs] == [1, 2, 4]
+    assert all(x is row[j] for j, x in pairs)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[(0, Fraction(1, 2))]],
+        [[(0, Fraction(2))]],
+        [[(0, 1), (1, 2)], [(0, Fraction(1, 2)), (1, Fraction(1, 3))]],
+        [[(0, 3)], [(0, Fraction(3))]],
+    ],
+    ids=["half", "integral", "after-an-int-row", "spanned"],
+)
+def test_the_kernel_refuses_a_fraction(rows):
+    # A rational row must pass the boundary: the kernel does not rescale it.
+    with pytest.raises(TypeError):
+        _eliminate(rows)
+    with pytest.raises(TypeError):
+        _Echelon().add(dict(rows[-1]))
 
 
 def natural_order_scan(rows):
@@ -438,15 +565,18 @@ def natural_order_scan(rows):
 
 
 def column_order_cases():
-    """(id, sparse rows): the corpus, seeded networks of up to 1000 reactions, rational rows."""
+    """(id, integer pairs): the corpus, seeded networks of up to 1000 reactions, rational rows.
+
+    The rational rows pass the boundary first, as the library entry points pass them.
+    """
     for net in CORPUS:
-        yield f"net-{net.species_count}x{net.reaction_count}", list(map(dict, _reaction_rows(net)))
+        yield f"net-{net.species_count}x{net.reaction_count}", _reaction_rows(net)
     for r in (100, 300, 1000):
         for s in (r // 2, r // 4):
             net = random_sparse_network(random.Random(r + s), r, s)
-            yield f"sparse-{r}x{s}", [dict(row) for row in _reaction_rows(net)]
+            yield f"sparse-{r}x{s}", _reaction_rows(net)
     for rows in RATIONAL_CASES:
-        yield f"rows-{rows_id(rows)}", [{j: x for j, x in enumerate(row) if x} for row in rows]
+        yield f"rows-{rows_id(rows)}", [_sparse(row)[0] for row in rows]
 
 
 COLUMN_ORDER_CASES = list(column_order_cases())
@@ -464,10 +594,10 @@ def test_the_column_order_changes_no_basis_and_no_relation(rows, monkeypatch):
     # fewest rows using it first, ties by the smaller index.
     uses = {}
     for row in rows:
-        for j in row:
+        for j, _ in row:
             uses[j] = uses.get(j, 0) + 1
     order = {j: k for k, j in enumerate(sorted(uses, key=lambda j: (uses[j], j)))}
-    assert fed == [{order[j]: x for j, x in row.items()} for row in rows]
+    assert fed == [{order[j]: x for j, x in row} for row in rows]
     monkeypatch.undo()
     basis, relations = natural_order_scan(rows)
     assert list(span.position) == basis
@@ -478,12 +608,12 @@ def test_the_column_order_changes_no_basis_and_no_relation(rows, monkeypatch):
         assert tag.keys() == other_tag.keys()
         for j, t in tag.items():
             assert Fraction(-t, scale) == Fraction(-other_tag[j], other_scale)
-        # Divided by its content, the relation recomposes the row as given
-        # (in integers, for integer rows): scale * row + sum(tag[j] * basis[j]) == 0.
+        # Divided by its content, the relation recomposes the row as given,
+        # in integers: scale * row + sum(tag[j] * basis[j]) == 0.
         g = math.gcd(scale, *tag.values())
-        total = {c: scale // g * x for c, x in rows[i].items()}
+        total = {c: scale // g * x for c, x in rows[i]}
         for j, t in tag.items():
-            for c, x in rows[basis[j]].items():
+            for c, x in rows[basis[j]]:
                 total[c] = total.get(c, 0) + t // g * x
         assert not any(total.values())
 
@@ -493,8 +623,8 @@ def test_the_column_order_is_rarest_first_with_ties_by_index(monkeypatch):
     add = _Echelon.add
     monkeypatch.setattr(_Echelon, "add", lambda self, row: fed.append(dict(row)) or add(self, row))
     # Column 1 is used once; columns 0, 2 and 3 twice each, first met in the order 3, 0, 2.
-    rows = [{3: 1, 0: 2}, {2: 1, 3: -1}, {0: 1, 2: 1, 1: 5}]
-    given = [dict(row) for row in rows]
+    rows = [[(3, 1), (0, 2)], [(2, 1), (3, -1)], [(0, 1), (2, 1), (1, 5)]]
+    given = [list(row) for row in rows]
     span = _eliminate(rows)
     assert fed == [{3: 1, 1: 2}, {2: 1, 3: -1}, {1: 1, 2: 1, 0: 5}]
     assert rows == given

@@ -3,7 +3,8 @@ is constructed, and rows are added to it, only by `linalg._eliminate`, the
 greedy scan.  `linalg._Span.rank` hands a subset's restricted relation tags
 to it like any other caller.  Only `_eliminate` chooses a column order: it
 counts the columns and relabels each row before `_Echelon.add` sees it, so
-every caller, every rank included, gets the same order.  The
+every caller, every rank included, gets the same order.  Denominators are
+cleared only by `linalg._sparse`, the library entry points' boundary.  The
 report describes parts without `subnetwork`, and the finder checks its
 answers with the integer certificate, never with `verify_decomposition`.
 A part's complexes are renumbered only by `analysis._local_edges`, a
@@ -58,6 +59,9 @@ def test_only_the_elimination_driver_chooses_a_column_order():
     # The columns are counted in `_eliminate` alone, and rows reach
     # `_Echelon.add` only from it.
     assert callers("Counter") == {"linalg._eliminate"}
+    # Denominators are cleared at the library boundary alone: the kernel
+    # takes integer pairs.
+    assert callers("lcm") == {"linalg._sparse"}
     assert set(module_calls("linalg", "add")) == {"_eliminate"}
     # Every other elimination in the package goes through `_eliminate`.
     assert callers("_eliminate") == {

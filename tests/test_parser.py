@@ -1,5 +1,7 @@
 """Reaction DSL parsing: grammar, ordering contracts, errors, round-trip."""
 
+import random
+
 import pytest
 
 from crnkit import (
@@ -17,6 +19,7 @@ from crnkit import (
     parse_network,
     to_dsl,
 )
+from netgen import random_sparse_network
 
 
 class TestBasics:
@@ -220,6 +223,23 @@ class TestRoundTrip:
         assert back.species_names == ("A", "B")
         assert back != net
         assert to_dsl(back) == text
+
+    def test_to_dsl_reads_the_species_names_once(self, monkeypatch):
+        # Each complex is written from names read once, not rebuilt per complex:
+        # rebuilt, they made to_dsl cost O(reactions * species).
+        net = random_sparse_network(random.Random(7), 200, 100)
+        expected = to_dsl(net)
+        reads = 0
+        names = Network.species_names
+
+        def counted(self):
+            nonlocal reads
+            reads += 1
+            return names.fget(self)
+
+        monkeypatch.setattr(Network, "species_names", property(counted))
+        assert to_dsl(net) == expected
+        assert reads == 1
 
 class TestFiles:
     def test_byte_order_mark_and_crlf(self, tmp_path):

@@ -60,20 +60,35 @@ def test_syntax_parses_on_the_oldest_supported_python(module):
 SLOW_IMPORTS = ("dataclasses", "inspect", "json", "fractions", "decimal", "numbers")
 
 
-def test_the_cli_import_loads_no_slow_modules():
-    # A fresh interpreter, so modules that other tests imported do not count.
-    # The probe imports nothing before its snapshot that the list could name.
-    probe = (
-        "import sys; before = set(sys.modules); import crnkit.cli; "
-        "print(repr(sorted(set(sys.modules) - before)))"
-    )
+def fresh(probe: str):
+    """The value that ``probe`` prints in a fresh interpreter, where modules
+    that other tests imported do not count."""
     path = [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    loaded = set(ast.literal_eval(done.stdout))
+    return ast.literal_eval(done.stdout)
+
+
+def test_the_cli_import_loads_no_slow_modules():
+    # The probe imports nothing before its snapshot that the list could name.
+    probe = (
+        "import sys; before = set(sys.modules); import crnkit.cli; "
+        "print(repr(sorted(set(sys.modules) - before)))"
+    )
+    loaded = set(fresh(probe))
     assert "crnkit.cli" in loaded
     slow = sorted(loaded & set(SLOW_IMPORTS))
     assert not slow, f"import crnkit.cli loaded {slow}"
+
+
+def test_ranking_int_rows_builds_no_fraction():
+    # `linalg` clears denominators only for a row that has an entry not an `int`.
+    probe = (
+        "import sys; from crnkit import rank_of_rows; "
+        "r = rank_of_rows([[1, 2, 0], [2, 4, 0], [0, 1, -1], [1, 3, -1]]); "
+        "print(repr((r, 'fractions' in sys.modules)))"
+    )
+    assert fresh(probe) == (2, False)
