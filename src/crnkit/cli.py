@@ -3,6 +3,9 @@
 Exit codes: 0 success / affirmative verdict, 1 usage or parse error or a
 failed write to stdout (a closed stdout included), 2 internal invariant
 violation, 3 negative verdict.
+
+Each process builds one argument parser, on its first call, and parses every
+call with it.
 """
 
 from __future__ import annotations
@@ -257,29 +260,13 @@ _COMMANDS = {
 
 
 @functools.cache
-def _arguments(name: str) -> argparse.ArgumentParser:
-    """Command ``name``'s arguments, ``-h`` included, declared once per process.
-
-    Each call's parser copies the declarations in through ``parents=``, so a
-    call adds no argument of its own and formats its help itself.
-    """
-    parser = argparse.ArgumentParser(prog=f"crn {name}")
-    for flags, options in _COMMANDS[name][2]:
-        parser.add_argument(*flags, **options)
-    return parser
-
-
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """A new parser of command ``name``: the subparser `_build_parser` registers for it."""
-    return _ArgumentParser(prog=f"crn {name}", parents=[_arguments(name)], add_help=False)
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    """A new full ``crn`` parser, every command registered with its `_arguments`.
+    """The ``crn`` parser, each command's `_COMMANDS` arguments on its subparser.
 
-    `main` builds it only for a call whose first word is no command (help,
-    no words, an unknown word, an option or ``--`` first), which may print
-    the top-level help or the "invalid choice" error: both name every command.
+    Each process builds it on its first `main` call, never at import, and
+    every later call parses with it.  argparse reads the terminal width and
+    colour settings each time it formats help, so help still follows the
+    settings of each call.
     """
     parser = _ArgumentParser(
         prog="crn",
@@ -287,8 +274,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "network numbers, deficiency theorems, and steady-state checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, _, _) in _COMMANDS.items():
-        sub.add_parser(name, help=help_line, parents=[_arguments(name)], add_help=False)
+    for name, (help_line, _, arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        for flags, options in arguments:
+            command.add_argument(*flags, **options)
     return parser
 
 
@@ -326,12 +315,7 @@ def _settle_stdout() -> None:
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one ``crn`` call, ``argv`` being the words after ``crn``; return its exit code.
 
-    A call that starts with a command builds one parser, the command's own,
-    since the full parser would hand every later word to it; any other call
-    builds the full parser.  Each call builds its parser anew, so argparse
-    reads the terminal width and colour settings of that call; what each
-    process builds once is each command's argument declarations, ``-h``
-    included (`_arguments`), which every later call's parser copies in.
+    Every call parses with the process's one parser (`_build_parser`).
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -344,14 +328,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             io.BufferedWriter(stdout.buffer), stdout.encoding, stdout.errors
         )
     try:
-        if argv and argv[0] in _COMMANDS:
-            name = argv[0]
-            args = _command_parser(name).parse_args(argv[1:])
-        else:
-            args = _build_parser().parse_args(argv)
-            name = args.command
+        args = _build_parser().parse_args(argv)
         net = parse_file(args.file)
-        code = _COMMANDS[name][1](args, net)
+        code = _COMMANDS[args.command][1](args, net)
         # A write that fails here, not at interpreter exit, keeps the exit code.
         _flush_stdout()
         return code

@@ -322,14 +322,16 @@ class _Span:
 def _sparse(row: Sequence[RationalLike]) -> tuple[list[tuple[int, int]], int]:
     """``m * row`` as (column, nonzero `int`) pairs, with the least ``m > 0`` that clears it.
 
-    The one place where denominators are cleared: an `int` entry passes
-    through as it is, and any other entry is read as ``Fraction(x)``.
+    The one place where denominators are cleared: an `int` or `Fraction`
+    entry passes through as it is, and any other entry is read as
+    ``Fraction(x)``.
     """
     if all(type(x) is int for x in row):
         return [(j, x) for j, x in enumerate(row) if x], 1
     from fractions import Fraction
 
-    pairs = [(j, x) for j, x in enumerate(x if type(x) is int else Fraction(x) for x in row) if x]
+    exact = (int, Fraction)
+    pairs = [(j, x) for j, x in enumerate(x if type(x) in exact else Fraction(x) for x in row) if x]
     m = lcm(*[x.denominator for _, x in pairs])
     return [(j, x.numerator * (m // x.denominator)) for j, x in pairs], m
 

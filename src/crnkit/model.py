@@ -365,18 +365,21 @@ class Network:
             f" -> {self.complex_string(rx.product)}"
         )
 
+    def _key(self) -> tuple:
+        """Species, complexes, (reactant, product) pairs and labels.
+
+        A label given as ``R<k>`` and the same positional default compare equal.
+        """
+        pairs = tuple(rx[:2] for rx in self._reactions)
+        return self._species, self._complexes, pairs, self._labels
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Network):
             return NotImplemented
-        return (
-            self._species == other._species
-            and self._complexes == other._complexes
-            and self._reactions == other._reactions
-            and self._labels == other._labels
-        )
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self._species, self._complexes, self._reactions))
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return (

@@ -1,17 +1,15 @@
-"""A `crn` call that starts with a command builds one parser, the command's own.
+"""Each `crn` process builds one argument parser, on its first call, and parses every call with it.
 
-The full parser would hand every word after the command to that command's
-subparser, so such a call can print no other command's name: the others
-appear only in the top-level help and the "invalid choice" error.  Every
-other call (help, no words, a word that is no command, options or ``--``
-before the command) builds the full parser, with all five commands filled
-in.  Each call builds its parser anew; what each process builds once is
-each command's argument declarations, ``-h`` included (`cli._arguments`),
-which every call's parser copies in unchanged.  The tests below compare
-`main` against a reference parser that fills in every command from the same
-table, and against its subparser of each command, on the interpreter under
-test (argparse's wording differs between Python versions), and check that
-`main` keeps no state between calls beyond those declarations.
+`cli._build_parser`, cached once per process, registers every command's
+arguments from `_COMMANDS` on that command's subparser.  A call that starts
+with a command is handed to its subparser, so it can print no other
+command's name: the others appear only in the top-level help and the
+"invalid choice" error.  argparse reads the terminal width and colour
+settings each time it formats help, so help follows each call's settings.
+The tests below compare `main` against a reference parser, built anew for
+each call from the same table, on the interpreter under test (argparse's
+wording differs between Python versions), and check that `main` keeps no
+state between calls and that no call changes the one parser.
 """
 
 import argparse
@@ -104,16 +102,8 @@ def subparsers(parser):
     return action.choices
 
 
-def reference_command_parser(name):
-    """The reference parser's subparser of command ``name``."""
-    parser = subparsers(reference_parser())[name]
-    assert parser.prog == f"crn {name}"
-    return parser
-
-
 def use_reference_parsers(monkeypatch):
     monkeypatch.setattr(cli, "_build_parser", reference_parser)
-    monkeypatch.setattr(cli, "_command_parser", reference_command_parser)
 
 
 def outcome(capsys, argv):
@@ -149,8 +139,8 @@ def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("name", cli._COMMANDS)
-def test_a_command_prints_the_same_help_through_either_parser(capsys, name):
-    # After "-x" the full parser hands "-h" to the command's subparser, which
+def test_a_command_prints_the_same_help_after_an_unknown_option(capsys, name):
+    # After "-x" the parser still hands "-h" to the command's subparser, which
     # prints its help before the unknown "-x" is reported.
     own = outcome(capsys, [name, "-h"])
     assert own == outcome(capsys, ["-x", name, "-h"])
@@ -158,47 +148,22 @@ def test_a_command_prints_the_same_help_through_either_parser(capsys, name):
     assert own[1].startswith(f"usage: crn {name} ")
 
 
-def built_parsers(capsys, monkeypatch, argv):
-    """(factory, parser) for each parser ``main`` builds for ``argv``."""
-    built = []
+def parsers_asked_for(capsys, monkeypatch, argv):
+    """Each parser ``main`` gets from `cli._build_parser` for ``argv``."""
+    asked = []
+    real = cli._build_parser
 
-    def recording(factory):
-        real = getattr(cli, factory)
+    def record():
+        asked.append(real())
+        return asked[-1]
 
-        def record(*args):
-            built.append((factory, real(*args)))
-            return built[-1][1]
-
-        return record
-
-    for factory in ("_build_parser", "_command_parser"):
-        monkeypatch.setattr(cli, factory, recording(factory))
+    monkeypatch.setattr(cli, "_build_parser", record)
     outcome(capsys, argv)
-    return built
+    return asked
 
 
 def dests(choices):
     return {name: [action.dest for action in p._actions] for name, p in choices.items()}
-
-
-def test_a_call_that_starts_with_a_command_registers_it_alone(capsys, monkeypatch):
-    argv = ["check", BACCAM, "--parts", "R1,R2|R3,R4"]
-    ((factory, parser),) = built_parsers(capsys, monkeypatch, argv)
-    assert factory == "_command_parser"
-    assert parser.prog == "crn check"
-    assert parser._subparsers is None
-    assert [action.dest for action in parser._actions] == ["help", "file", "parts"]
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [[], ["-h"], ["-h", "check"], ["bogus"], ["-"], ["--", "analyze"]],
-    ids=lambda argv: " ".join(argv) or "<none>",
-)
-def test_help_and_usage_errors_fill_in_every_command(capsys, monkeypatch, argv):
-    ((factory, parser),) = built_parsers(capsys, monkeypatch, argv)
-    assert factory == "_build_parser"
-    assert dests(subparsers(parser)) == dests(subparsers(reference_parser()))
 
 
 def test_the_table_lists_each_commands_arguments():
@@ -212,23 +177,29 @@ def test_the_table_lists_each_commands_arguments():
 
 
 @pytest.mark.parametrize(
-    "argv, factory",
+    "argv",
     [
-        ([], "_build_parser"),
-        (["-h"], "_build_parser"),
-        (["bogus"], "_build_parser"),
-        (["analyze"], "_command_parser"),
-        (["numbers", BACCAM], "_command_parser"),
+        [],
+        ["-h"],
+        ["-h", "check"],
+        ["bogus"],
+        ["-"],
+        ["--", "analyze"],
+        ["analyze"],
+        ["numbers", BACCAM],
+        ["check", BACCAM, "--parts", "R1,R2|R3,R4"],
     ],
-    ids=lambda case: " ".join(case) if isinstance(case, list) else case,
+    ids=lambda argv: " ".join(argv) or "<none>",
 )
-def test_each_main_call_builds_one_parser(capsys, monkeypatch, argv, factory):
-    assert [name for name, _ in built_parsers(capsys, monkeypatch, argv)] == [factory]
+def test_each_main_call_parses_with_the_one_parser(capsys, monkeypatch, argv):
+    # Help and usage errors name every command, so the one parser fills in all five.
+    parser = cli._build_parser()
+    assert parsers_asked_for(capsys, monkeypatch, argv) == [parser]
+    assert dests(subparsers(parser)) == dests(subparsers(reference_parser()))
 
 
 def test_only_main_builds_the_parser():
     assert callers("_build_parser") == {"cli.main"}
-    assert callers("_command_parser") == {"cli.main"}
 
 
 RUNS = [
@@ -238,32 +209,18 @@ RUNS = [
     ["numbers", BACCAM],
     ["steady-state", BACCAM, *STEADY],
 ]
+HELP_AND_ERRORS = [
+    [],
+    ["-h"],
+    ["-h", "check"],
+    ["bogus"],
+    ["-x", "analyze", "-h"],
+    ["check", BACCAM],
+]
 
 
-@pytest.mark.parametrize(
-    "argv, parsers",
-    [*((argv, 1) for argv in RUNS), (["-h"], 6), (["bogus"], 6)],
-    ids=lambda case: case[0] if isinstance(case, list) else str(case),
-)
-def test_argument_parsers_built_per_call(capsys, monkeypatch, argv, parsers):
-    # A run builds its command's parser; help and usage errors build the
-    # top-level parser and one subparser per command.
-    built = []
-    real = argparse.ArgumentParser.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(self)
-        real(self, *args, **kwargs)
-
-    monkeypatch.setattr(cli._ArgumentParser, "__init__", counting)
-    code = outcome(capsys, argv)[0]
-    assert code in (0, 1, 3, ("SystemExit", 0))
-    assert len(built) == parsers
-
-
-def test_each_parser_is_built_anew():
-    assert cli._build_parser() is not cli._build_parser()
-    assert cli._command_parser("check") is not cli._command_parser("check")
+def test_each_process_builds_one_parser():
+    assert cli._build_parser() is cli._build_parser()
 
 
 def stateless_sequence():
@@ -325,8 +282,8 @@ def test_main_keeps_no_state_between_calls(capsys, monkeypatch):
 
 
 def test_a_commands_help_follows_the_terminal_width_of_each_call(capsys, monkeypatch):
-    # Each call's parser reads the terminal width when it formats its help,
-    # so a width set between in-process calls shows in the next help.
+    # The one parser reads the terminal width each time it formats help, so
+    # a width set between in-process calls shows in the next help.
     monkeypatch.setenv("NO_COLOR", "1")
     widths = ("40", "120")
     fresh = {}
@@ -344,73 +301,77 @@ def test_a_commands_help_follows_the_terminal_width_of_each_call(capsys, monkeyp
             assert outcome(capsys, [name, "-h"]) == fresh[columns, name], (columns, name)
 
 
-def add_argument_calls(monkeypatch):
-    """The (prog, flags) of each ``add_argument`` call made from now on.
+def parsers_and_declarations(monkeypatch):
+    """The parsers built, and the (prog, flags) of each ``add_argument`` call made, from now on.
 
     ``prog`` is None for a call on an argument group.
     """
-    calls = []
-    real = argparse._ActionsContainer.add_argument
+    built, calls = [], []
+    init, add_argument = argparse.ArgumentParser.__init__, argparse._ActionsContainer.add_argument
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
 
     def recording(self, *args, **kwargs):
         calls.append((getattr(self, "prog", None), args))
-        return real(self, *args, **kwargs)
+        return add_argument(self, *args, **kwargs)
 
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
     monkeypatch.setattr(argparse._ActionsContainer, "add_argument", recording)
-    return calls
+    return built, calls
 
 
-@pytest.mark.parametrize("argv", RUNS, ids=lambda argv: argv[0])
-def test_a_commands_arguments_are_declared_once_per_process(capsys, monkeypatch, argv):
-    cli._arguments.cache_clear()
-    calls = add_argument_calls(monkeypatch)
-    name = argv[0]
-    assert outcome(capsys, list(argv))[0] in (0, 3)
-    declared = [("-h", "--help"), *(flags for flags, _ in cli._COMMANDS[name][2])]
-    assert calls == [(f"crn {name}", flags) for flags in declared]
+@pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv) or "<none>")
+def test_the_first_call_builds_the_parser_and_later_calls_build_none(capsys, monkeypatch, argv):
+    # Whatever the first call is, it builds the top-level parser and one
+    # subparser per command, declaring each argument once; later calls of
+    # every kind build no parser and declare nothing.
+    cli._build_parser.cache_clear()
+    built, calls = parsers_and_declarations(monkeypatch)
+    outcome(capsys, list(argv))
+    assert len(built) == 1 + len(cli._COMMANDS)
+    assert calls == [("crn", ("-h", "--help"))] + [
+        (f"crn {name}", flags)
+        for name, (_, _, arguments) in cli._COMMANDS.items()
+        for flags in [("-h", "--help"), *(flags for flags, _ in arguments)]
+    ]
+    built.clear()
     calls.clear()
-    assert outcome(capsys, list(argv))[0] in (0, 3)
-    assert calls == []
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [[], ["-h"], ["-h", "check"], ["bogus"], ["-x", "analyze", "-h"]],
-    ids=lambda argv: " ".join(argv) or "<none>",
-)
-def test_help_and_usage_errors_declare_only_the_top_level_help(capsys, monkeypatch, argv):
-    # The subparsers copy each command's declarations; only the top-level
-    # parser's own -h is declared by the call.
-    for run in RUNS:
-        outcome(capsys, list(run))
-    calls = add_argument_calls(monkeypatch)
-    assert outcome(capsys, list(argv))[0] in (1, ("SystemExit", 0))
-    assert calls == [("crn", ("-h", "--help"))]
+    codes = {outcome(capsys, list(later))[0] for later in [*RUNS, *HELP_AND_ERRORS, argv]}
+    assert codes >= {0, 1, 3, ("SystemExit", 0)}
+    assert built == [] and calls == []
 
 
 @pytest.mark.parametrize("name", cli._COMMANDS)
-def test_each_parser_shares_its_commands_declarations(name):
-    first, second = cli._command_parser(name), cli._command_parser(name)
-    assert first is not second
-    assert first._actions is not second._actions
-    shared = cli._arguments(name)._actions
-    for parser in (first, second, subparsers(cli._build_parser())[name]):
-        assert len(parser._actions) == len(shared)
-        assert all(a is b for a, b in zip(parser._actions, shared))
+def test_each_command_has_one_subparser_with_the_hooks(name):
+    # The subparser is an _ArgumentParser, so its errors and help go through
+    # the same three hooks as the top-level parser's.
+    parser = subparsers(cli._build_parser())[name]
+    assert parser is subparsers(cli._build_parser())[name]
+    assert type(parser) is cli._ArgumentParser
+    assert parser.prog == f"crn {name}"
+    declared = [("-h", "--help"), *(flags for flags, _ in cli._COMMANDS[name][2])]
+    assert [tuple(a.option_strings) or (a.dest,) for a in parser._actions] == declared
 
 
 def declarations():
-    """A deep copy of every command's declared actions, each with its identity.
+    """The one parser's identity, and a deep copy of every subparser's actions.
 
-    argparse writes ``container`` into an action each time a parser copies
-    it in; only ``conflict_handler="resolve"``, which crn does not use, reads it.
+    ``container``, the argument group that holds an action, is kept by its
+    identity: a deep copy of it would copy, and so never equal, the parser.
     """
-    return {
+    parser = cli._build_parser()
+    return id(parser), {
         name: [
-            (id(action), copy.deepcopy({k: v for k, v in vars(action).items() if k != "container"}))
-            for action in cli._arguments(name)._actions
+            (
+                id(action),
+                id(action.container),
+                copy.deepcopy({k: v for k, v in vars(action).items() if k != "container"}),
+            )
+            for action in command._actions
         ]
-        for name in cli._COMMANDS
+        for name, command in subparsers(parser).items()
     }
 
 
@@ -458,9 +419,9 @@ def test_importing_the_cli_builds_no_argument_parser():
     ids=" ".join,
 )
 def test_main_needs_no_program_name_in_sys_argv(capsys, monkeypatch, argv):
-    # Every parser and declaration names its prog, so none reads sys.argv[0].
+    # Every parser names its prog, so none reads sys.argv[0].
     want = outcome(capsys, list(argv))
-    cli._arguments.cache_clear()
+    cli._build_parser.cache_clear()
     monkeypatch.setattr(sys, "argv", [])
     assert outcome(capsys, list(argv)) == want
     assert want[0] in (0, 1, ("SystemExit", 0))

@@ -533,6 +533,24 @@ def test_int_entries_pass_the_boundary_untouched():
     assert all(x is row[j] for j, x in pairs)
 
 
+@pytest.mark.parametrize("case", range(len(NETWORKS)))
+def test_a_rational_matrix_row_clears_as_its_int_row(case):
+    # A RationalMatrix holds only Fractions, integral ones too; the boundary
+    # reads a Fraction as it is, so each row gives what its int row gives.
+    matrix = stoichiometric_matrix(NETWORKS[case]).transpose()
+    for row in matrix._entries:
+        assert {type(x) for x in row} == {Fraction}
+        assert _sparse(row) == _sparse(tuple(map(int, row)))
+
+
+@pytest.mark.parametrize("entry", ["", None, float("nan")], ids=["empty", "None", "nan"])
+def test_an_entry_that_is_no_number_is_refused(entry):
+    with pytest.raises((TypeError, ValueError)):
+        rank_of_rows([[Fraction(1, 2), entry]])
+    with pytest.raises((TypeError, ValueError)):
+        rank_of_rows([[1, entry]])
+
+
 @pytest.mark.parametrize(
     "rows",
     [

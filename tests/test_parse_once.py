@@ -3,8 +3,9 @@
 `parse_network` parses each distinct side and term text once and hands its
 checked parts to `Network._assemble`, skipping the validation that
 `Network(...)` runs on library input.  These tests show that the checked
-constructor accepts every parsed network and rebuilds an equal one, and that
-nothing else reaches the unchecked step.
+constructor accepts every parsed network and rebuilds an equal one, that a
+network written out by `to_dsl` parses back equal to it, and that nothing
+else reaches the unchecked step.
 """
 
 import random
@@ -12,7 +13,16 @@ import random
 import pytest
 
 from conftest import ALL_NETWORK_FILES
-from crnkit import Network, NetworkError, parse_file, parse_network, to_dsl
+from crnkit import (
+    Complex,
+    Network,
+    NetworkError,
+    Reaction,
+    Species,
+    parse_file,
+    parse_network,
+    to_dsl,
+)
 from netgen import random_network, random_sparse_network
 from test_fuzz import corpus_texts, mutate
 from test_one_elimination import module_calls
@@ -35,16 +45,50 @@ def test_the_checked_constructor_rebuilds_each_corpus_network(path):
     assert_rebuilds(parse_file(path))
 
 
+def in_first_appearance_order(net):
+    """``net`` with its species and complexes renumbered as `parse_network` numbers them.
+
+    That is in order of first appearance in ``to_dsl(net)``; species in no
+    complex are left out.  Each reaction keeps its label, None included.
+    """
+    complexes = list(dict.fromkeys(k for rx in net.reactions for k in rx[:2]))
+    species = list(dict.fromkeys(i for k in complexes for i, _ in net.complexes[k].terms))
+    new_species = {old: new for new, old in enumerate(species)}
+    new_complex = {old: new for new, old in enumerate(complexes)}
+    return Network(
+        [Species(net.species_names[old], new) for new, old in enumerate(species)],
+        [Complex({new_species[i]: c for i, c in net.complexes[k].terms}) for k in complexes],
+        [Reaction(new_complex[a], new_complex[b], label) for a, b, label in net.reactions],
+    )
+
+
+def test_a_positional_label_equals_the_same_label_written_out():
+    written = parse_network("A -> B")
+    library = Network(
+        [Species("A", 0), Species("B", 1)], [Complex({0: 1}), Complex({1: 1})], [Reaction(0, 1)]
+    )
+    assert written.reactions[0].label == "R1" and library.reactions[0].label is None
+    assert written == library
+    assert hash(written) == hash(library)
+    assert parse_network("R2: A -> B") != library
+
+
 def test_the_checked_constructor_rebuilds_generated_networks():
     rng = random.Random(SEED)
     nets = [random_network(rng, max_species=5, max_reactions=8, max_coeff=3) for _ in range(150)]
     for r, b in ((20, 1), (40, 4), (60, 3)):
         nets.append(random_sparse_network(rng, r, r // 2, blocks=b))
+    same = 0
     for net in nets:
         parsed = parse_network(to_dsl(net))
-        assert [rx[:2] for rx in parsed.reactions] == [rx[:2] for rx in net.reactions]
-        assert parsed.labels == net.labels
+        ordered = in_first_appearance_order(net)
+        assert parsed == ordered
+        assert hash(parsed) == hash(ordered)
+        in_order = ordered.species == net.species and ordered.complexes == net.complexes
+        assert (parsed == net) == in_order
+        same += in_order
         assert_rebuilds(parsed)
+    assert 0 < same < len(nets)
 
 
 def test_the_checked_constructor_rebuilds_every_fuzzed_text_that_parses():
