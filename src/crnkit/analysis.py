@@ -279,7 +279,7 @@ class _Structure:
         if touched is None:
             species_count = net.species_count
         else:
-            species_count = len({s for c in touched for s in net.complexes[c].support})
+            species_count = len({s for c in touched for s, _ in net._terms[c]})
         l = len(self.linkage_classes)
         sl = len(self.strong_linkage_classes)
         return NetworkNumbers(
@@ -319,7 +319,7 @@ def _structures(
     whole = _Structure(net, span)
     # A part made of every reaction of a network whose species all occur in
     # some complex is the network itself, so it shares the network's structure.
-    if len(parts) == 1 and len({s for c in net.complexes for s in c.support}) == net.species_count:
+    if len(parts) == 1 and len({s for t in net._terms for s, _ in t}) == net.species_count:
         return whole, [whole]
     return whole, [whole.part(part) for part in parts]
 
@@ -348,17 +348,12 @@ def subnetwork(net: Network, reactions: Iterable[int]) -> Network:
     # Only the chosen reactions' edges: the cost follows the subset, not the parent.
     picked = [(rx.reactant, rx.product) for rx in map(net.reactions.__getitem__, chosen)]
     touched_complexes, edges = _local_edges(picked, range(len(picked)))
-    touched_species = sorted(
-        {s for c in touched_complexes for s in net.complexes[c].support}
-    )
+    touched_species = sorted({s for c in touched_complexes for s, _ in net._terms[c]})
     species_map = {old: new for new, old in enumerate(touched_species)}
 
-    species = [
-        Species(net.species[old].name, new) for old, new in sorted(species_map.items())
-    ]
+    species = [Species(net.species_names[old], new) for old, new in species_map.items()]
     complexes = [
-        Complex({species_map[i]: c for i, c in net.complexes[old].terms})
-        for old in touched_complexes
+        Complex({species_map[i]: c for i, c in net._terms[old]}) for old in touched_complexes
     ]
     reactions_out = [
         Reaction(a, b, net.reaction_label(i)) for i, (a, b) in zip(chosen, edges)
@@ -504,14 +499,13 @@ class Kinetics(_Checked, _KineticsFields):
             raise DimensionError(
                 f"{net.reaction_count} rate constants required, got {len(rates)}"
             )
-        orders = tuple(
-            tuple(
-                float(c)
-                for c in net.complexes[rx.reactant].vector(net.species_count)
-            )
-            for rx in net.reactions
-        )
-        return cls(MASS_ACTION, tuple(float(k) for k in rates), orders)
+        orders = []
+        for rx in net.reactions:
+            row = [0.0] * net.species_count
+            for i, c in net._terms[rx.reactant]:
+                row[i] = float(c)
+            orders.append(tuple(row))
+        return cls(MASS_ACTION, tuple(float(k) for k in rates), tuple(orders))
 
     @classmethod
     def power_law(

@@ -3,7 +3,8 @@
 A network is a triple of species, complexes, and reactions.  A complex is a
 formal nonnegative-integer combination of species (the empty combination is
 the zero complex, written ``0``); a reaction is an ordered pair of distinct
-complexes.  All types are immutable after construction.
+complexes.  All types are immutable after construction; a `Network` builds
+its `Species` and `Complex` records on demand, from its names and terms.
 
 Ordering is part of the contract: species, complexes, and reactions keep the
 order in which they were given (for parsed networks, first-appearance /
@@ -16,6 +17,8 @@ from collections.abc import Iterable, Mapping
 from typing import NamedTuple
 
 from .linalg import RationalMatrix
+
+_Terms = tuple[tuple[int, int], ...]  # sorted (species index, coefficient or change) pairs
 
 
 class NetworkError(ValueError):
@@ -122,7 +125,7 @@ class Complex:
         self._terms = tuple(terms)
 
     @classmethod
-    def _of(cls, terms: tuple[tuple[int, int], ...]) -> Complex:
+    def _of(cls, terms: _Terms) -> Complex:
         """The complex of already sorted and checked terms, unchecked."""
         self = cls.__new__(cls)
         self._terms = terms
@@ -157,14 +160,7 @@ class Complex:
         return tuple(v)
 
     def format(self, species_names: Iterable[str]) -> str:
-        names = tuple(species_names)
-        if not self._terms:
-            return "0"
-        parts = [
-            names[i] if c == 1 else f"{c} {names[i]}"
-            for i, c in self._terms
-        ]
-        return " + ".join(parts)
+        return _format(self._terms, tuple(species_names))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Complex):
@@ -176,6 +172,13 @@ class Complex:
 
     def __repr__(self) -> str:
         return f"Complex({dict(self._terms)!r})"
+
+
+def _format(terms: _Terms, names: tuple[str, ...]) -> str:
+    """A complex's terms as DSL text, ``0`` for the zero complex."""
+    if not terms:
+        return "0"
+    return " + ".join(names[i] if c == 1 else f"{c} {names[i]}" for i, c in terms)
 
 
 class Reaction(NamedTuple):
@@ -193,14 +196,12 @@ def _labels(reactions: tuple[Reaction, ...]) -> tuple[str, ...]:
     )
 
 
-def _difference(
-    product: tuple[tuple[int, int], ...], reactant: tuple[tuple[int, int], ...]
-) -> tuple[tuple[int, int], ...]:
+def _difference(product: _Terms, reactant: _Terms) -> _Terms:
     """Product minus reactant as sorted (species index, nonzero change) pairs."""
     diff = dict(product)
     for i, c in reactant:
         diff[i] = diff.get(i, 0) - c
-    return tuple(sorted((i, c) for i, c in diff.items() if c))
+    return tuple(sorted([item for item in diff.items() if item[1]]))
 
 
 class Network:
@@ -211,10 +212,13 @@ class Network:
     (reactant, product) pairs, and unique labels that are strings or
     ``None``.  Reactions without an explicit label get the positional default
     ``R<k>`` (1-based).  `parse_network` checks its own input, with line
-    numbers, and builds its network through `_assemble` alone.
+    numbers, and builds its network through `_assemble` alone.  It keeps
+    the species names and each complex's terms (``_terms``, which crnkit's
+    analyses read); a parsed network builds its `Species` and `Complex`
+    records when `species` or `complexes` is first read.
     """
 
-    __slots__ = ("_species", "_names", "_complexes", "_reactions", "_labels", "_vectors")
+    __slots__ = ("_names", "_terms", "_reactions", "_labels", "_vectors", "_species", "_complexes")
 
     def __init__(
         self,
@@ -224,29 +228,30 @@ class Network:
     ):
         species, complexes, reactions = tuple(species), tuple(complexes), tuple(reactions)
         self._validate(species, complexes, reactions)
-        self._assemble(species, tuple(c.terms for c in complexes), reactions)
+        terms = tuple(c.terms for c in complexes)
+        vectors = tuple(_difference(terms[rx.product], terms[rx.reactant]) for rx in reactions)
+        names = tuple(s.name for s in species)
+        self._assemble(names, terms, reactions, _labels(reactions), vectors)
+        self._species, self._complexes = species, complexes  # given, so kept
 
     def _assemble(
         self,
-        species: tuple[Species, ...],
-        terms: tuple[tuple[tuple[int, int], ...], ...],
+        names: tuple[str, ...],
+        terms: tuple[_Terms, ...],
         reactions: tuple[Reaction, ...],
+        labels: tuple[str, ...],
+        vectors: tuple[_Terms, ...],
     ) -> None:
         """Fill in the network from parts that are already checked.
 
-        ``terms`` holds each complex's sorted (species index, coefficient)
-        pairs.  Nothing is validated here: `__init__` validates library
-        input first, and `parse_network` has checked its own parts, with
-        line numbers, before it calls this.
+        The species names, each complex's terms, the reactions, their labels
+        (defaults filled in) and their sparse vectors.  Nothing is validated
+        here: `__init__` validates library input first, and `parse_network`
+        has checked its own parts, with line numbers, before it calls this.
         """
-        self._species = species
-        self._names = tuple(s.name for s in species)
-        self._complexes = tuple(Complex._of(t) for t in terms)
-        self._reactions = reactions
-        self._labels = _labels(reactions)
-        self._vectors = tuple(
-            _difference(terms[rx.product], terms[rx.reactant]) for rx in reactions
-        )
+        self._names, self._terms, self._reactions = names, terms, reactions
+        self._labels, self._vectors = labels, vectors
+        self._species = self._complexes = None
 
     @staticmethod
     def _validate(
@@ -307,10 +312,14 @@ class Network:
 
     @property
     def species(self) -> tuple[Species, ...]:
+        if self._species is None:
+            self._species = tuple(Species(name, i) for i, name in enumerate(self._names))
         return self._species
 
     @property
     def complexes(self) -> tuple[Complex, ...]:
+        if self._complexes is None:
+            self._complexes = tuple(Complex._of(t) for t in self._terms)
         return self._complexes
 
     @property
@@ -319,11 +328,11 @@ class Network:
 
     @property
     def species_count(self) -> int:
-        return len(self._species)
+        return len(self._names)
 
     @property
     def complex_count(self) -> int:
-        return len(self._complexes)
+        return len(self._terms)
 
     @property
     def reaction_count(self) -> int:
@@ -356,7 +365,7 @@ class Network:
         return self._vectors[i]
 
     def complex_string(self, complex_index: int) -> str:
-        return self._complexes[complex_index].format(self._names)
+        return _format(self._terms[complex_index], self._names)
 
     def reaction_string(self, i: int) -> str:
         rx = self._reactions[i]
@@ -366,12 +375,12 @@ class Network:
         )
 
     def _key(self) -> tuple:
-        """Species, complexes, (reactant, product) pairs and labels.
+        """Species names, complex terms, (reactant, product) pairs and labels.
 
         A label given as ``R<k>`` and the same positional default compare equal.
         """
         pairs = tuple(rx[:2] for rx in self._reactions)
-        return self._species, self._complexes, pairs, self._labels
+        return self._names, self._terms, pairs, self._labels
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Network):
@@ -390,12 +399,11 @@ class Network:
 
 def molecularity_matrix(net: Network) -> RationalMatrix:
     """Species x complexes matrix of stoichiometric coefficients."""
-    return RationalMatrix(
-        [
-            [net.complexes[j].coefficient(i) for j in range(net.complex_count)]
-            for i in range(net.species_count)
-        ]
-    )
+    rows = [[0] * net.complex_count for _ in range(net.species_count)]
+    for j, terms in enumerate(net._terms):
+        for i, c in terms:
+            rows[i][j] = c
+    return RationalMatrix(rows)
 
 
 def incidence_matrix(net: Network) -> RationalMatrix:

@@ -5,10 +5,15 @@ checked parts to `Network._assemble`, skipping the validation that
 `Network(...)` runs on library input.  These tests show that the checked
 constructor accepts every parsed network and rebuilds an equal one, that a
 network written out by `to_dsl` parses back equal to it, and that nothing
-else reaches the unchecked step.
+else reaches the unchecked step.  The parser builds no `Species` or
+`Complex` record: a network builds them when they are first read, and no
+``crn`` command reads them.
 """
 
+import contextlib
+import io
 import random
+from collections import Counter
 
 import pytest
 
@@ -23,6 +28,7 @@ from crnkit import (
     parse_network,
     to_dsl,
 )
+from crnkit.cli import main
 from netgen import random_network, random_sparse_network
 from test_fuzz import corpus_texts, mutate
 from test_one_elimination import module_calls
@@ -108,7 +114,7 @@ def test_the_checked_constructor_rebuilds_every_fuzzed_text_that_parses():
 def test_only_the_parser_and_the_constructor_assemble_unchecked():
     assert module_calls("parser", "_assemble") == ["parse_network"]
     assert module_calls("model", "_assemble") == ["Network.__init__"]
-    assert module_calls("model", "_of") == ["Network._assemble"]
+    assert module_calls("model", "_of") == ["Network.complexes"]
     for module in ("analysis", "cli", "decomposition", "linalg", "report", "__init__"):
         assert module_calls(module, "_assemble") == []
         assert module_calls(module, "_of") == []
@@ -161,3 +167,79 @@ def test_the_parser_gives_string_names_and_labels_only():
         assert all(type(s.name) is str for s in net.species)
         assert all(type(rx.label) is str for rx in net.reactions)
         assert all(type(label) is str for label in net.labels)
+
+
+@pytest.fixture
+def records_built(monkeypatch):
+    """How many `Species` and `Complex` records are built, by kind.
+
+    Every `Species` runs its check, and every `Complex` is built by its
+    constructor or, unchecked, by `Complex._of`.
+    """
+    built = Counter()
+    check, of, init = Species._check, Complex._of.__func__, Complex.__init__
+
+    def counted_check(self):
+        built["species"] += 1
+        check(self)
+
+    def counted_of(cls, terms):
+        built["complexes"] += 1
+        return of(cls, terms)
+
+    def counted_init(self, *args, **kwargs):
+        built["complexes"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Species, "_check", counted_check)
+    monkeypatch.setattr(Complex, "_of", classmethod(counted_of))
+    monkeypatch.setattr(Complex, "__init__", counted_init)
+    return built
+
+
+def test_the_parser_builds_no_record_and_a_first_read_builds_them_once(records_built):
+    rng = random.Random(SEED)
+    texts = [p.read_text(encoding="utf-8") for p in ALL_NETWORK_FILES]
+    texts += [to_dsl(random_network(rng, max_species=5, max_reactions=8)) for _ in range(20)]
+    for text in texts:
+        records_built.clear()
+        net = parse_network(text)
+        # Counts, strings, equality and hash read the names and terms.
+        assert net.species_count > 0 and net.complex_count > 0
+        assert net.reaction_string(0).endswith(net.complex_string(net.reactions[0].product))
+        assert net == parse_network(text) and hash(net) == hash(parse_network(text))
+        assert records_built == Counter()
+
+        species = net.species
+        assert records_built == Counter(species=net.species_count)
+        complexes = net.complexes
+        assert records_built == Counter(species=net.species_count, complexes=net.complex_count)
+        assert net.species is species and net.complexes is complexes
+        assert records_built == Counter(species=net.species_count, complexes=net.complex_count)
+
+        again = Network(species, complexes, net.reactions)
+        assert again.species == species and again.complexes == complexes
+        assert [type(s) for s in species] == [Species] * net.species_count
+        assert [type(c) for c in complexes] == [Complex] * net.complex_count
+
+
+BACCAM = "baccam.crn"
+COMMANDS = [
+    ["analyze", BACCAM],
+    ["analyze", BACCAM, "--format", "json"],
+    ["decompose", BACCAM],
+    ["decompose", BACCAM, "--contains", "R2"],
+    ["check", BACCAM, "--parts", "R1,R2|R3,R4"],
+    ["numbers", BACCAM],
+    ["numbers", BACCAM, "--parts", "R1,R2|R3,R4"],
+    ["steady-state", BACCAM, "--rates", "R1=1,R2=1,R3=3,R4=1", "--point", "T=1,I=2,V=3"],
+]
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: " ".join(argv[:1] + argv[2:]))
+def test_no_command_builds_a_record(argv, networks_dir, records_built):
+    argv = [str(networks_dir / arg) if arg == BACCAM else arg for arg in argv]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    assert code in (0, 3) and out.getvalue()
+    assert records_built == Counter()

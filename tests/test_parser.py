@@ -1,6 +1,7 @@
 """Reaction DSL parsing: grammar, ordering contracts, errors, round-trip."""
 
 import random
+import re
 
 import pytest
 
@@ -19,6 +20,7 @@ from crnkit import (
     parse_network,
     to_dsl,
 )
+from crnkit.parser import _is_identifier
 from netgen import random_sparse_network
 
 
@@ -240,6 +242,29 @@ class TestRoundTrip:
         monkeypatch.setattr(Network, "species_names", property(counted))
         assert to_dsl(net) == expected
         assert reads == 1
+
+# Python identifiers that are not DSL identifiers: the DSL's are ASCII.
+NON_ASCII_IDENTIFIERS = ["\u00e9", "\u03a9", "x\u0663", "\u03bb1", "\uff58"]
+
+
+class TestIdentifiers:
+    def test_the_rule_is_the_grammars_on_every_short_ascii_string(self):
+        grammar = re.compile("[A-Za-z_][A-Za-z0-9_]*")
+        chars = [chr(c) for c in range(128)]
+        for text in chars + [a + b for a in chars for b in chars]:
+            assert _is_identifier(text) == bool(grammar.fullmatch(text)), repr(text)
+
+    @pytest.mark.parametrize("name", NON_ASCII_IDENTIFIERS, ids=ascii)
+    def test_a_non_ascii_identifier_is_no_dsl_identifier(self, name):
+        assert name.isidentifier() and not _is_identifier(name)
+        with pytest.raises(DslSyntaxError, match=f"^line 1: invalid term {name!r}$"):
+            parse_network(f"{name} -> B\n")
+        with pytest.raises(DslSyntaxError, match=f"^line 1: invalid term '{name}: A'$"):
+            parse_network(f"{name}: A -> B\n")
+        net = Network([Species(name, 0)], [Complex({0: 1}), Complex({})], [Reaction(0, 1)])
+        with pytest.raises(NetworkError, match=f"^species name {name!r} is not a DSL identifier$"):
+            to_dsl(net)
+
 
 class TestFiles:
     def test_byte_order_mark_and_crlf(self, tmp_path):
