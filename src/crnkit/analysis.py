@@ -81,10 +81,6 @@ def _complex_edges(net: Network) -> list[tuple[int, int]]:
     return [(rx.reactant, rx.product) for rx in net.reactions]
 
 
-def _reaction_rows(net: Network) -> list[tuple[tuple[int, int], ...]]:
-    return [net.sparse_reaction_vector(i) for i in range(net.reaction_count)]
-
-
 def _local_edges(
     edges: list[tuple[int, int]], rows: Iterable[int]
 ) -> tuple[list[int], list[tuple[int, int]]]:
@@ -232,7 +228,7 @@ class _Structure:
     """
 
     def __init__(self, net: Network, span: _Span | None = None):
-        self.span = _eliminate(_reaction_rows(net)) if span is None else span
+        self.span = _eliminate(net._vectors) if span is None else span
         # Any elimination of every reaction keeps one basis row per unit of rank.
         self.rank = len(self.span.position)
         # Local reaction k is row ``_rows[k]`` of ``span``; ``_touched`` holds a

@@ -4,8 +4,9 @@ Exit codes: 0 success / affirmative verdict, 1 usage or parse error or a
 failed write to stdout (a closed stdout included), 2 internal invariant
 violation, 3 negative verdict.
 
-Each process builds one argument parser, on its first call, and parses every
-call with it.
+`_build_parser` declares each command's subparser, its arguments and its
+handler, set as the subparser's ``run`` default.  Each process builds that
+one parser on its first call and parses every call with it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import io
 import math
 import os
 import sys
-from typing import Any, Sequence
+from typing import Sequence
 
 from .analysis import Kinetics, _steady_state, _structures
 from .decomposition import (
@@ -203,65 +204,9 @@ def _cmd_steady_state(args: argparse.Namespace, net: Network) -> int:
     return EXIT_OK if steady else EXIT_NEGATIVE
 
 
-def _arg(*flags: str, **options: Any) -> tuple[tuple[str, ...], dict[str, Any]]:
-    return flags, options
-
-
-# Each command's help line, its handler and its arguments as (flags, options) pairs.
-_COMMANDS = {
-    "analyze": (
-        "full analysis report",
-        _cmd_analyze,
-        (
-            _arg("file", help="reaction network file (.crn)"),
-            _arg("--format", choices=("text", "json"), default="text"),
-        ),
-    ),
-    "decompose": (
-        "finest independent decomposition",
-        _cmd_decompose,
-        (
-            _arg("file"),
-            _arg(
-                "--contains",
-                metavar="LABEL",
-                help="check whether {LABEL} and its complement form an independent decomposition",
-            ),
-        ),
-    ),
-    "check": (
-        "verify a user-supplied partition",
-        _cmd_check,
-        (
-            _arg("file"),
-            _arg(
-                "--parts",
-                required=True,
-                help="partition by labels: ',' within a part, '|' between parts",
-            ),
-        ),
-    ),
-    "numbers": (
-        "network numbers table",
-        _cmd_numbers,
-        (_arg("file"), _arg("--parts", help="optionally add one column per part")),
-    ),
-    "steady-state": (
-        "test a point for steady state",
-        _cmd_steady_state,
-        (
-            _arg("file"),
-            _arg("--rates", required=True, help="per-reaction rate constants, e.g. R1=1,R2=2"),
-            _arg("--point", required=True, help="per-species concentrations, e.g. X1=2,X2=3"),
-            _arg("--tol", type=float, default=1e-9, help="relative tolerance (default 1e-9)"),
-        ),
-    ),
-}
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The ``crn`` parser, each command's `_COMMANDS` arguments on its subparser.
+    """The ``crn`` parser: one subparser per command, its handler as ``run``.
 
     Each process builds it on its first `main` call, never at import, and
     every later call parses with it.  argparse reads the terminal width and
@@ -274,10 +219,39 @@ def _build_parser() -> argparse.ArgumentParser:
         "network numbers, deficiency theorems, and steady-state checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, _, arguments) in _COMMANDS.items():
-        command = sub.add_parser(name, help=help_line)
-        for flags, options in arguments:
-            command.add_argument(*flags, **options)
+
+    analyze = sub.add_parser("analyze", help="full analysis report")
+    analyze.add_argument("file", help="reaction network file (.crn)")
+    analyze.add_argument("--format", choices=("text", "json"), default="text")
+    analyze.set_defaults(run=_cmd_analyze)
+
+    decompose = sub.add_parser("decompose", help="finest independent decomposition")
+    decompose.add_argument("file")
+    decompose.add_argument(
+        "--contains",
+        metavar="LABEL",
+        help="check whether {LABEL} and its complement form an independent decomposition",
+    )
+    decompose.set_defaults(run=_cmd_decompose)
+
+    check = sub.add_parser("check", help="verify a user-supplied partition")
+    check.add_argument("file")
+    check.add_argument(
+        "--parts", required=True, help="partition by labels: ',' within a part, '|' between parts"
+    )
+    check.set_defaults(run=_cmd_check)
+
+    numbers = sub.add_parser("numbers", help="network numbers table")
+    numbers.add_argument("file")
+    numbers.add_argument("--parts", help="optionally add one column per part")
+    numbers.set_defaults(run=_cmd_numbers)
+
+    steady = sub.add_parser("steady-state", help="test a point for steady state")
+    steady.add_argument("file")
+    steady.add_argument("--rates", required=True, help="per-reaction rate constants, e.g. R1=1,R2=2")
+    steady.add_argument("--point", required=True, help="per-species concentrations, e.g. X1=2,X2=3")
+    steady.add_argument("--tol", type=float, default=1e-9, help="relative tolerance (default 1e-9)")
+    steady.set_defaults(run=_cmd_steady_state)
     return parser
 
 
@@ -330,7 +304,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         net = parse_file(args.file)
-        code = _COMMANDS[args.command][1](args, net)
+        code = args.run(args, net)
         # A write that fails here, not at interpreter exit, keeps the exit code.
         _flush_stdout()
         return code

@@ -39,7 +39,7 @@ from functools import cache
 from itertools import chain
 from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
 
-from .analysis import _reaction_rows, _Structure, _structures, _undirected_components
+from .analysis import _Structure, _structures, _undirected_components
 from .linalg import BasisSelection, _eliminate, _eliminate_over, _Span
 from .model import Network, _Checked, _is_int
 
@@ -207,7 +207,7 @@ def build_coordinate_graph(net: Network, basis: BasisSelection) -> CoordinateGra
     For each non-basis reaction vector, an edge joins every pair of basis
     vertices at which its (unique, exact) coordinates are nonzero.
     """
-    span = _eliminate_over(_reaction_rows(net), basis.basis_rows)
+    span = _eliminate_over(net._vectors, basis.basis_rows)
     labels = tuple(net.reaction_label(i) for i in span.position)
     return CoordinateGraph(len(labels), frozenset(_coordinate_edges(span)), labels)
 
@@ -260,7 +260,7 @@ def _finest(net: Network) -> tuple[_Span, Decomposition]:
     pass `_certify` (`InternalError` if it refuses them), which proves each
     part's rank is its number of basis rows; every answer is ranked so.
     """
-    span = _eliminate(_reaction_rows(net))
+    span = _eliminate(net._vectors)
     basis_rows = list(span.position)
     joins = ((i, basis_rows[j]) for i, (tag, _) in span.relations.items() for j in tag)
     parts = tuple(_undirected_components(net.reaction_count, joins))
@@ -339,11 +339,10 @@ def brute_force_decompositions(net: Network, max_parts: int) -> list[Decompositi
     _require_int("max_parts", max_parts)
     if max_parts < 1:
         raise ValueError("max_parts must be at least 1")
-    rows = _reaction_rows(net)
 
     @cache
     def part_rank(part: tuple[int, ...]) -> int:
-        return len(_eliminate([rows[i] for i in part]).position)
+        return len(_eliminate([net._vectors[i] for i in part]).position)
 
     total = part_rank(tuple(range(r)))
     found: list[Decomposition] = []

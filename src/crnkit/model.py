@@ -227,11 +227,11 @@ class Network:
         reactions: Iterable[Reaction],
     ):
         species, complexes, reactions = tuple(species), tuple(complexes), tuple(reactions)
-        self._validate(species, complexes, reactions)
+        labels = self._validate(species, complexes, reactions)
         terms = tuple(c.terms for c in complexes)
         vectors = tuple(_difference(terms[rx.product], terms[rx.reactant]) for rx in reactions)
         names = tuple(s.name for s in species)
-        self._assemble(names, terms, reactions, _labels(reactions), vectors)
+        self._assemble(names, terms, reactions, labels, vectors)
         self._species, self._complexes = species, complexes  # given, so kept
 
     def _assemble(
@@ -258,7 +258,8 @@ class Network:
         species: tuple[Species, ...],
         complexes: tuple[Complex, ...],
         reactions: tuple[Reaction, ...],
-    ) -> None:
+    ) -> tuple[str, ...]:
+        """Check library input; return the reactions' labels, defaults filled in."""
         if not reactions:
             raise EmptyNetworkError("network has no reactions")
         if not species:
@@ -309,6 +310,7 @@ class Network:
         if len(set(labels)) != len(labels):
             dup = sorted({x for x in labels if labels.count(x) > 1})
             raise DuplicateLabelError(f"duplicate reaction labels: {', '.join(dup)}")
+        return labels
 
     @property
     def species(self) -> tuple[Species, ...]:

@@ -1,13 +1,14 @@
 """Each `crn` process builds one argument parser, on its first call, and parses every call with it.
 
-`cli._build_parser`, cached once per process, registers every command's
-arguments from `_COMMANDS` on that command's subparser.  A call that starts
-with a command is handed to its subparser, so it can print no other
-command's name: the others appear only in the top-level help and the
-"invalid choice" error.  argparse reads the terminal width and colour
-settings each time it formats help, so help follows each call's settings.
-The tests below compare `main` against a reference parser, built anew for
-each call from the same table, on the interpreter under test (argparse's
+`cli._build_parser`, cached once per process, declares each command's
+subparser with its arguments and sets the command's handler as the
+subparser's ``run`` default.  A call that starts with a command is handed
+to its subparser, so it can print no other command's name: the others
+appear only in the top-level help and the "invalid choice" error.  argparse
+reads the terminal width and colour settings each time it formats help, so
+help follows each call's settings.  The tests below compare `main` against
+a reference parser, built anew for each call by the same declarations (the
+uncached `_build_parser`), on the interpreter under test (argparse's
 wording differs between Python versions), and check that `main` keeps no
 state between calls and that no call changes the one parser.
 """
@@ -27,25 +28,28 @@ from test_one_elimination import callers
 
 BACCAM = str(NETWORKS_DIR / "baccam.crn")
 STEADY = ["--rates", "R1=1,R2=1,R3=1,R4=1", "--point", "T=1,V=1,I=1"]
-DESCRIPTION = cli._build_parser().description
+# Taken at import: `use_reference_parsers` replaces `cli._build_parser` itself.
+BUILD_PARSER = cli._build_parser.__wrapped__
+# Each command and the flags of its arguments, in the order they are declared.
+ARGUMENTS = {
+    "analyze": [("file",), ("--format",)],
+    "decompose": [("file",), ("--contains",)],
+    "check": [("file",), ("--parts",)],
+    "numbers": [("file",), ("--parts",)],
+    "steady-state": [("file",), ("--rates",), ("--point",), ("--tol",)],
+}
 
 
 def reference_parser():
-    """The parser with every command's arguments."""
-    parser = cli._ArgumentParser(prog="crn", description=DESCRIPTION)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, _, arguments) in cli._COMMANDS.items():
-        p = sub.add_parser(name, help=help_line)
-        for flags, options in arguments:
-            p.add_argument(*flags, **options)
-    return parser
+    """A parser built anew by the same declarations as the cached one."""
+    return BUILD_PARSER()
 
 
 ARGVS = [
     # help, for the top level and for each command
     ["-h"],
     ["--help"],
-    *([name, flag] for name in cli._COMMANDS for flag in ("-h", "--help")),
+    *([name, flag] for name in ARGUMENTS for flag in ("-h", "--help")),
     ["-h", "analyze"],
     ["--help", "check", BACCAM],
     ["analyze", BACCAM, "-h"],
@@ -138,7 +142,7 @@ def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch):
     assert got[0] == 0
 
 
-@pytest.mark.parametrize("name", cli._COMMANDS)
+@pytest.mark.parametrize("name", ARGUMENTS)
 def test_a_command_prints_the_same_help_after_an_unknown_option(capsys, name):
     # After "-x" the parser still hands "-h" to the command's subparser, which
     # prints its help before the unknown "-x" is reported.
@@ -166,7 +170,7 @@ def dests(choices):
     return {name: [action.dest for action in p._actions] for name, p in choices.items()}
 
 
-def test_the_table_lists_each_commands_arguments():
+def test_each_command_declares_its_arguments():
     assert dests(subparsers(reference_parser())) == {
         "analyze": ["help", "file", "format"],
         "decompose": ["help", "file", "contains"],
@@ -289,15 +293,15 @@ def test_a_commands_help_follows_the_terminal_width_of_each_call(capsys, monkeyp
     fresh = {}
     for columns in widths:
         monkeypatch.setenv("COLUMNS", columns)
-        for name in cli._COMMANDS:
+        for name in ARGUMENTS:
             code, out, err = fresh_outcome([name, "-h"])
             assert code == 0
             fresh[columns, name] = (("SystemExit", 0), out, err)
-    for name in cli._COMMANDS:
+    for name in ARGUMENTS:
         assert fresh["40", name] != fresh["120", name]
     for columns in (*widths, *widths):
         monkeypatch.setenv("COLUMNS", columns)
-        for name in cli._COMMANDS:
+        for name in ARGUMENTS:
             assert outcome(capsys, [name, "-h"]) == fresh[columns, name], (columns, name)
 
 
@@ -330,11 +334,11 @@ def test_the_first_call_builds_the_parser_and_later_calls_build_none(capsys, mon
     cli._build_parser.cache_clear()
     built, calls = parsers_and_declarations(monkeypatch)
     outcome(capsys, list(argv))
-    assert len(built) == 1 + len(cli._COMMANDS)
+    assert len(built) == 1 + len(ARGUMENTS)
     assert calls == [("crn", ("-h", "--help"))] + [
         (f"crn {name}", flags)
-        for name, (_, _, arguments) in cli._COMMANDS.items()
-        for flags in [("-h", "--help"), *(flags for flags, _ in arguments)]
+        for name, arguments in ARGUMENTS.items()
+        for flags in [("-h", "--help"), *arguments]
     ]
     built.clear()
     calls.clear()
@@ -343,16 +347,17 @@ def test_the_first_call_builds_the_parser_and_later_calls_build_none(capsys, mon
     assert built == [] and calls == []
 
 
-@pytest.mark.parametrize("name", cli._COMMANDS)
+@pytest.mark.parametrize("name", ARGUMENTS)
 def test_each_command_has_one_subparser_with_the_hooks(name):
     # The subparser is an _ArgumentParser, so its errors and help go through
-    # the same three hooks as the top-level parser's.
+    # the same three hooks as the top-level parser's; `main` runs its handler.
     parser = subparsers(cli._build_parser())[name]
     assert parser is subparsers(cli._build_parser())[name]
     assert type(parser) is cli._ArgumentParser
     assert parser.prog == f"crn {name}"
-    declared = [("-h", "--help"), *(flags for flags, _ in cli._COMMANDS[name][2])]
+    declared = [("-h", "--help"), *ARGUMENTS[name]]
     assert [tuple(a.option_strings) or (a.dest,) for a in parser._actions] == declared
+    assert parser.get_default("run") is getattr(cli, "_cmd_" + name.replace("-", "_"))
 
 
 def declarations():
@@ -379,7 +384,7 @@ def test_no_call_changes_the_shared_declarations(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     before = declarations()
     codes = set()
-    for argv in [*stateless_sequence(), ["-h"], *([name, "-h"] for name in cli._COMMANDS)]:
+    for argv in [*stateless_sequence(), ["-h"], *([name, "-h"] for name in ARGUMENTS)]:
         codes.add(outcome(capsys, list(argv))[0])
     assert codes == {0, 1, 3, ("SystemExit", 0)}
     assert declarations() == before

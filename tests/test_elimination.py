@@ -50,7 +50,7 @@ from crnkit import (
     verify_decomposition,
 )
 from crnkit.analysis import _Structure, _structures
-from crnkit.decomposition import _coordinate_edges, _finest, _reaction_rows
+from crnkit.decomposition import _coordinate_edges, _finest
 from crnkit.linalg import _Echelon, _eliminate, _sparse
 from conftest import ALL_NETWORK_FILES, load
 from netgen import random_network, random_sparse_network
@@ -283,7 +283,7 @@ def test_span_rank_matches_rref_for_every_subset():
     net = random_sparse_network(random.Random(10), 10, 6)
     rows = [net.reaction_vector(i) for i in range(net.reaction_count)]
     assert len(rows) == 10
-    span = _eliminate(_reaction_rows(net))
+    span = _eliminate(net._vectors)
     ranks = set()
     for mask in range(1 << 10):
         subset = [i for i in range(10) if mask >> i & 1]
@@ -336,7 +336,7 @@ def test_span_ranks_at_scale_agree_with_fresh_scans(reactions, species, blocks, 
     # is checked against fresh scans of its own reaction vectors, in that
     # order and in natural column order.
     net = random_sparse_network(random.Random(reactions + blocks), reactions, species, blocks)
-    rows = _reaction_rows(net)
+    rows = net._vectors
     span = _eliminate(rows)
     rng = random.Random(reactions)
     subsets = [rng.sample(range(reactions), rng.randint(1, reactions)) for _ in range(4)]
@@ -384,12 +384,12 @@ def test_class_deficiencies_agree_with_rref():
 def edge_spans():
     """(id, span) for the corpus, the seeded networks, and spans of rank above 64."""
     for net in CORPUS + NETWORKS:
-        yield f"net-{net.species_count}x{net.reaction_count}", _eliminate(_reaction_rows(net))
+        yield f"net-{net.species_count}x{net.reaction_count}", _eliminate(net._vectors)
     rng = random.Random(1212)
     for reactions, species in [(200, 100), (1000, 500)]:
         for blocks in (1, 6):
             net = random_sparse_network(rng, reactions, species, blocks)
-            yield f"sparse-{reactions}x{species}-{blocks}", _eliminate(_reaction_rows(net))
+            yield f"sparse-{reactions}x{species}-{blocks}", _eliminate(net._vectors)
 
 
 EDGE_SPANS = list(edge_spans())
@@ -431,7 +431,7 @@ def test_integer_rows_eliminate_as_their_fractions_do(net):
     as_fractions = [tuple(map(Fraction, row)) for row in rows]
     mixed = [tuple(Fraction(x) if (i + j) % 2 else x for j, x in enumerate(row))
              for i, row in enumerate(rows)]
-    own = [typed(pairs) for pairs in _reaction_rows(net)]
+    own = [typed(pairs) for pairs in net._vectors]
     spans = []
     for given in (rows, as_fractions, mixed):
         cleared = [_sparse(row) for row in given]
@@ -588,11 +588,11 @@ def column_order_cases():
     The rational rows pass the boundary first, as the library entry points pass them.
     """
     for net in CORPUS:
-        yield f"net-{net.species_count}x{net.reaction_count}", _reaction_rows(net)
+        yield f"net-{net.species_count}x{net.reaction_count}", net._vectors
     for r in (100, 300, 1000):
         for s in (r // 2, r // 4):
             net = random_sparse_network(random.Random(r + s), r, s)
-            yield f"sparse-{r}x{s}", _reaction_rows(net)
+            yield f"sparse-{r}x{s}", net._vectors
     for rows in RATIONAL_CASES:
         yield f"rows-{rows_id(rows)}", [_sparse(row)[0] for row in rows]
 

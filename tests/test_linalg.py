@@ -63,13 +63,17 @@ class TestRref:
     def test_identity_is_fixed_point(self):
         m = RationalMatrix.identity(3)
         reduced, pivots = rref(m)
-        assert reduced == m
+        assert reduced == m and hash(reduced) == hash(m)
         assert pivots == (0, 1, 2)
+        assert repr(m) == "RationalMatrix(3x3: 1 0 0; 0 1 0; 0 0 1)"
+        assert m.__eq__(m.to_lists()) is NotImplemented
+        assert m != m.to_lists() and not m == m.to_lists()
 
     def test_proportional_rows(self):
         reduced, pivots = rref(RationalMatrix([[1, 2], [2, 4]]))
         assert reduced == RationalMatrix([[1, 2], [0, 0]])
         assert pivots == (0,)
+        assert repr(rref(RationalMatrix([[2, 1]]))[0]) == "RationalMatrix(1x2: 1 1/2)"
 
     def test_idempotent_on_random_matrices(self):
         rng = random.Random(7)

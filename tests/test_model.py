@@ -46,6 +46,12 @@ class TestMolecularityMatrix:
         y = molecularity_matrix(yeast)
         assert y.rows == 5
         assert y.cols == yeast.complex_count
+        # Column j is complex j's vector, one coefficient per species.
+        for j, c in enumerate(yeast.complexes):
+            assert c.vector(y.rows) == y.column(j)
+            assert tuple(c.coefficient(i) for i in range(y.rows)) == y.column(j)
+            assert c.coefficient(y.rows) == 0
+            assert c.format(yeast.species_names) == yeast.complex_string(j)
 
 
 class TestIncidenceMatrix:
@@ -270,3 +276,10 @@ class TestNetworkValidation:
         assert Complex({1: 2, 0: 1}) == Complex({0: 1, 1: 2})
         assert hash(Complex({1: 2, 0: 1})) == hash(Complex({0: 1, 1: 2}))
         assert Complex() == Complex({})
+        assert repr(Complex({1: 2, 0: 1})) == "Complex({0: 1, 1: 2})"
+        net = parse_network("R1: 2 X1 -> X2\n")
+        assert repr(net) == "Network(species=2, complexes=2, reactions=1)"
+        # A non-instance is never equal, not even the value it was built from.
+        for record, value in [(Complex({0: 1}), ((0, 1),)), (net, net._key())]:
+            assert record.__eq__(value) is NotImplemented
+            assert record != value and not record == value

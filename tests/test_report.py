@@ -187,14 +187,31 @@ def count_calls(monkeypatch):
 
 @pytest.fixture
 def count_vector_reads(monkeypatch):
-    """Count reads of reaction vectors, of any network: each elimination reads all of them."""
+    """Count reads of reaction vectors, of any network: each elimination reads all of them.
+
+    A read of the whole ``_vectors`` tuple, as an elimination of every
+    reaction makes, counts as a read of each vector, and a
+    `Network.sparse_reaction_vector` call as a read of one.
+    """
     reads = Counter()
-    original = Network.sparse_reaction_vector
+    slot = Network.__dict__["_vectors"]
+
+    class Counted:
+        def __get__(self, net, owner=None):
+            if net is None:
+                return self
+            vectors = slot.__get__(net, owner)
+            reads[net] += len(vectors)
+            return vectors
+
+        def __set__(self, net, vectors):
+            slot.__set__(net, vectors)
 
     def counted(self, i):
         reads[self] += 1
-        return original(self, i)
+        return slot.__get__(self)[i]
 
+    monkeypatch.setattr(Network, "_vectors", Counted())
     monkeypatch.setattr(Network, "sparse_reaction_vector", counted)
     return reads
 
