@@ -6,7 +6,9 @@ violation, 3 negative verdict.
 
 `_build_parser` declares each command's subparser, its arguments and its
 handler, set as the subparser's ``run`` default.  Each process builds that
-one parser on its first call and parses every call with it.
+one parser on its first call.  A call whose first word names a command is
+parsed by that command's subparser alone; the top-level parser answers only
+the calls that name none.
 """
 
 from __future__ import annotations
@@ -205,11 +207,11 @@ def _cmd_steady_state(args: argparse.Namespace, net: Network) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The ``crn`` parser: one subparser per command, its handler as ``run``.
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The ``crn`` parser, and its subparsers by command name, each with its handler as ``run``.
 
-    Each process builds it on its first `main` call, never at import, and
-    every later call parses with it.  argparse reads the terminal width and
+    Each process builds them on its first `main` call, never at import, and
+    every later call parses with them.  argparse reads the terminal width and
     colour settings each time it formats help, so help still follows the
     settings of each call.
     """
@@ -252,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
     steady.add_argument("--point", required=True, help="per-species concentrations, e.g. X1=2,X2=3")
     steady.add_argument("--tol", type=float, default=1e-9, help="relative tolerance (default 1e-9)")
     steady.set_defaults(run=_cmd_steady_state)
-    return parser
+    return parser, sub.choices
 
 
 def _flush_stdout() -> None:
@@ -289,7 +291,10 @@ def _settle_stdout() -> None:
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one ``crn`` call, ``argv`` being the words after ``crn``; return its exit code.
 
-    Every call parses with the process's one parser (`_build_parser`).
+    A call whose first word names a command is parsed by that command's
+    parser alone, with the words after it: the top-level parser would hand
+    it the same words.  Any other call is parsed by the top-level parser.
+    Both come from the process's one `_build_parser`.
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -302,7 +307,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             io.BufferedWriter(stdout.buffer), stdout.encoding, stdout.errors
         )
     try:
-        args = _build_parser().parse_args(argv)
+        parser, commands = _build_parser()
+        if argv and argv[0] in commands:
+            args = commands[argv[0]].parse_args(argv[1:])
+        else:
+            args = parser.parse_args(argv)
         net = parse_file(args.file)
         code = args.run(args, net)
         # A write that fails here, not at interpreter exit, keeps the exit code.

@@ -1,16 +1,18 @@
-"""Each `crn` process builds one argument parser, on its first call, and parses every call with it.
+"""Each `crn` process builds one argument parser, on its first call, and parses each call once.
 
 `cli._build_parser`, cached once per process, declares each command's
 subparser with its arguments and sets the command's handler as the
-subparser's ``run`` default.  A call that starts with a command is handed
-to its subparser, so it can print no other command's name: the others
-appear only in the top-level help and the "invalid choice" error.  argparse
-reads the terminal width and colour settings each time it formats help, so
-help follows each call's settings.  The tests below compare `main` against
-a reference parser, built anew for each call by the same declarations (the
-uncached `_build_parser`), on the interpreter under test (argparse's
-wording differs between Python versions), and check that `main` keeps no
-state between calls and that no call changes the one parser.
+subparser's ``run`` default.  A call whose first word names a command is
+parsed by that command's subparser alone, so it can print no other
+command's name: the others appear only in the top-level help and the
+"invalid choice" error.  The top-level parser answers only the calls that
+name no command.  argparse reads the terminal width and colour settings
+each time it formats help, so help follows each call's settings.  The tests
+below compare `main` against a reference that parses the whole argv with a
+top-level parser built anew for each call by the same declarations (the
+uncached `_build_parser`) and runs the handler, on the interpreter under
+test (argparse's wording differs between Python versions), and check that
+`main` keeps no state between calls and that no call changes the one parser.
 """
 
 import argparse
@@ -18,6 +20,7 @@ import copy
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -28,7 +31,7 @@ from test_one_elimination import callers
 
 BACCAM = str(NETWORKS_DIR / "baccam.crn")
 STEADY = ["--rates", "R1=1,R2=1,R3=1,R4=1", "--point", "T=1,V=1,I=1"]
-# Taken at import: `use_reference_parsers` replaces `cli._build_parser` itself.
+# Taken at import: `reference_outcome` replaces `cli._build_parser` itself.
 BUILD_PARSER = cli._build_parser.__wrapped__
 # Each command and the flags of its arguments, in the order they are declared.
 ARGUMENTS = {
@@ -40,10 +43,22 @@ ARGUMENTS = {
 }
 
 
-def reference_parser():
-    """A parser built anew by the same declarations as the cached one."""
-    return BUILD_PARSER()
+def top_level_only():
+    """A parser built anew by the same declarations, with no command for `main` to route to.
 
+    `main` then parses the whole argv with the top-level parser, which hands
+    a command's words on to its subparser, and runs the handler: the route
+    every call took before a call naming a command went to its own parser.
+    """
+    parser, _ = BUILD_PARSER()
+    return parser, {}
+
+
+# A ``crn`` process whose `main` takes the top-level route, for `fresh_outcome`.
+TOP_LEVEL_MAIN = (
+    "import sys; from crnkit import cli; build = cli._build_parser.__wrapped__; "
+    "cli._build_parser = lambda: (build()[0], {}); sys.exit(cli.main())"
+)
 
 ARGVS = [
     # help, for the top level and for each command
@@ -98,16 +113,35 @@ ARGVS = [
     ["numbers", BACCAM, "--parts", "R1,R2|R3,R4"],
     ["steady-state", BACCAM, *STEADY],
     ["steady-state", BACCAM, *STEADY, "--tol=-1"],
+    # the words after the command, as the top-level parser hands them on
+    ["analyze", "-x", BACCAM],
+    ["check", BACCAM, "--parts", "R1,R2|R3,R4", "extra"],
+    ["steady-state", "--", BACCAM, *STEADY],
+    ["decompose", "--contains"],
 ]
 
 
-def subparsers(parser):
-    (action,) = parser._subparsers._group_actions
-    return action.choices
+def parses(monkeypatch):
+    """From now on, the ``prog`` of each parser that parses, and "subparsers" for each hand-on.
 
+    A hand-on is the top-level parser's subparsers action passing a command's
+    words to its subparser.
+    """
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+    hand_on = argparse._SubParsersAction.__call__
 
-def use_reference_parsers(monkeypatch):
-    monkeypatch.setattr(cli, "_build_parser", reference_parser)
+    def recording(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    def handing_on(self, *args, **kwargs):
+        calls.append("subparsers")
+        return hand_on(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording)
+    monkeypatch.setattr(argparse._SubParsersAction, "__call__", handing_on)
+    return calls
 
 
 def outcome(capsys, argv):
@@ -120,32 +154,72 @@ def outcome(capsys, argv):
     return code, captured.out, captured.err
 
 
+def reference_outcome(capsys, monkeypatch, argv):
+    """``outcome`` on the top-level route, which the call is checked to have taken."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_build_parser", top_level_only)
+        calls = parses(m)
+        got = outcome(capsys, argv)
+    assert calls[0] == "crn" and calls.count("crn") == 1, calls
+    return got
+
+
 def test_the_argv_cases_cover_the_listed_kinds():
     assert len(ARGVS) >= 35
 
 
-@pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv) or "<none>")
-def test_main_matches_the_parser_of_every_command(capsys, monkeypatch, argv):
+WIDTHS = ("40", "120")
+
+
+def argv_ids(argv):
+    return " ".join(argv) or "<none>"
+
+
+@pytest.mark.parametrize("columns", WIDTHS)
+@pytest.mark.parametrize("argv", ARGVS, ids=argv_ids)
+def test_main_matches_the_top_level_route(capsys, monkeypatch, argv, columns):
+    monkeypatch.setenv("COLUMNS", columns)
     got = outcome(capsys, list(argv))
-    with monkeypatch.context() as m:
-        use_reference_parsers(m)
-        want = outcome(capsys, list(argv))
-    assert got == want
+    assert got == reference_outcome(capsys, monkeypatch, list(argv))
     assert got[0] in (0, 1, 3, ("SystemExit", 0))
+
+
+@pytest.mark.parametrize("columns", WIDTHS)
+def test_crn_processes_match_the_top_level_route(monkeypatch, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    with ThreadPoolExecutor(2) as pool:
+        got = list(pool.map(fresh_outcome, ARGVS))
+        want = list(pool.map(lambda argv: fresh_outcome(argv, TOP_LEVEL_MAIN), ARGVS))
+    for argv, one, other in zip(ARGVS, got, want):
+        assert one == other, argv
+    assert {code for code, _, _ in got} == {0, 1, 3}
+
+
+@pytest.mark.parametrize("argv", ARGVS, ids=argv_ids)
+def test_each_call_is_parsed_once(capsys, monkeypatch, argv):
+    # A call naming a command runs that command's parser alone; any other call
+    # runs the top-level parser once, which may hand a command's words on.
+    cli._build_parser()
+    calls = parses(monkeypatch)
+    outcome(capsys, list(argv))
+    if argv and argv[0] in ARGUMENTS:
+        assert calls == [f"crn {argv[0]}"]
+    else:
+        assert calls[0] == "crn" and calls.count("crn") == 1, calls
 
 
 def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["crn", "check", BACCAM, "--parts", "R1,R2|R3,R4"])
     got = outcome(capsys, None)
-    use_reference_parsers(monkeypatch)
-    assert got == outcome(capsys, None)
+    assert got == reference_outcome(capsys, monkeypatch, None)
     assert got[0] == 0
 
 
 @pytest.mark.parametrize("name", ARGUMENTS)
 def test_a_command_prints_the_same_help_after_an_unknown_option(capsys, name):
-    # After "-x" the parser still hands "-h" to the command's subparser, which
-    # prints its help before the unknown "-x" is reported.
+    # The top-level parser, reading "-x" first, still hands "-h" to the
+    # command's subparser, which prints the help that the command's own
+    # route prints, before the unknown "-x" is reported.
     own = outcome(capsys, [name, "-h"])
     assert own == outcome(capsys, ["-x", name, "-h"])
     assert own[0] == ("SystemExit", 0)
@@ -171,7 +245,7 @@ def dests(choices):
 
 
 def test_each_command_declares_its_arguments():
-    assert dests(subparsers(reference_parser())) == {
+    assert dests(BUILD_PARSER()[1]) == {
         "analyze": ["help", "file", "format"],
         "decompose": ["help", "file", "contains"],
         "check": ["help", "file", "parts"],
@@ -193,13 +267,13 @@ def test_each_command_declares_its_arguments():
         ["numbers", BACCAM],
         ["check", BACCAM, "--parts", "R1,R2|R3,R4"],
     ],
-    ids=lambda argv: " ".join(argv) or "<none>",
+    ids=argv_ids,
 )
 def test_each_main_call_parses_with_the_one_parser(capsys, monkeypatch, argv):
     # Help and usage errors name every command, so the one parser fills in all five.
-    parser = cli._build_parser()
-    assert parsers_asked_for(capsys, monkeypatch, argv) == [parser]
-    assert dests(subparsers(parser)) == dests(subparsers(reference_parser()))
+    built = cli._build_parser()
+    assert parsers_asked_for(capsys, monkeypatch, argv) == [built]
+    assert dests(built[1]) == dests(BUILD_PARSER()[1])
 
 
 def test_only_main_builds_the_parser():
@@ -250,16 +324,17 @@ def stateless_sequence():
     return sequence
 
 
-def fresh_outcome(argv):
+def fresh_outcome(argv, program=None):
     """The exit code, stdout and stderr of ``argv`` in a new ``crn`` process.
 
     The child imports the crnkit under test, installed or not, and reads the
-    same terminal width and colour settings as this process.
+    same terminal width and colour settings as this process.  It runs
+    ``python -m crnkit.cli``, or ``program`` with ``python -c`` if given.
     """
     src = os.path.dirname(os.path.dirname(crnkit.__file__))
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "crnkit.cli", *argv],
+        [sys.executable, *(["-m", "crnkit.cli"] if program is None else ["-c", program]), *argv],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=pythonpath),
@@ -326,7 +401,7 @@ def parsers_and_declarations(monkeypatch):
     return built, calls
 
 
-@pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv) or "<none>")
+@pytest.mark.parametrize("argv", ARGVS, ids=argv_ids)
 def test_the_first_call_builds_the_parser_and_later_calls_build_none(capsys, monkeypatch, argv):
     # Whatever the first call is, it builds the top-level parser and one
     # subparser per command, declaring each argument once; later calls of
@@ -351,8 +426,8 @@ def test_the_first_call_builds_the_parser_and_later_calls_build_none(capsys, mon
 def test_each_command_has_one_subparser_with_the_hooks(name):
     # The subparser is an _ArgumentParser, so its errors and help go through
     # the same three hooks as the top-level parser's; `main` runs its handler.
-    parser = subparsers(cli._build_parser())[name]
-    assert parser is subparsers(cli._build_parser())[name]
+    parser = cli._build_parser()[1][name]
+    assert parser is cli._build_parser()[1][name]
     assert type(parser) is cli._ArgumentParser
     assert parser.prog == f"crn {name}"
     declared = [("-h", "--help"), *ARGUMENTS[name]]
@@ -366,7 +441,7 @@ def declarations():
     ``container``, the argument group that holds an action, is kept by its
     identity: a deep copy of it would copy, and so never equal, the parser.
     """
-    parser = cli._build_parser()
+    parser, commands = cli._build_parser()
     return id(parser), {
         name: [
             (
@@ -376,7 +451,7 @@ def declarations():
             )
             for action in command._actions
         ]
-        for name, command in subparsers(parser).items()
+        for name, command in commands.items()
     }
 
 
