@@ -15,7 +15,7 @@ complexes they touch (`_local_edges`), for every caller that needs one.
 from __future__ import annotations
 
 import math
-from itertools import chain
+from itertools import chain, filterfalse
 from typing import Iterable, NamedTuple, Sequence
 
 from .linalg import _eliminate, _Span
@@ -487,6 +487,9 @@ class Kinetics(_Checked, _KineticsFields):
         widths = {len(row) for row in self.orders}
         if len(widths) > 1:
             raise DimensionError("kinetic order rows must have equal length")
+        bad = next(filterfalse(math.isfinite, chain.from_iterable(self.orders)), None)
+        if bad is not None:
+            raise ValueError(f"kinetic orders must be finite, not {bad!r}")
 
     @classmethod
     def mass_action(cls, net: Network, rates: Sequence[float]) -> "Kinetics":

@@ -205,8 +205,12 @@ def build_coordinate_graph(net: Network, basis: BasisSelection) -> CoordinateGra
     """Coordinate graph of the reaction vectors for the given basis rows.
 
     For each non-basis reaction vector, an edge joins every pair of basis
-    vertices at which its (unique, exact) coordinates are nonzero.
+    vertices at which its (unique, exact) coordinates are nonzero.  A basis
+    row that is not an ``int`` reaction index of ``net`` raises `ValueError`.
     """
+    for i in basis.basis_rows:
+        if not (_is_int(i) and 0 <= i < net.reaction_count):
+            raise ValueError(f"basis row {i!r} is not a reaction index of the network")
     span = _eliminate_over(net._vectors, basis.basis_rows)
     labels = tuple(net.reaction_label(i) for i in span.position)
     return CoordinateGraph(len(labels), frozenset(_coordinate_edges(span)), labels)

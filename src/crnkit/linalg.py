@@ -2,25 +2,26 @@
 
 Rank, row-basis selection and coordinate extraction are decided by exact
 fraction-free integer elimination: there is no tolerance anywhere, and no
-`fractions.Fraction` arithmetic inside the elimination loop.  One routine,
-`_eliminate`, drives it: it scans rows of (column, `int`) pairs in order,
-keeps each row that is not spanned by the rows before it as a basis row, and
-returns a `_Span` of the basis rows and every other row's integer relation to
-them.  It pivots on the columns rarest first: a column used by fewer rows
-meets fewer rows to update, which keeps the fill-in (and the tags along the
-way) small.  The greedy basis, the rank, and which coordinates are nonzero
-fall out of that single scan, whatever the column order; only `coordinates`
-turns relations into `Fraction`s.  A caller's own basis is scanned first
-(`_eliminate_over`).  `_Span.rank` reads the rank of any subset of the rows
-from the relations, whose restricted tags go through `_eliminate` too: every
-rank comes from one scan.  The library entry points clear each row's
-denominators in one place, `_sparse`, which builds no `Fraction` for a row of
-`int`s.  `RationalMatrix` and `rref` compute with `Fraction`; `rref` is a
-separate dense implementation kept as an independent reference.  The dense
-helpers, `coordinates` and the `Rational` alias are library-only, so
-`fractions` (and `decimal` and `numbers` behind it) is imported where a
-`Fraction` is built, and `Rational` resolves on first access: the analysis
-report and the `crn` command never load it.
+`fractions.Fraction` arithmetic inside the elimination loop.  One function,
+`_eliminate`, makes it: it scans rows of (column, `int`) pairs in order,
+reduces each against the basis rows before it, keeps each row that is not
+spanned by them as a basis row, and returns a `_Span` of the basis rows and
+every other row's integer relation to them.  It pivots on the columns rarest
+first: a column used by fewer rows meets fewer rows to update, which keeps
+the fill-in (and the tags along the way) small.  The greedy basis, the rank,
+and which coordinates are nonzero fall out of that single scan, whatever the
+column order; only `coordinates` turns relations into `Fraction`s.  A
+caller's own basis is scanned first (`_eliminate_over`).  `_Span.rank` reads
+the rank of any subset of the rows from the relations, whose restricted tags
+go through `_eliminate` too: every rank comes from one scan.  The library
+entry points clear each row's denominators in one place, `_sparse`, which
+builds no `Fraction` for a row of `int`s.  `RationalMatrix` and `rref`
+compute with `Fraction`; `rref` is a separate dense implementation kept as
+an independent reference.  The dense helpers, `coordinates` and the
+`Rational` alias are library-only, so `fractions` (and `decimal` and
+`numbers` behind it) is imported where a `Fraction` is built, and `Rational`
+resolves on first access: the analysis report and the `crn` command never
+load it.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 RationalLike = Union[int, "Fraction"]
-Relation = tuple[dict[int, int], int]  # (tag, scale), see `_Echelon.add`
+Relation = tuple[dict[int, int], int]  # (tag, scale), see `_eliminate`
 
 
 def __getattr__(name: str):
@@ -160,38 +161,37 @@ def rref(matrix: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
     return RationalMatrix(m), tuple(pivots)
 
 
-class _Echelon:
-    """Row echelon form grown one row at a time, in integers, with provenance.
+def _eliminate(rows: Sequence[Sequence[tuple[int, int]]]) -> _Span:
+    """The one greedy scan: each row not spanned by the rows before it joins the basis.
 
-    Every stored row is sparse (column -> nonzero `int`), has a positive
-    pivot of its own at its smallest nonzero column (`_eliminate` numbers the
-    columns rarest first), and carries a tag (basis position -> nonzero
-    `int`) with ``row == sum(tag[j] * basis_row[j])``.
-    Row and tag together have content 1 (the gcd of all their entries), which
-    keeps coefficients from growing.
+    Each row is a sequence of (column, nonzero `int`) pairs; the rows are
+    scanned in order, which gives the greedy basis, and are left as given.
+    Column order: the columns are numbered by how many rows use them, fewest
+    first (ties by index), and each row is reduced in a relabelled copy
+    ``w``.  Pivot rule: while a pivot row is stored at the smallest number
+    ``w`` uses, ``w`` is scaled and that row subtracted, fraction-free,
+    keeping ``w == scale * row + sum(tag[j] * basis_row[j])`` with
+    ``scale > 0`` and the tag keyed by basis position, so each pivot is at
+    the rarest column its reduced row still uses.  A row whose ``w`` vanishes
+    has the relation ``(tag, scale)``: its coordinates are ``-tag[j] / scale``.
+    Any other row joins the basis at the next position, and ``w`` is stored
+    as the pivot row at its smallest number.  Content 1: a stored row and its
+    tag are divided by the gcd of all their entries, signed to make the pivot
+    positive, which keeps coefficients from growing.  The column order
+    changes the fill-in, not the outcome: the basis, and each relation up to
+    a positive factor, are those of any column order.  The returned `_Span`
+    lists the basis rows in basis order and holds every other row's relation.
     """
-
-    __slots__ = ("_pivots", "rank")
-
-    def __init__(self) -> None:
-        self._pivots: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
-        self.rank = 0
-
-    def add(self, row: dict[int, int]) -> Relation | None:
-        """Reduce ``row``; return its relation ``(tag, scale)``, or None if it joins the basis.
-
-        ``add`` takes ownership of ``row``: it reduces the dict in place and
-        may keep it as a pivot row, so its one caller, `_eliminate`, hands it
-        a fresh dict and does not use it afterwards.
-        A row that joins the basis becomes basis position ``rank - 1``.  The
-        row, of nonzero `int`s, is reduced fraction-free, keeping
-        ``w == scale * row + sum(tag[j] * basis_row[j])`` with ``scale > 0``;
-        when ``w`` vanishes, the row's coordinates are ``-tag[j] / scale``.
-        """
-        w = row
+    uses = Counter(map(itemgetter(0), chain.from_iterable(rows)))
+    # Stable: among columns used equally often, the smaller index comes first.
+    order = {j: k for k, j in enumerate(sorted(sorted(uses), key=uses.__getitem__))}
+    pivots: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
+    span = _Span((), {})
+    position, relations = span.position, span.relations
+    for i, row in enumerate(rows):
+        w = {order[j]: x for j, x in row}
         scale = 1
         tag: dict[int, int] = {}
-        pivots = self._pivots
         while w:
             col = min(w)
             stored = pivots.get(col)
@@ -224,8 +224,9 @@ class _Echelon:
                 else:
                     del tag[j]
         if not w:
-            return tag, scale
-        tag[self.rank] = scale
+            relations[i] = tag, scale
+            continue
+        tag[len(position)] = scale
         g = gcd(*w.values(), *tag.values())
         if w[col] < 0:
             g = -g
@@ -233,35 +234,7 @@ class _Echelon:
             w = {j: x // g for j, x in w.items()}
             tag = {j: x // g for j, x in tag.items()}
         pivots[col] = (w, tag)
-        self.rank += 1
-        return None
-
-
-def _eliminate(rows: Sequence[Sequence[tuple[int, int]]]) -> _Span:
-    """The one greedy scan: each row not spanned by the rows before it joins the basis.
-
-    Each row is a sequence of (column, nonzero `int`) pairs, and the rows are
-    scanned in order, which gives the greedy basis.  The columns are numbered in
-    order of how many rows use them, fewest first (ties by index), and each row
-    is handed to `_Echelon.add` in that numbering, so each pivot is at the
-    rarest column its reduced row still uses.  The order changes the fill-in,
-    not the outcome: the basis, and each relation up to a positive factor, are
-    those of any column order.  The returned `_Span` lists the basis rows in
-    basis order and holds, for every other row, its `_Echelon.add` relation over
-    the basis positions.  The rows are left as given: each is counted from its
-    pairs, and `_Echelon.add` gets its relabelled dict, the one copy made of it.
-    """
-    uses = Counter(map(itemgetter(0), chain.from_iterable(rows)))
-    # Stable: among columns used equally often, the smaller index comes first.
-    order = {j: k for k, j in enumerate(sorted(sorted(uses), key=uses.__getitem__))}
-    echelon = _Echelon()
-    span = _Span((), {})
-    for i, row in enumerate(rows):
-        relation = echelon.add({order[j]: x for j, x in row})
-        if relation is None:
-            span.position[i] = echelon.rank - 1
-        else:
-            span.relations[i] = relation
+        position[i] = len(position)
     return span
 
 
@@ -285,7 +258,7 @@ class _Span:
     """One elimination's outcome, from which the rank of any subset of its rows follows.
 
     ``position`` maps each basis row to its basis position, in basis order,
-    and ``relations`` maps every other row to its `_Echelon.add` relation,
+    and ``relations`` maps every other row to its `_eliminate` relation,
     whose tag is keyed by those positions.
     """
 

@@ -17,9 +17,12 @@ rows reach the kernel through it here too.  Integer rows, the same rows as
 functions accept `int`, `Fraction`, mixed, float, `Decimal`, `str` and
 `bool` entries alike, and a `Fraction` handed to the kernel is refused.
 `_eliminate` pivots on the columns rarest first; its basis and relations are
-checked against a scan in natural column order on networks of up to 1000
-reactions, and `_Span.rank`, which eliminates a subset's restricted tags
-through it, against fresh scans of the subset on networks of 200 to 400.
+checked against `fraction_scan`, a separate greedy scan in `Fraction`s that
+pivots in natural column order, on networks of up to 1000 reactions, and
+`_Span.rank`, which eliminates a subset's restricted tags through it, against
+fresh scans of the subset on networks of 200 to 400.  Each relation is an
+integer relation over the basis, and the raw relation of a crafted case pins
+the column order, its tie-break and the content of the stored pivot rows.
 """
 
 import math
@@ -51,7 +54,7 @@ from crnkit import (
 )
 from crnkit.analysis import _Structure, _structures
 from crnkit.decomposition import _coordinate_edges, _finest
-from crnkit.linalg import _Echelon, _eliminate, _sparse
+from crnkit.linalg import _eliminate, _sparse
 from conftest import ALL_NETWORK_FILES, load
 from netgen import random_network, random_sparse_network
 
@@ -237,46 +240,35 @@ class TestRationalRows:
 
 
 @pytest.mark.parametrize("case", range(len(NETWORKS) + len(RATIONAL_CASES)))
-def test_stored_echelon_rows_are_primitive_integer_rows(case):
-    # Content 1 (of row and tag together) is the guard against coefficient growth.
+def test_each_relation_is_an_integer_relation_over_the_basis(case):
     if case < len(NETWORKS):
         net = NETWORKS[case]
         dense = [net.reaction_vector(i) for i in range(net.reaction_count)]
     else:
         dense = RATIONAL_CASES[case - len(NETWORKS)]
-    echelon = _Echelon()
-    basis, relations = [], []
+    rows, mults, cleared = [], [], []
     for given in dense:
         # The boundary hands the kernel m * row in integers, m = 1 for integer rows.
         pairs, m = _sparse(given)
         row = {j: x for j, x in enumerate(given) if x}
         assert dict(pairs) == {j: m * x for j, x in row.items()}
-        relation = echelon.add(dict(pairs))  # `add` keeps and reduces the dict it is given
-        if relation is None:
-            basis.append((row, m))
-        else:
-            relations.append((row, m, relation))
-    assert len(echelon._pivots) == echelon.rank == len(basis)
+        rows.append(row)
+        mults.append(m)
+        cleared.append(pairs)
+    span = _eliminate(cleared)
+    assert len(span.position) + len(span.relations) == len(dense)
+    basis = list(span.position)
     # A row that does not join the basis comes back as its integer relation:
     # scale * m * row + sum(tag[j] * m[j] * basis[j]) == 0 with scale > 0.
-    for row, m, (tag, scale) in relations:
+    for i, (tag, scale) in span.relations.items():
         assert type(scale) is int and scale > 0
         assert all(type(t) is int and t for t in tag.values())
-        total = {c: scale * m * x for c, x in row.items()}
+        assert all(0 <= j < len(basis) for j in tag)
+        total = {c: scale * mults[i] * x for c, x in rows[i].items()}
         for j, t in tag.items():
-            for c, x in basis[j][0].items():
-                total[c] = total.get(c, 0) + t * basis[j][1] * x
+            for c, x in rows[basis[j]].items():
+                total[c] = total.get(c, 0) + t * mults[basis[j]] * x
         assert not any(total.values())
-    for col, (row, tag) in echelon._pivots.items():
-        assert min(row) == col and row[col] > 0
-        values = list(row.values()) + list(tag.values())
-        assert all(type(x) is int and x for x in values)
-        assert math.gcd(*values) == 1
-        combo = {}
-        for j, t in tag.items():
-            for c, x in basis[j][0].items():
-                combo[c] = combo.get(c, 0) + t * basis[j][1] * x
-        assert {c: x for c, x in combo.items() if x} == row
 
 
 def test_span_rank_matches_rref_for_every_subset():
@@ -356,7 +348,7 @@ def test_span_ranks_at_scale_agree_with_fresh_scans(reactions, species, blocks, 
     for subset in subsets:
         own = [rows[i] for i in subset]
         expected = len(_eliminate(own).position)
-        assert len(natural_order_scan(own)[0]) == expected
+        assert len(fraction_scan(own)[0]) == expected
         assert span.rank(subset) == expected
     assert len(classes) > 1 and permuted >= 6
 
@@ -565,21 +557,40 @@ def test_the_kernel_refuses_a_fraction(rows):
     # A rational row must pass the boundary: the kernel does not rescale it.
     with pytest.raises(TypeError):
         _eliminate(rows)
-    with pytest.raises(TypeError):
-        _Echelon().add(dict(rows[-1]))
 
 
-def natural_order_scan(rows):
-    """The greedy scan, each row copied into `_Echelon.add` unrelabelled: pivots in index order."""
-    echelon = _Echelon()
-    basis, relations = [], {}
+def plus_multiple(u, f, v):
+    """The sparse vector ``u + f * v``, zeros dropped."""
+    return {j: x for j in u.keys() | v.keys() if (x := u.get(j, 0) + f * v.get(j, 0))}
+
+
+def fraction_scan(rows):
+    """The greedy scan in `Fraction`s, pivoting on the columns in index order.
+
+    An oracle for `_eliminate` that shares none of its code: each stored row
+    has pivot 1 at its smallest column and carries its coefficients over the
+    basis rows.  Returns the basis rows and, for every other row, its
+    coordinates over them (basis position -> nonzero `Fraction`).
+    """
+    pivots = {}
+    basis, coords = [], {}
     for i, row in enumerate(rows):
-        relation = echelon.add(dict(row))
-        if relation is None:
-            basis.append(i)
-        else:
-            relations[i] = relation
-    return basis, relations
+        # w == row - sum(c[j] * basis_row[j])
+        w, c = {j: Fraction(x) for j, x in row}, {}
+        while w and min(w) in pivots:
+            prow, pc = pivots[min(w)]
+            f = w[min(w)]
+            w, c = plus_multiple(w, -f, prow), plus_multiple(c, f, pc)
+        if not w:
+            coords[i] = c
+            continue
+        p = w[min(w)]
+        pivots[min(w)] = (
+            {j: x / p for j, x in w.items()},
+            plus_multiple({len(basis): 1 / p}, -1 / p, c),
+        )
+        basis.append(i)
+    return basis, coords
 
 
 def column_order_cases():
@@ -603,29 +614,14 @@ COLUMN_ORDER_CASES = list(column_order_cases())
 @pytest.mark.parametrize(
     "rows", [r for _, r in COLUMN_ORDER_CASES], ids=[i for i, _ in COLUMN_ORDER_CASES]
 )
-def test_the_column_order_changes_no_basis_and_no_relation(rows, monkeypatch):
-    fed = []
-    add = _Echelon.add
-    monkeypatch.setattr(_Echelon, "add", lambda self, row: fed.append(dict(row)) or add(self, row))
+def test_the_column_order_changes_no_basis_and_no_relation(rows):
     span = _eliminate(rows)
-    # Every row reaches the echelon relabelled by one order of the columns:
-    # fewest rows using it first, ties by the smaller index.
-    uses = {}
-    for row in rows:
-        for j, _ in row:
-            uses[j] = uses.get(j, 0) + 1
-    order = {j: k for k, j in enumerate(sorted(uses, key=lambda j: (uses[j], j)))}
-    assert fed == [{order[j]: x for j, x in row} for row in rows]
-    monkeypatch.undo()
-    basis, relations = natural_order_scan(rows)
+    basis, coords = fraction_scan(rows)
     assert list(span.position) == basis
     assert list(span.position.values()) == list(range(len(basis)))
-    assert span.relations.keys() == relations.keys()
+    assert span.relations.keys() == coords.keys()
     for i, (tag, scale) in span.relations.items():
-        other_tag, other_scale = relations[i]
-        assert tag.keys() == other_tag.keys()
-        for j, t in tag.items():
-            assert Fraction(-t, scale) == Fraction(-other_tag[j], other_scale)
+        assert {j: Fraction(-t, scale) for j, t in tag.items()} == coords[i]
         # Divided by its content, the relation recomposes the row as given,
         # in integers: scale * row + sum(tag[j] * basis[j]) == 0.
         g = math.gcd(scale, *tag.values())
@@ -636,14 +632,19 @@ def test_the_column_order_changes_no_basis_and_no_relation(rows, monkeypatch):
         assert not any(total.values())
 
 
-def test_the_column_order_is_rarest_first_with_ties_by_index(monkeypatch):
-    fed = []
-    add = _Echelon.add
-    monkeypatch.setattr(_Echelon, "add", lambda self, row: fed.append(dict(row)) or add(self, row))
-    # Column 1 is used once; columns 0, 2 and 3 twice each, first met in the order 3, 0, 2.
-    rows = [[(3, 1), (0, 2)], [(2, 1), (3, -1)], [(0, 1), (2, 1), (1, 5)]]
+def test_the_column_order_and_the_content_pin_the_raw_relation():
+    # Column 2 is used by three rows, columns 0 and 1 by all four, and column
+    # 1 is met first, so the scan pivots on column 2 first, then 0, then 1.
+    # Row 3 is -row 1 + row 2, and the scan returns that relation with content
+    # 1.  The same scan gives it as ({1: 2, 2: -2}, 2) in natural column
+    # order, as ({1: 3, 2: -3}, 3) with tied columns taken as first met, and
+    # as ({1: 2, 2: -2}, 2) when it keeps its pivot rows undivided by their
+    # content.
+    rows = [[(1, -1), (2, 2), (0, -1)], [(1, -1), (2, -1), (0, 1)],
+            [(0, 2), (1, 1), (2, -1)], [(1, 2), (0, 1)]]
     given = [list(row) for row in rows]
     span = _eliminate(rows)
-    assert fed == [{3: 1, 1: 2}, {2: 1, 3: -1}, {1: 1, 2: 1, 0: 5}]
     assert rows == given
-    assert list(span.position) == [0, 1, 2] and not span.relations
+    assert list(span.position.items()) == [(0, 0), (1, 1), (2, 2)]
+    assert span.relations == {3: ({1: 1, 2: -1}, 1)}
+    assert fraction_scan(rows) == ([0, 1, 2], {3: {1: -1, 2: 1}})

@@ -1,16 +1,16 @@
-"""crnkit drives its exact elimination kernel from one routine: an `_Echelon`
-is constructed, and rows are added to it, only by `linalg._eliminate`, the
-greedy scan.  `linalg._Span.rank` hands a subset's restricted relation tags
-to it like any other caller.  Only `_eliminate` chooses a column order: it
-counts the columns and relabels each row before `_Echelon.add` sees it, so
-every caller, every rank included, gets the same order.  Denominators are
-cleared only by `linalg._sparse`, the library entry points' boundary.  The
-report describes parts without `subnetwork`, and the finder checks its
-answers with the integer certificate, never with `verify_decomposition`.
-A part's complexes are renumbered only by `analysis._local_edges`, a
-partition's structures are built only by `analysis._structures`, which
-`verify_decomposition` reads as the report does, and the CLI evaluates a
-steady state only through `analysis._steady_state`."""
+"""crnkit makes its exact elimination in one function, `linalg._eliminate`,
+the greedy scan: the reduction (`gcd`) is called there alone.
+`linalg._Span.rank` hands a subset's restricted relation tags to it like any
+other caller.  Only `_eliminate` chooses a column order: it counts the
+columns and relabels each row before reducing it, so every caller, every rank
+included, gets the same order.  Denominators are cleared only by
+`linalg._sparse`, the library entry points' boundary.  The report describes
+parts without `subnetwork`, and the finder checks its answers with the
+integer certificate, never with `verify_decomposition`.  A part's complexes
+are renumbered only by `analysis._local_edges`, a partition's structures are
+built only by `analysis._structures`, which `verify_decomposition` reads as
+the report does, and the CLI evaluates a steady state only through
+`analysis._steady_state`."""
 
 import ast
 from pathlib import Path
@@ -37,32 +37,20 @@ def call_sites(source: str, callee: str) -> list[str]:
     return found
 
 
-def echelon_constructions(source: str) -> list[str]:
-    """Qualified names of the functions in ``source`` that call `_Echelon`."""
-    return call_sites(source, "_Echelon")
-
-
 def module_calls(module: str, callee: str) -> list[str]:
     return call_sites((SRC / f"{module}.py").read_text(encoding="utf-8"), callee)
 
 
-def test_echelons_are_built_only_by_the_elimination_driver():
-    sites = {
-        f"{module.stem}.{name}"
-        for module in sorted(SRC.glob("*.py"))
-        for name in echelon_constructions(module.read_text(encoding="utf-8"))
-    }
-    assert sites == {"linalg._eliminate"}
+def test_rows_are_reduced_only_by_the_elimination():
+    assert callers("gcd") == {"linalg._eliminate"}
 
 
-def test_only_the_elimination_driver_chooses_a_column_order():
-    # The columns are counted in `_eliminate` alone, and rows reach
-    # `_Echelon.add` only from it.
+def test_only_the_elimination_chooses_a_column_order():
+    # The columns are counted in `_eliminate` alone.
     assert callers("Counter") == {"linalg._eliminate"}
     # Denominators are cleared at the library boundary alone: the kernel
     # takes integer pairs.
     assert callers("lcm") == {"linalg._sparse"}
-    assert set(module_calls("linalg", "add")) == {"_eliminate"}
     # Every other elimination in the package goes through `_eliminate`.
     assert callers("_eliminate") == {
         "analysis._Structure.__init__",
@@ -80,10 +68,10 @@ def test_only_the_elimination_driver_chooses_a_column_order():
     }
 
 
-def test_the_guard_sees_a_construction_anywhere():
-    source = "class A:\n    def f(self):\n        return [linalg._Echelon() for _ in ()]\n"
-    assert echelon_constructions(source) == ["A.f"]
-    assert echelon_constructions("e = _Echelon()\n") == ["<module>"]
+def test_the_guard_sees_a_call_anywhere():
+    source = "class A:\n    def f(self, a, b):\n        return [math.gcd(a, b) for _ in ()]\n"
+    assert call_sites(source, "gcd") == ["A.f"]
+    assert call_sites("g = gcd(4, 6)\n", "gcd") == ["<module>"]
 
 
 def test_reports_and_numbers_build_no_subnetwork():

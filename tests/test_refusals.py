@@ -4,12 +4,14 @@ Each case breaks the rule that its message names, and no rule checked
 before it, so the error names exactly that rule.
 """
 
+import math
 import re
 
 import pytest
 
 from crnkit import (
     AnalysisReport,
+    BasisSelection,
     Complex,
     DimensionError,
     DuplicateReactionError,
@@ -21,16 +23,19 @@ from crnkit import (
     Reaction,
     Species,
     brute_force_decompositions,
+    build_coordinate_graph,
     coordinates,
     parse_network,
     sfrf,
     subnetwork,
     verify_decomposition,
 )
+from conftest import load
 
 A = Species("A", 0)
 TO_ZERO = [Complex({0: 1}), Complex()]  # A and the zero complex
 NET = parse_network("R1: A -> B\nR2: B -> 0\n")
+BACCAM = load("baccam.crn")
 
 CASES = {
     "network-without-species": (
@@ -72,6 +77,32 @@ CASES = {
     "power-law-orders-of-the-wrong-width": (
         lambda: sfrf(NET, Kinetics.power_law([1, 1], [[1, 0, 0], [0, 1, 0]]), [1.0, 1.0]),
         DimensionError, "kinetic order rows do not match the species count",
+    ),
+    "power-law-nan-order": (
+        lambda: Kinetics.power_law([1, 1, 1, 1], [[math.nan] * 3] * 4),
+        ValueError, "kinetic orders must be finite, not nan",
+    ),
+    "power-law-infinite-order": (
+        lambda: Kinetics.power_law([1, 1, 1, 1], [[1, 0, 0]] * 3 + [[1, -math.inf, 0]]),
+        ValueError, "kinetic orders must be finite, not -inf",
+    ),
+    "non-finite-order-by-replace": (
+        lambda: Kinetics.mass_action(BACCAM, [1, 1, 1, 1])._replace(
+            orders=((1.0, 0.0, math.inf),) * 4
+        ),
+        ValueError, "kinetic orders must be finite, not inf",
+    ),
+    "coordinate-graph-basis-row-out-of-range": (
+        lambda: build_coordinate_graph(BACCAM, BasisSelection((0, 9), 2)),
+        ValueError, "basis row 9 is not a reaction index of the network",
+    ),
+    "coordinate-graph-negative-basis-row": (
+        lambda: build_coordinate_graph(BACCAM, BasisSelection((-1, 0, 1), 3)),
+        ValueError, "basis row -1 is not a reaction index of the network",
+    ),
+    "coordinate-graph-bool-basis-row": (
+        lambda: build_coordinate_graph(BACCAM, BasisSelection((True, 0, 2), 3)),
+        ValueError, "basis row True is not a reaction index of the network",
     ),
     "partition-without-parts": (
         lambda: verify_decomposition(NET, []),
