@@ -19,7 +19,7 @@ from itertools import chain, filterfalse
 from typing import Iterable, NamedTuple, Sequence
 
 from .linalg import _eliminate, _Span
-from .model import Complex, Network, NetworkError, Reaction, Species, _Checked, _is_int
+from .model import Complex, Network, NetworkError, Reaction, Species, _Checked, _dense, _is_int
 
 
 class EmptySubsetError(ValueError):
@@ -487,9 +487,20 @@ class Kinetics(_Checked, _KineticsFields):
         widths = {len(row) for row in self.orders}
         if len(widths) > 1:
             raise DimensionError("kinetic order rows must have equal length")
-        bad = next(filterfalse(math.isfinite, chain.from_iterable(self.orders)), None)
+        try:  # `math.isfinite` raises OverflowError for a number too large for a float
+            bad = next(filterfalse(math.isfinite, chain(self.rates, *self.orders)), None)
+        except OverflowError:
+            raise _too_large(self.rates, self.orders) from None
         if bad is not None:
             raise ValueError(f"kinetic orders must be finite, not {bad!r}")
+
+    @classmethod
+    def _of_floats(cls, kind: str, rates: Sequence[float], orders: Sequence[Sequence[float]]):
+        """The kinetics of ``rates`` and ``orders`` as floats (`ValueError` if one is too large)."""
+        try:
+            return cls(kind, tuple(map(float, rates)), tuple(tuple(map(float, r)) for r in orders))
+        except OverflowError:
+            raise _too_large(rates, orders) from None
 
     @classmethod
     def mass_action(cls, net: Network, rates: Sequence[float]) -> "Kinetics":
@@ -498,23 +509,25 @@ class Kinetics(_Checked, _KineticsFields):
             raise DimensionError(
                 f"{net.reaction_count} rate constants required, got {len(rates)}"
             )
-        orders = []
-        for rx in net.reactions:
-            row = [0.0] * net.species_count
-            for i, c in net._terms[rx.reactant]:
-                row[i] = float(c)
-            orders.append(tuple(row))
-        return cls(MASS_ACTION, tuple(float(k) for k in rates), tuple(orders))
+        rows = [_dense(net._terms[rx.reactant], net.species_count) for rx in net.reactions]
+        return cls._of_floats(MASS_ACTION, rates, rows)
 
     @classmethod
     def power_law(
         cls, rates: Sequence[float], orders: Sequence[Sequence[float]]
     ) -> "Kinetics":
-        return cls(
-            POWER_LAW,
-            tuple(float(k) for k in rates),
-            tuple(tuple(float(v) for v in row) for row in orders),
-        )
+        return cls._of_floats(POWER_LAW, rates, orders)
+
+
+def _too_large(rates: Sequence[float], orders: Sequence[Sequence[float]]) -> ValueError:
+    """The refusal of the first rate or order too large for a float, named by its position."""
+    named = [(f"rates[{i}]", k) for i, k in enumerate(rates)]
+    named += [(f"orders[{i}][{j}]", v) for i, row in enumerate(orders) for j, v in enumerate(row)]
+    for name, value in named:
+        try:
+            float(value)
+        except OverflowError:
+            return ValueError(f"{name} does not fit a float")
 
 
 def _fluxes(net: Network, kinetics: Kinetics, x: Sequence[float]) -> list[float]:

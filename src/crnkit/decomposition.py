@@ -142,14 +142,9 @@ def _canonical_partition(
     if reaction_count is not None:
         expected = set(range(reaction_count))
         if seen != expected:
-            missing = sorted(expected - seen)
-            extra = sorted(seen - expected)
-            detail = []
-            if missing:
-                detail.append(f"missing indices {missing}")
-            if extra:
-                detail.append(f"unknown indices {extra}")
-            raise PartitionError("not a partition of the reaction set: " + "; ".join(detail))
+            gaps = (("missing", expected - seen), ("unknown", seen - expected))
+            detail = "; ".join(f"{what} indices {sorted(s)}" for what, s in gaps if s)
+            raise PartitionError(f"not a partition of the reaction set: {detail}")
     return tuple(canon)
 
 
@@ -206,12 +201,16 @@ def build_coordinate_graph(net: Network, basis: BasisSelection) -> CoordinateGra
 
     For each non-basis reaction vector, an edge joins every pair of basis
     vertices at which its (unique, exact) coordinates are nonzero.  A basis
-    row that is not an ``int`` reaction index of ``net`` raises `ValueError`.
+    row that is not an ``int`` reaction index of ``net``, or a ``rank`` that
+    is not the ``int`` count of the basis rows, raises `ValueError`.
     """
-    for i in basis.basis_rows:
+    rows, rank = basis
+    if not (_is_int(rank) and rank == len(rows)):
+        raise ValueError(f"basis rank {rank!r} is not the number of basis rows, {len(rows)}")
+    for i in rows:
         if not (_is_int(i) and 0 <= i < net.reaction_count):
             raise ValueError(f"basis row {i!r} is not a reaction index of the network")
-    span = _eliminate_over(net._vectors, basis.basis_rows)
+    span = _eliminate_over(net._vectors, rows)
     labels = tuple(net.reaction_label(i) for i in span.position)
     return CoordinateGraph(len(labels), frozenset(_coordinate_edges(span)), labels)
 
@@ -298,9 +297,10 @@ def iter_set_partitions(
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
     """All partitions of range(n) into at most ``max_parts`` blocks.
 
-    Blocks are emitted in restricted-growth order: each block is sorted and
-    blocks are ordered by their smallest element.  A ``bool`` or non-``int``
-    ``n`` or ``max_parts`` raises `TypeError` at the call.
+    Blocks come in restricted-growth order: element i joins each open block
+    in turn, then opens a new one while fewer than ``max_parts`` are open, so
+    blocks are sorted and ordered by their smallest element.  A ``bool`` or
+    non-``int`` ``n`` or ``max_parts`` raises `TypeError` at the call.
     """
     _require_int("n", n)
     if max_parts is not None:
@@ -308,20 +308,22 @@ def iter_set_partitions(
     limit = n if max_parts is None else min(max_parts, n)
     if n <= 0 or limit < 1:
         return iter(())
-    assignment = [0] * n
+    blocks: list[list[int]] = []
 
-    def rec(i: int, used: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    def rec(i: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         if i == n:
-            blocks: list[list[int]] = [[] for _ in range(used)]
-            for idx in range(n):
-                blocks[assignment[idx]].append(idx)
-            yield tuple(tuple(b) for b in blocks)
+            yield tuple(map(tuple, blocks))
             return
-        for b in range(min(used + 1, limit)):
-            assignment[i] = b
-            yield from rec(i + 1, max(used, b + 1))
+        for block in blocks:
+            block.append(i)
+            yield from rec(i + 1)
+            block.pop()
+        if len(blocks) < limit:
+            blocks.append([i])
+            yield from rec(i + 1)
+            blocks.pop()
 
-    return rec(0, 0)
+    return rec(0)
 
 
 def brute_force_decompositions(net: Network, max_parts: int) -> list[Decomposition]:
@@ -349,12 +351,8 @@ def brute_force_decompositions(net: Network, max_parts: int) -> list[Decompositi
         return len(_eliminate([net._vectors[i] for i in part]).position)
 
     total = part_rank(tuple(range(r)))
-    found: list[Decomposition] = []
-    for partition in iter_set_partitions(r, max_parts):
-        ranks = tuple(map(part_rank, partition))
-        if sum(ranks) == total:
-            found.append(Decomposition(partition, ranks))
-    return found
+    ranked = ((p, tuple(map(part_rank, p))) for p in iter_set_partitions(r, max_parts))
+    return [Decomposition(p, ranks) for p, ranks in ranked if sum(ranks) == total]
 
 
 PartitionRelation = Literal["refinement", "coarsening", "equal", "incomparable"]
@@ -371,21 +369,13 @@ def refine_or_coarsen_check(
     """
     a = _canonical_partition(parts_a)
     b = _canonical_partition(parts_b)
-    ground_a = {i for part in a for i in part}
-    ground_b = {i for part in b for i in part}
-    if ground_a != ground_b:
+    in_a = {i: k for k, part in enumerate(a) for i in part}
+    in_b = {i: k for k, part in enumerate(b) for i in part}
+    if in_a.keys() != in_b.keys():
         raise MismatchedReactionSetError("partitions cover different reaction sets")
-
-    def refines(fine: tuple[tuple[int, ...], ...], coarse: tuple[tuple[int, ...], ...]) -> bool:
-        owner = {i: k for k, part in enumerate(coarse) for i in part}
-        return all(len({owner[i] for i in part}) == 1 for part in fine)
-
-    a_ref_b = refines(a, b)
-    b_ref_a = refines(b, a)
-    if a_ref_b and b_ref_a:
-        return "equal"
-    if a_ref_b:
-        return "refinement"
-    if b_ref_a:
-        return "coarsening"
-    return "incomparable"
+    # Each part meets a part of the other, so a refines b exactly when the
+    # distinct (part of a, part of b) pairs that share an index number len(a).
+    meetings = len({(k, in_b[i]) for i, k in in_a.items()})
+    if meetings == len(a):
+        return "equal" if meetings == len(b) else "refinement"
+    return "coarsening" if meetings == len(b) else "incomparable"

@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import chain
 from math import gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, Union
 
 if TYPE_CHECKING:
@@ -90,17 +90,15 @@ class RationalMatrix:
         return self._entries[i][j]
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(zip(*self._entries)) if self._entries else RationalMatrix([])
+        return RationalMatrix(zip(*self._entries))
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        cols = [other.column(j) for j in range(other.cols)]
-        return RationalMatrix(
-            [[_dot(r, c) for c in cols] for r in self._entries]
-        )
+        cols = list(zip(*other._entries))
+        return RationalMatrix([[sum(map(mul, r, c)) for c in cols] for r in self._entries])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalMatrix):
@@ -116,12 +114,6 @@ class RationalMatrix:
 
     def to_lists(self) -> list[list[Fraction]]:
         return [list(r) for r in self._entries]
-
-
-def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    from fractions import Fraction
-
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
 class BasisSelection(NamedTuple):
@@ -150,8 +142,7 @@ def rref(matrix: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
         pv = m[r][c]
-        if pv != 1:
-            m[r] = [x / pv for x in m[r]]
+        m[r] = [x / pv for x in m[r]]
         for i in range(nrows):
             if i != r and m[i][c]:
                 f = m[i][c]

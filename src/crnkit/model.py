@@ -154,10 +154,7 @@ class Complex:
         return 0
 
     def vector(self, species_count: int) -> tuple[int, ...]:
-        v = [0] * species_count
-        for i, c in self._terms:
-            v[i] = c
-        return tuple(v)
+        return _dense(self._terms, species_count)
 
     def format(self, species_names: Iterable[str]) -> str:
         return _format(self._terms, tuple(species_names))
@@ -194,6 +191,14 @@ def _labels(reactions: tuple[Reaction, ...]) -> tuple[str, ...]:
     return tuple(
         rx.label if rx.label is not None else f"R{i + 1}" for i, rx in enumerate(reactions)
     )
+
+
+def _dense(pairs: Iterable[tuple[int, int]], size: int) -> tuple[int, ...]:
+    """(index, value) pairs written over a row of ``size`` zeros."""
+    row = [0] * size
+    for i, c in pairs:
+        row[i] = c
+    return tuple(row)
 
 
 def _difference(product: _Terms, reactant: _Terms) -> _Terms:
@@ -357,10 +362,7 @@ class Network:
 
     def reaction_vector(self, i: int) -> tuple[int, ...]:
         """Product complex minus reactant complex, over the species order."""
-        v = [0] * self.species_count
-        for s, c in self._vectors[i]:
-            v[s] = c
-        return tuple(v)
+        return _dense(self._vectors[i], self.species_count)
 
     def sparse_reaction_vector(self, i: int) -> tuple[tuple[int, int], ...]:
         """The reaction vector as sorted (species index, nonzero change) pairs."""
@@ -401,21 +403,13 @@ class Network:
 
 def molecularity_matrix(net: Network) -> RationalMatrix:
     """Species x complexes matrix of stoichiometric coefficients."""
-    rows = [[0] * net.complex_count for _ in range(net.species_count)]
-    for j, terms in enumerate(net._terms):
-        for i, c in terms:
-            rows[i][j] = c
-    return RationalMatrix(rows)
+    return RationalMatrix(zip(*(_dense(terms, net.species_count) for terms in net._terms)))
 
 
 def incidence_matrix(net: Network) -> RationalMatrix:
     """Complexes x reactions matrix: -1 at the reactant, +1 at the product."""
-    n, r = net.complex_count, net.reaction_count
-    rows = [[0] * r for _ in range(n)]
-    for j, rx in enumerate(net.reactions):
-        rows[rx.reactant][j] = -1
-        rows[rx.product][j] = 1
-    return RationalMatrix(rows)
+    columns = (_dense(zip(rx[:2], (-1, 1)), net.complex_count) for rx in net.reactions)
+    return RationalMatrix(zip(*columns))
 
 
 def stoichiometric_matrix(net: Network) -> RationalMatrix:
@@ -424,8 +418,4 @@ def stoichiometric_matrix(net: Network) -> RationalMatrix:
     Column j is the reaction vector of reaction j (product complex minus
     reactant complex).
     """
-    rows = [[0] * net.reaction_count for _ in range(net.species_count)]
-    for j in range(net.reaction_count):
-        for i, c in net.sparse_reaction_vector(j):
-            rows[i][j] = c
-    return RationalMatrix(rows)
+    return RationalMatrix(zip(*(_dense(v, net.species_count) for v in net._vectors)))

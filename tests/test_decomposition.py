@@ -1,5 +1,7 @@
 """Coordinate graph, decomposition finder, verifier, and brute-force oracle."""
 
+import collections
+import itertools
 import random
 
 import pytest
@@ -421,6 +423,25 @@ class TestBruteForce:
         with pytest.raises(TypeError, match=f"{name} must be an int"):
             iter_set_partitions(n, max_parts)
 
+    @pytest.mark.parametrize("n", range(8))
+    def test_partition_enumeration_is_the_restricted_growth_order(self, n):
+        # Oracle: the restricted-growth strings a (a[0] = 0, each a[i] at most
+        # one more than the largest before it) in lexicographic order, each
+        # read as the blocks {i : a[i] = b}.  No partition of range(0) is drawn.
+        strings = [
+            a
+            for a in itertools.product(*(range(i + 1) for i in range(n)))
+            if all(a[i] <= max(a[:i]) + 1 for i in range(1, n))
+        ]
+        every = [
+            tuple(tuple(i for i in range(n) if a[i] == b) for b in range(max(a) + 1))
+            for a in strings
+            if n
+        ]
+        for max_parts in [None, *range(n + 2)]:
+            want = [p for p in every if max_parts is None or len(p) <= max_parts]
+            assert list(iter_set_partitions(n, max_parts)) == want
+
     def test_partition_enumeration_of_nothing(self):
         assert list(iter_set_partitions(0)) == []
         assert list(iter_set_partitions(3, 0)) == []
@@ -445,6 +466,54 @@ class TestRefineCoarsen:
     def test_invalid_partition(self):
         with pytest.raises(PartitionError):
             refine_or_coarsen_check([[0], [0, 1]], [[0, 1]])
+
+    def test_the_relation_follows_its_definition(self):
+        # Seeded pairs of partitions of range(n), n <= 8: b is a merge of a's
+        # parts, a split of them, a copy, or drawn on its own.  Both are then
+        # relabelled by one permutation and their parts and elements shuffled.
+        rng = random.Random(8)
+
+        def draw(n):
+            blocks = {}
+            for i in range(n):
+                blocks.setdefault(rng.randrange(len(blocks) + 1), []).append(i)
+            return list(blocks.values())
+
+        def refines(fine, coarse):
+            return all(any(set(p) <= set(q) for q in coarse) for p in fine)
+
+        answers = collections.Counter()
+        for _ in range(600):
+            n = rng.randint(1, 8)
+            a = draw(n)
+            shape = rng.randrange(4)
+            if shape == 0:  # merge some of a's parts
+                b = [[] for _ in range(rng.randint(1, len(a)))]
+                for part in a:
+                    rng.choice(b).extend(part)
+                b = [part for part in b if part]
+            elif shape == 1:  # split each of a's parts
+                b = [half for part in a for half in (part[::2], part[1::2]) if half]
+            elif shape == 2:
+                b = [list(part) for part in a]
+            else:
+                b = draw(n)
+            relabel = rng.sample(range(n), n)
+            a, b = (
+                [rng.sample([relabel[i] for i in part], len(part)) for part in p] for p in (a, b)
+            )
+            rng.shuffle(a)
+            rng.shuffle(b)
+            fine, coarse = refines(a, b), refines(b, a)
+            want = {
+                (True, True): "equal",
+                (True, False): "refinement",
+                (False, True): "coarsening",
+                (False, False): "incomparable",
+            }[fine, coarse]
+            assert refine_or_coarsen_check(a, b) == want, (a, b)
+            answers[want] += 1
+        assert min(answers.values()) >= 50 and len(answers) == 4, answers
 
     def test_non_integer_index_is_a_partition_error(self):
         with pytest.raises(PartitionError, match="'a' is not an integer"):

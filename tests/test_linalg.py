@@ -18,7 +18,6 @@ from crnkit import (
     select_basis_rows,
     stoichiometric_matrix,
 )
-from crnkit.linalg import _dot
 
 
 def det_int(rows):
@@ -234,5 +233,8 @@ class TestFractionResults:
             assert {type(a) for a in coeffs} == {Fraction}
 
     def test_dot_starts_from_a_fraction_zero(self):
-        assert type(_dot([], [])) is Fraction and _dot([], []) == 0
-        assert type(_dot([1, 2], [3, 4])) is Fraction and _dot([1, 2], [3, 4]) == 11
+        product = RationalMatrix([[1, 2]]) @ RationalMatrix([[3], [4]])
+        assert product.to_lists() == [[Fraction(11)]]
+        assert type(product[0, 0]) is Fraction
+        empty = RationalMatrix([[], []]) @ RationalMatrix([])
+        assert (empty.rows, empty.cols) == (2, 0)

@@ -92,6 +92,28 @@ CASES = {
         ),
         ValueError, "kinetic orders must be finite, not inf",
     ),
+    "power-law-order-too-large-for-a-float": (
+        lambda: Kinetics.power_law([1], [[10**400]]),
+        ValueError, "orders[0][0] does not fit a float",
+    ),
+    "mass-action-rate-too-large-for-a-float": (
+        lambda: Kinetics.mass_action(BACCAM, [10**400] * 4),
+        ValueError, "rates[0] does not fit a float",
+    ),
+    "constructed-order-too-large-for-a-float": (
+        lambda: Kinetics("power-law", (1.0,), ((10**400,),)),
+        ValueError, "orders[0][0] does not fit a float",
+    ),
+    "constructed-rate-too-large-for-a-float": (
+        lambda: Kinetics("power-law", (10**400,), ((1.0,),)),
+        ValueError, "rates[0] does not fit a float",
+    ),
+    "rate-too-large-for-a-float-by-replace": (
+        lambda: Kinetics.mass_action(BACCAM, [1, 1, 1, 1])._replace(
+            rates=(1.0, 1.0, 10**400, 1.0)
+        ),
+        ValueError, "rates[2] does not fit a float",
+    ),
     "coordinate-graph-basis-row-out-of-range": (
         lambda: build_coordinate_graph(BACCAM, BasisSelection((0, 9), 2)),
         ValueError, "basis row 9 is not a reaction index of the network",
@@ -99,6 +121,14 @@ CASES = {
     "coordinate-graph-negative-basis-row": (
         lambda: build_coordinate_graph(BACCAM, BasisSelection((-1, 0, 1), 3)),
         ValueError, "basis row -1 is not a reaction index of the network",
+    ),
+    "coordinate-graph-rank-not-the-row-count": (
+        lambda: build_coordinate_graph(BACCAM, BasisSelection((0, 1, 2), 7)),
+        ValueError, "basis rank 7 is not the number of basis rows, 3",
+    ),
+    "coordinate-graph-bool-rank": (
+        lambda: build_coordinate_graph(BACCAM, BasisSelection((0,), True)),
+        ValueError, "basis rank True is not the number of basis rows, 1",
     ),
     "coordinate-graph-bool-basis-row": (
         lambda: build_coordinate_graph(BACCAM, BasisSelection((True, 0, 2), 3)),
