@@ -30,19 +30,15 @@ from .analysis import (
     terminal_strong_linkage_classes,
 )
 from .decomposition import (
-    BRUTE_FORCE_REACTION_LIMIT,
     CoordinateGraph,
     Decomposition,
     IndependenceReport,
     InternalError,
     MismatchedReactionSetError,
     PartitionError,
-    TooLargeError,
-    brute_force_decompositions,
     build_coordinate_graph,
     connected_components,
     find_independent_decomposition,
-    iter_set_partitions,
     refine_or_coarsen_check,
     verify_decomposition,
 )
@@ -88,7 +84,6 @@ def __getattr__(name: str):
 __all__ = [
     "AnalysisReport",
     "BasisSelection",
-    "BRUTE_FORCE_REACTION_LIMIT",
     "CONCLUSION_AT_MOST_ONE",
     "CONCLUSION_EXACTLY_ONE",
     "CONCLUSION_NO_POSITIVE_STEADY_STATE",
@@ -118,8 +113,6 @@ __all__ = [
     "Reaction",
     "SelfLoopError",
     "Species",
-    "TooLargeError",
-    "brute_force_decompositions",
     "build_coordinate_graph",
     "build_report",
     "connected_components",
@@ -129,7 +122,6 @@ __all__ = [
     "find_independent_decomposition",
     "incidence_matrix",
     "is_steady_state",
-    "iter_set_partitions",
     "json_dumps",
     "linkage_classes",
     "molecularity_matrix",

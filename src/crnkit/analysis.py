@@ -495,28 +495,37 @@ class Kinetics(_Checked, _KineticsFields):
             raise ValueError(f"kinetic orders must be finite, not {bad!r}")
 
     @classmethod
-    def _of_floats(cls, kind: str, rates: Sequence[float], orders: Sequence[Sequence[float]]):
-        """The kinetics of ``rates`` and ``orders`` as floats (`ValueError` if one is too large)."""
-        try:
-            return cls(kind, tuple(map(float, rates)), tuple(tuple(map(float, r)) for r in orders))
-        except OverflowError:
-            raise _too_large(rates, orders) from None
-
-    @classmethod
     def mass_action(cls, net: Network, rates: Sequence[float]) -> "Kinetics":
-        """Mass-action kinetics: order rows taken from the reactant complexes."""
+        """Mass-action kinetics: float order rows from the reactants (`ValueError` if too large)."""
         if len(rates) != net.reaction_count:
             raise DimensionError(
                 f"{net.reaction_count} rate constants required, got {len(rates)}"
             )
-        rows = [_dense(net._terms[rx.reactant], net.species_count) for rx in net.reactions]
-        return cls._of_floats(MASS_ACTION, rates, rows)
+        terms = [net._terms[rx.reactant] for rx in net.reactions]
+        zeros = [0.0] * net.species_count
+        try:
+            floats = tuple(map(float, rates))
+            orders = []
+            for pairs in terms:
+                row = zeros.copy()
+                for i, c in pairs:
+                    row[i] = float(c)
+                orders.append(tuple(row))
+        except OverflowError:
+            raise _too_large(rates, [_dense(t, net.species_count) for t in terms]) from None
+        return cls(MASS_ACTION, floats, tuple(orders))
 
     @classmethod
     def power_law(
         cls, rates: Sequence[float], orders: Sequence[Sequence[float]]
     ) -> "Kinetics":
-        return cls._of_floats(POWER_LAW, rates, orders)
+        """Power-law kinetics: the rates and order rows as floats (`ValueError` if too large)."""
+        try:
+            return cls(
+                POWER_LAW, tuple(map(float, rates)), tuple(tuple(map(float, r)) for r in orders)
+            )
+        except OverflowError:
+            raise _too_large(rates, orders) from None
 
 
 def _too_large(rates: Sequence[float], orders: Sequence[Sequence[float]]) -> ValueError:

@@ -29,21 +29,17 @@ checks a user partition and is independent of the finder: it reads the
 network's and each part's rank and incidence rank from
 `analysis._structures`, which eliminates the reaction vectors once, in
 reaction order, and builds no strong linkage class.  It and the report state
-their conditions through one helper, `_independence`.  The brute-force oracle
-runs one elimination per part.
+their conditions through one helper, `_independence`.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from itertools import chain
-from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
+from typing import Iterable, Literal, NamedTuple, Sequence
 
 from .analysis import _Structure, _structures, _undirected_components
 from .linalg import BasisSelection, _eliminate, _eliminate_over, _Span
 from .model import Network, _Checked, _is_int
-
-BRUTE_FORCE_REACTION_LIMIT = 12  # Bell(12) ~ 4.2M partitions
 
 
 class PartitionError(ValueError):
@@ -52,10 +48,6 @@ class PartitionError(ValueError):
 
 class MismatchedReactionSetError(PartitionError):
     """Two partitions do not cover the same reaction set."""
-
-
-class TooLargeError(ValueError):
-    """Brute-force enumeration rejected: too many reactions."""
 
 
 class InternalError(RuntimeError):
@@ -285,74 +277,6 @@ def find_independent_decomposition(net: Network) -> Decomposition | None:
     """
     found = _finest(net)[1]
     return found if len(found.parts) > 1 else None
-
-
-def _require_int(name: str, value: object) -> None:
-    if not _is_int(value):
-        raise TypeError(f"{name} must be an int, not {value!r}")
-
-
-def iter_set_partitions(
-    n: int, max_parts: int | None = None
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All partitions of range(n) into at most ``max_parts`` blocks.
-
-    Blocks come in restricted-growth order: element i joins each open block
-    in turn, then opens a new one while fewer than ``max_parts`` are open, so
-    blocks are sorted and ordered by their smallest element.  A ``bool`` or
-    non-``int`` ``n`` or ``max_parts`` raises `TypeError` at the call.
-    """
-    _require_int("n", n)
-    if max_parts is not None:
-        _require_int("max_parts", max_parts)
-    limit = n if max_parts is None else min(max_parts, n)
-    if n <= 0 or limit < 1:
-        return iter(())
-    blocks: list[list[int]] = []
-
-    def rec(i: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if i == n:
-            yield tuple(map(tuple, blocks))
-            return
-        for block in blocks:
-            block.append(i)
-            yield from rec(i + 1)
-            block.pop()
-        if len(blocks) < limit:
-            blocks.append([i])
-            yield from rec(i + 1)
-            blocks.pop()
-
-    return rec(0)
-
-
-def brute_force_decompositions(net: Network, max_parts: int) -> list[Decomposition]:
-    """Every independent decomposition with at most ``max_parts`` parts.
-
-    An exhaustive oracle for small networks: enumerates all set partitions of
-    the reaction set and keeps, in canonical (restricted-growth) order, those
-    whose part ranks sum to the network rank.  Each distinct part is ranked by
-    one fresh `_eliminate` of its own rows, never from the finder's relations.
-    The trivial single-part partition is always included.  Raises
-    `TooLargeError` for more than ``BRUTE_FORCE_REACTION_LIMIT`` reactions and
-    `TypeError` for a ``bool`` or non-``int`` ``max_parts``.
-    """
-    r = net.reaction_count
-    if r > BRUTE_FORCE_REACTION_LIMIT:
-        raise TooLargeError(
-            f"{r} reactions exceed the brute-force limit of {BRUTE_FORCE_REACTION_LIMIT}"
-        )
-    _require_int("max_parts", max_parts)
-    if max_parts < 1:
-        raise ValueError("max_parts must be at least 1")
-
-    @cache
-    def part_rank(part: tuple[int, ...]) -> int:
-        return len(_eliminate([net._vectors[i] for i in part]).position)
-
-    total = part_rank(tuple(range(r)))
-    ranked = ((p, tuple(map(part_rank, p))) for p in iter_set_partitions(r, max_parts))
-    return [Decomposition(p, ranks) for p, ranks in ranked if sum(ranks) == total]
 
 
 PartitionRelation = Literal["refinement", "coarsening", "equal", "incomparable"]

@@ -1,11 +1,13 @@
 """Random small-network generation and shared property checks.
 
 Used by both the module-level property tests and the acceptance suite: the
-brute-force partition oracle is exhaustive for the sizes generated here, so
-coordinate-graph connectivity can be tested against ground truth.
+exhaustive partition search of `ground_truth`, which shares no code with
+crnkit, covers the sizes generated here, so coordinate-graph connectivity
+can be tested against it.
 """
 
 from fractions import Fraction
+from itertools import chain
 
 from crnkit import (
     Complex,
@@ -13,10 +15,10 @@ from crnkit import (
     Network,
     Reaction,
     Species,
-    brute_force_decompositions,
     build_coordinate_graph,
     connected_components,
     find_independent_decomposition,
+    rank_of_rows,
     refine_or_coarsen_check,
     select_basis_rows,
     sfrf,
@@ -24,6 +26,7 @@ from crnkit import (
     subnetwork,
     verify_decomposition,
 )
+from ground_truth import independent_partitions, set_partitions
 
 
 def random_network(rng, max_species=4, max_reactions=6, max_coeff=2):
@@ -97,8 +100,11 @@ def random_sparse_network(rng, reactions, species, blocks=1):
     )
 
 
-def all_independent_partitions(net):
-    return brute_force_decompositions(net, max_parts=net.reaction_count)
+def all_independent_partitions(net, max_parts=None):
+    """The ground truth's (parts, part ranks) pairs for ``net``'s reaction vectors."""
+    return independent_partitions(
+        [net.reaction_vector(i) for i in range(net.reaction_count)], max_parts
+    )
 
 
 def scalar_multiple_pairs(net):
@@ -118,7 +124,7 @@ def scalar_multiple_pairs(net):
 def check_network_properties(net):
     """The theorem-oracle property bundle for one network.
 
-    Returns the number of independent partitions found by brute force.
+    Returns the number of independent partitions the ground truth finds.
     Raises AssertionError on any violated property:
       a. coordinate graph disconnected <=> a nontrivial independent partition exists
       b. the finder's output verifies as independent
@@ -127,6 +133,8 @@ def check_network_properties(net):
          exactly on the independent ones
       e. scalar-multiple reaction vectors are never separated in an
          independent partition
+      f. every coarsening of the finder's output is independent, and no
+         other partition is (the converse of c)
     """
     r = net.reaction_count
     basis = select_basis_rows(stoichiometric_matrix(net).transpose())
@@ -134,7 +142,7 @@ def check_network_properties(net):
     disconnected = len(connected_components(graph)) > 1
 
     independents = all_independent_partitions(net)
-    nontrivial = [d for d in independents if len(d.parts) > 1]
+    nontrivial = [parts for parts, _ in independents if len(parts) > 1]
     assert disconnected == bool(nontrivial), (
         f"connectivity criterion violated for {net!r}"
     )
@@ -147,29 +155,38 @@ def check_network_properties(net):
         finest = found.parts
     else:
         finest = (tuple(range(r)),)
-    for d in independents:
-        assert refine_or_coarsen_check(finest, d.parts) in ("refinement", "equal"), (
-            f"{d.parts} is not a coarsening of the finest partition {finest}"
+    for parts, _ in independents:
+        assert refine_or_coarsen_check(finest, parts) in ("refinement", "equal"), (
+            f"{parts} is not a coarsening of the finest partition {finest}"
         )
 
-    # Superadditivity on every partition (not only independent ones).
-    from crnkit import iter_set_partitions, rank_of_rows
-
+    # Superadditivity on every partition (not only independent ones), ranked
+    # by crnkit.
     vectors = [net.reaction_vector(i) for i in range(r)]
     total = rank_of_rows(vectors)
-    independent_parts = {d.parts for d in independents}
-    for partition in iter_set_partitions(r, r):
+    independent_parts = {parts for parts, _ in independents}
+    for partition in set_partitions(r):
         ranks = [rank_of_rows([vectors[i] for i in part]) for part in partition]
         assert sum(ranks) >= total
         assert (sum(ranks) == total) == (partition in independent_parts)
 
     multiples = scalar_multiple_pairs(net)
-    for d in independents:
-        owner = {i: k for k, part in enumerate(d.parts) for i in part}
+    for parts, _ in independents:
+        owner = {i: k for k, part in enumerate(parts) for i in part}
         for i, j in multiples:
             assert owner[i] == owner[j], (
-                f"scalar multiples {i},{j} separated in {d.parts}"
+                f"scalar multiples {i},{j} separated in {parts}"
             )
+
+    # Merging the finest parts along each set partition of them gives each
+    # coarsening once, its blocks sorted and ordered by smallest element.
+    coarsenings = set()
+    for grouping in set_partitions(len(finest)):
+        merged = (sorted(chain(*(finest[k] for k in group))) for group in grouping)
+        coarsenings.add(tuple(sorted(map(tuple, merged))))
+    assert independent_parts == coarsenings, (
+        f"the independent partitions are not the coarsenings of {finest}"
+    )
     return len(independents)
 
 

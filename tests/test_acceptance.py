@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v`` (or ``-s`` to see the
 explicit PASS lines).  Golden values are frozen from independent hand
-computation and from the exhaustive brute-force oracle.
+computation, and criterion 9 judges the finder by an exhaustive partition
+search that shares no code with crnkit (`ground_truth`).
 """
 
 import random

@@ -321,6 +321,10 @@ class TestKinetics:
         assert kin.orders[0] == (1.0, 1.0, 0.0, 0.0)   # X1 + X2
         assert kin.orders[3] == (0.0, 2.0, 0.0, 1.0)   # X4 + 2 X2
 
+    def test_mass_action_orders_are_floats(self, mass_action_demo):
+        kin = Kinetics.mass_action(mass_action_demo, [1, 1, 3, 1])
+        assert {type(v) for row in kin.orders for v in row} == {float}
+
     def test_rates_must_be_positive(self, mass_action_demo):
         with pytest.raises(ValueError):
             Kinetics.mass_action(mass_action_demo, [1, 0, 1, 1])

@@ -1,4 +1,4 @@
-"""Coordinate graph, decomposition finder, verifier, and brute-force oracle."""
+"""Coordinate graph, decomposition finder and verifier, and the exhaustive ground truth."""
 
 import collections
 import itertools
@@ -6,7 +6,8 @@ import random
 
 import pytest
 from conftest import ALL_NETWORK_FILES
-from netgen import random_sparse_network
+from ground_truth import set_partitions
+from netgen import all_independent_partitions, random_sparse_network
 
 import crnkit.analysis
 import crnkit.decomposition
@@ -16,14 +17,11 @@ from crnkit import (
     IndependenceReport,
     MismatchedReactionSetError,
     PartitionError,
-    TooLargeError,
-    brute_force_decompositions,
     build_coordinate_graph,
     build_report,
     connected_components,
     coordinates,
     find_independent_decomposition,
-    iter_set_partitions,
     network_numbers,
     parse_file,
     parse_network,
@@ -365,31 +363,27 @@ class TestVerify:
 class TestBruteForce:
     def test_reversible_pair_only_trivial(self):
         net = parse_network("R1: X1 -> X2\nR2: X2 -> X1\n")
-        found = brute_force_decompositions(net, max_parts=2)
-        assert [d.parts for d in found] == [((0, 1),)]
+        found = all_independent_partitions(net, max_parts=2)
+        assert [parts for parts, _ in found] == [((0, 1),)]
 
     def test_two_step_chain_splits(self):
         net = parse_network("R1: 2 X1 -> X2\nR2: X2 -> X3\n")
-        found = brute_force_decompositions(net, max_parts=2)
-        assert [d.parts for d in found] == [((0, 1),), ((0,), (1,))]
+        found = all_independent_partitions(net, max_parts=2)
+        assert found == [(((0, 1),), (2,)), (((0,), (1,)), (1, 1))]
 
     def test_baccam_contains_the_published_split(self, baccam):
-        found = brute_force_decompositions(baccam, max_parts=4)
-        assert ((0, 1), (2, 3)) in [d.parts for d in found]
-
-    def test_rejects_large_networks(self, yeast):
-        with pytest.raises(TooLargeError):
-            brute_force_decompositions(yeast, max_parts=2)
+        found = all_independent_partitions(baccam, max_parts=4)
+        assert ((0, 1), (2, 3)) in [parts for parts, _ in found]
 
     def test_handel_two_part_splits_are_component_groupings(self, handel):
         # The finest decomposition has 4 parts; every 2-part independent
         # partition must merge those parts, so exactly S(4,2) = 7 exist
         # (plus the trivial single part).
         finest = find_independent_decomposition(handel)
-        found = brute_force_decompositions(handel, max_parts=2)
+        found = all_independent_partitions(handel, max_parts=2)
         assert len(found) == 8
-        for d in found:
-            assert refine_or_coarsen_check(finest.parts, d.parts) in (
+        for parts, _ in found:
+            assert refine_or_coarsen_check(finest.parts, parts) in (
                 "refinement",
                 "equal",
             )
@@ -397,31 +391,13 @@ class TestBruteForce:
     def test_partition_enumeration_counts(self):
         # Bell numbers 1, 2, 5, 15, 52 for n = 1..5.
         for n, bell in [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52)]:
-            assert sum(1 for _ in iter_set_partitions(n, n)) == bell
+            assert sum(1 for _ in set_partitions(n, n)) == bell
 
     def test_partition_enumeration_respects_max_parts(self):
-        parts = list(iter_set_partitions(4, 2))
+        parts = list(set_partitions(4, 2))
         assert all(len(p) <= 2 for p in parts)
         # 1 + (2^(4-1) - 1) = 8 partitions of a 4-set into at most 2 blocks.
         assert len(parts) == 8
-
-
-    @pytest.mark.parametrize("max_parts", [True, 2.5, None, "2"])
-    def test_brute_force_refuses_a_non_int_max_parts(self, max_parts):
-        # True would run as max_parts=1 and 2.5 fail deep inside the
-        # enumeration; both are refused by name before any work.
-        net = parse_network("R1: 2 X1 -> X2\nR2: X2 -> X3\n")
-        with pytest.raises(TypeError, match=f"max_parts must be an int, not {max_parts!r}"):
-            brute_force_decompositions(net, max_parts)
-
-    @pytest.mark.parametrize(
-        "n, max_parts, name",
-        [(True, None, "n"), (2.0, None, "n"), (3, True, "max_parts"), (3, 2.0, "max_parts")],
-    )
-    def test_partition_enumeration_refuses_a_non_int_argument(self, n, max_parts, name):
-        # Refused at the call, not at the first partition drawn.
-        with pytest.raises(TypeError, match=f"{name} must be an int"):
-            iter_set_partitions(n, max_parts)
 
     @pytest.mark.parametrize("n", range(8))
     def test_partition_enumeration_is_the_restricted_growth_order(self, n):
@@ -440,11 +416,12 @@ class TestBruteForce:
         ]
         for max_parts in [None, *range(n + 2)]:
             want = [p for p in every if max_parts is None or len(p) <= max_parts]
-            assert list(iter_set_partitions(n, max_parts)) == want
+            assert list(set_partitions(n, max_parts)) == want
 
     def test_partition_enumeration_of_nothing(self):
-        assert list(iter_set_partitions(0)) == []
-        assert list(iter_set_partitions(3, 0)) == []
+        assert list(set_partitions(0)) == []
+        assert list(set_partitions(3, 0)) == []
+
 
 class TestRefineCoarsen:
     def test_refinement(self):

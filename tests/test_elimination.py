@@ -17,10 +17,10 @@ rows reach the kernel through it here too.  Integer rows, the same rows as
 functions accept `int`, `Fraction`, mixed, float, `Decimal`, `str` and
 `bool` entries alike, and a `Fraction` handed to the kernel is refused.
 `_eliminate` pivots on the columns rarest first; its basis and relations are
-checked against `fraction_scan`, a separate greedy scan in `Fraction`s that
-pivots in natural column order, on networks of up to 1000 reactions, and
-`_Span.rank`, which eliminates a subset's restricted tags through it, against
-fresh scans of the subset on networks of 200 to 400.  Each relation is an
+checked against `fraction_scan` (in `ground_truth`), a separate greedy scan
+in `Fraction`s that pivots in natural column order, on networks of up to
+1000 reactions, and `_Span.rank`, which eliminates a subset's restricted tags
+through it, against fresh scans of the subset on networks of 200 to 400.  Each relation is an
 integer relation over the basis, and the raw relation of a crafted case pins
 the column order, its tie-break and the content of the stored pivot rows.
 """
@@ -56,6 +56,7 @@ from crnkit.analysis import _Structure, _structures
 from crnkit.decomposition import _coordinate_edges, _finest
 from crnkit.linalg import _eliminate, _sparse
 from conftest import ALL_NETWORK_FILES, load
+from ground_truth import fraction_scan
 from netgen import random_network, random_sparse_network
 
 
@@ -557,40 +558,6 @@ def test_the_kernel_refuses_a_fraction(rows):
     # A rational row must pass the boundary: the kernel does not rescale it.
     with pytest.raises(TypeError):
         _eliminate(rows)
-
-
-def plus_multiple(u, f, v):
-    """The sparse vector ``u + f * v``, zeros dropped."""
-    return {j: x for j in u.keys() | v.keys() if (x := u.get(j, 0) + f * v.get(j, 0))}
-
-
-def fraction_scan(rows):
-    """The greedy scan in `Fraction`s, pivoting on the columns in index order.
-
-    An oracle for `_eliminate` that shares none of its code: each stored row
-    has pivot 1 at its smallest column and carries its coefficients over the
-    basis rows.  Returns the basis rows and, for every other row, its
-    coordinates over them (basis position -> nonzero `Fraction`).
-    """
-    pivots = {}
-    basis, coords = [], {}
-    for i, row in enumerate(rows):
-        # w == row - sum(c[j] * basis_row[j])
-        w, c = {j: Fraction(x) for j, x in row}, {}
-        while w and min(w) in pivots:
-            prow, pc = pivots[min(w)]
-            f = w[min(w)]
-            w, c = plus_multiple(w, -f, prow), plus_multiple(c, f, pc)
-        if not w:
-            coords[i] = c
-            continue
-        p = w[min(w)]
-        pivots[min(w)] = (
-            {j: x / p for j, x in w.items()},
-            plus_multiple({len(basis): 1 / p}, -1 / p, c),
-        )
-        basis.append(i)
-    return basis, coords
 
 
 def column_order_cases():

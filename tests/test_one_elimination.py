@@ -56,7 +56,6 @@ def test_only_the_elimination_chooses_a_column_order():
         "analysis._Structure.__init__",
         "decomposition._certify",
         "decomposition._finest",
-        "decomposition.brute_force_decompositions.part_rank",
         "linalg._Span.rank",
         "linalg._eliminate_over",
         "linalg.rank_of_rows",

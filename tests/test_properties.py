@@ -1,6 +1,6 @@
 """Randomized property tests: the connectivity criterion against the
-brute-force oracle, partition propositions, and additivity of the species
-formation rate over partition blocks."""
+exhaustive ground truth, partition propositions, and additivity of the
+species formation rate over partition blocks."""
 
 import random
 from fractions import Fraction
@@ -10,11 +10,11 @@ from crnkit import (
     NotInSpanError,
     coordinates,
     find_independent_decomposition,
-    iter_set_partitions,
     parse_network,
     rank_of_rows,
     sfrf,
 )
+from ground_truth import set_partitions
 from netgen import (
     all_independent_partitions,
     check_network_properties,
@@ -37,7 +37,7 @@ class TestTheoremOracle:
                 continue
             v0, v1 = net.reaction_vector(0), net.reaction_vector(1)
             proportional = rank_of_rows([v0, v1]) == 1
-            nontrivial = [d for d in all_independent_partitions(net) if len(d.parts) > 1]
+            nontrivial = [p for p, _ in all_independent_partitions(net) if len(p) > 1]
             assert bool(nontrivial) == (not proportional)
 
 
@@ -70,8 +70,8 @@ class TestLinearCombinationProposition:
             if not witnesses:
                 continue
             checked += 1
-            for d in all_independent_partitions(net):
-                owner = {x: p for p, part in enumerate(d.parts) for x in part}
+            for parts, _ in all_independent_partitions(net):
+                owner = {x: p for p, part in enumerate(parts) for x in part}
                 for i, j in witnesses:
                     assert owner[i] == owner[j]
         assert checked > 10  # the sample must actually exercise the property
@@ -90,7 +90,7 @@ class TestSfrfAdditivity:
             kin = Kinetics.mass_action(net, rates)
             whole = sfrf(net, kin, x)
 
-            partitions = [p for p in iter_set_partitions(r, 2)]
+            partitions = list(set_partitions(r, 2))
             partition = partitions[rng.randrange(len(partitions))]
             total = [0.0] * net.species_count
             for part in partition:

@@ -22,7 +22,6 @@ from crnkit import (
     RationalMatrix,
     Reaction,
     Species,
-    brute_force_decompositions,
     build_coordinate_graph,
     coordinates,
     parse_network,
@@ -96,6 +95,10 @@ CASES = {
         lambda: Kinetics.power_law([1], [[10**400]]),
         ValueError, "orders[0][0] does not fit a float",
     ),
+    "mass-action-order-too-large-for-a-float": (
+        lambda: Kinetics.mass_action(parse_network(f"R1: {10**400} A -> B\n"), [1]),
+        ValueError, "orders[0][0] does not fit a float",
+    ),
     "mass-action-rate-too-large-for-a-float": (
         lambda: Kinetics.mass_action(BACCAM, [10**400] * 4),
         ValueError, "rates[0] does not fit a float",
@@ -137,10 +140,6 @@ CASES = {
     "partition-without-parts": (
         lambda: verify_decomposition(NET, []),
         PartitionError, "partition has no parts",
-    ),
-    "brute-force-without-parts": (
-        lambda: brute_force_decompositions(NET, 0),
-        ValueError, "max_parts must be at least 1",
     ),
     "report-of-another-schema": (
         lambda: AnalysisReport.from_dict({"schema_version": "2"}),

@@ -1,6 +1,7 @@
 """crnkit imports nothing at run time beyond the standard library and itself,
 its syntax parses on the oldest Python that pyproject.toml admits, and the
-CLI's import leaves out the standard modules that only slow a cold start."""
+CLI's import leaves out the standard modules that only slow a cold start.
+The tests' exhaustive ground truth imports the standard library alone."""
 
 import ast
 import os
@@ -14,6 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "crnkit"
 MODULES = sorted(SRC.glob("*.py"))
+GROUND_TRUTH = ROOT / "tests" / "ground_truth.py"
 # tomllib is not in every Python that pyproject.toml admits, so read it by regex.
 OLDEST = re.search(
     r'^requires-python = ">=(\d+)\.(\d+)"$',
@@ -26,24 +28,34 @@ def test_the_package_is_found():
     assert "__init__.py" in {m.name for m in MODULES}
 
 
-@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.name)
-def test_imports_are_stdlib_or_crnkit(module):
+def imports(module: Path):
+    """(line, top-level name, relative level) for each module that ``module`` imports."""
     tree = ast.parse(module.read_text(encoding="utf-8"), filename=str(module))
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            tops = [alias.name.split(".")[0] for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            tops = [node.module.split(".")[0]]
+            for alias in node.names:
+                yield node.lineno, alias.name.split(".")[0], 0
         elif isinstance(node, ast.ImportFrom):
-            # A relative import must stay inside the flat crnkit package.
-            assert node.level == 1, f"{module.name}:{node.lineno} leaves crnkit"
-            continue
-        else:
-            continue
-        for top in tops:
-            assert top == "crnkit" or top in sys.stdlib_module_names, (
-                f"{module.name}:{node.lineno} imports {top!r}, not in the standard library"
-            )
+            yield node.lineno, (node.module or "").split(".")[0], node.level
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.name)
+def test_imports_are_stdlib_or_crnkit(module):
+    for line, top, level in imports(module):
+        # A relative import must stay inside the flat crnkit package.
+        assert level <= 1, f"{module.name}:{line} leaves crnkit"
+        assert level or top == "crnkit" or top in sys.stdlib_module_names, (
+            f"{module.name}:{line} imports {top!r}, not in the standard library"
+        )
+
+
+def test_the_ground_truth_imports_only_the_standard_library():
+    found = list(imports(GROUND_TRUTH))
+    assert found, "ground_truth.py imports nothing"
+    for line, top, level in found:
+        assert not level and top in sys.stdlib_module_names, (
+            f"ground_truth.py:{line} imports {top!r}, not in the standard library"
+        )
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.name)
@@ -92,3 +104,11 @@ def test_ranking_int_rows_builds_no_fraction():
         "print(repr((r, 'fractions' in sys.modules)))"
     )
     assert fresh(probe) == (2, False)
+
+
+def test_the_ground_truth_loads_no_crnkit_module():
+    probe = (
+        f"import sys; sys.path.insert(0, {str(GROUND_TRUTH.parent)!r}); import ground_truth; "
+        "print(repr(sorted(m for m in sys.modules if m.split('.')[0] == 'crnkit')))"
+    )
+    assert fresh(probe) == []
