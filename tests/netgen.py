@@ -107,6 +107,20 @@ def all_independent_partitions(net, max_parts=None):
     )
 
 
+def coarsenings(finest, max_parts=None):
+    """The set of partitions made by merging the ``finest`` parts into at most ``max_parts`` blocks.
+
+    Merging along each set partition of the parts gives each coarsening
+    once, its blocks sorted and ordered by smallest element, as the ground
+    truth orders them.
+    """
+    out = set()
+    for grouping in set_partitions(len(finest), max_parts):
+        merged = (sorted(chain(*(finest[k] for k in group))) for group in grouping)
+        out.add(tuple(sorted(map(tuple, merged))))
+    return out
+
+
 def scalar_multiple_pairs(net):
     """Pairs (i, j) of reactions whose vectors are nonzero scalar multiples."""
     vectors = [tuple(Fraction(v) for v in net.reaction_vector(i)) for i in range(net.reaction_count)]
@@ -178,13 +192,7 @@ def check_network_properties(net):
                 f"scalar multiples {i},{j} separated in {parts}"
             )
 
-    # Merging the finest parts along each set partition of them gives each
-    # coarsening once, its blocks sorted and ordered by smallest element.
-    coarsenings = set()
-    for grouping in set_partitions(len(finest)):
-        merged = (sorted(chain(*(finest[k] for k in group))) for group in grouping)
-        coarsenings.add(tuple(sorted(map(tuple, merged))))
-    assert independent_parts == coarsenings, (
+    assert independent_parts == coarsenings(finest), (
         f"the independent partitions are not the coarsenings of {finest}"
     )
     return len(independents)

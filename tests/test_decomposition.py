@@ -7,7 +7,7 @@ import random
 import pytest
 from conftest import ALL_NETWORK_FILES
 from ground_truth import set_partitions
-from netgen import all_independent_partitions, random_sparse_network
+from netgen import all_independent_partitions, coarsenings, random_sparse_network
 
 import crnkit.analysis
 import crnkit.decomposition
@@ -387,6 +387,23 @@ class TestBruteForce:
                 "refinement",
                 "equal",
             )
+
+    @pytest.mark.parametrize(
+        "path",
+        [p for p in ALL_NETWORK_FILES if parse_file(p).reaction_count <= 13],
+        ids=lambda p: p.stem,
+    )
+    def test_corpus_independent_partitions_are_the_finest_coarsenings(self, path):
+        # The converse of the finder's check on the corpus: the ground truth
+        # finds exactly the coarsenings of the finest parts.  Every partition
+        # is searched up to 8 reactions; larger networks (handel, yeast) only
+        # into two parts, which keeps the search at most 2**12 partitions.
+        net = parse_file(path)
+        max_parts = None if net.reaction_count <= 8 else 2
+        found = find_independent_decomposition(net)
+        finest = found.parts if found is not None else (tuple(range(net.reaction_count)),)
+        independent = {parts for parts, _ in all_independent_partitions(net, max_parts)}
+        assert independent == coarsenings(finest, max_parts)
 
     def test_partition_enumeration_counts(self):
         # Bell numbers 1, 2, 5, 15, 52 for n = 1..5.
