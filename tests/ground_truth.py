@@ -2,10 +2,11 @@
 
 It imports only the standard library, so a fault in crnkit's elimination
 cannot move it together with the finder it judges.  `fraction_scan` is a
-greedy elimination in `Fraction`s, `set_partitions` enumerates set
-partitions in restricted-growth order, and `independent_partitions` keeps
-those whose part ranks sum to the rank of the whole.  The search is
-exhaustive, so it is meant for networks of about a dozen reactions at most.
+greedy elimination in `Fraction`s and `fraction_rank` the same scan for a
+rank alone, `set_partitions` enumerates set partitions in restricted-growth
+order, and `independent_partitions` keeps those whose part ranks sum to the
+rank of the whole.  The search is exhaustive, so it is meant for networks of
+about a dozen reactions at most.
 """
 
 from fractions import Fraction
@@ -53,6 +54,18 @@ def fraction_scan(rows):
     return basis, coords
 
 
+def fraction_rank(rows):
+    """The rank of the sparse ``rows``: `fraction_scan`'s scan without the coordinates."""
+    pivots = {}
+    for row in rows:
+        w = {j: Fraction(x) for j, x in row}
+        while w and (p := min(w)) in pivots:
+            w = plus_multiple(w, -w[p], pivots[p])
+        if w:
+            pivots[p] = {j: x / w[p] for j, x in w.items()}
+    return len(pivots)
+
+
 def set_partitions(n, max_parts=None):
     """All partitions of range(n) into at most ``max_parts`` blocks.
 
@@ -86,7 +99,7 @@ def independent_partitions(vectors, max_parts=None):
     """Every independent partition of the ``vectors``' indices into at most ``max_parts`` parts.
 
     A partition is independent when its part ranks sum to the rank of all
-    the vectors.  Each distinct part is ranked once, by `fraction_scan` of
+    the vectors.  Each distinct part is ranked once, by `fraction_rank` of
     its own vectors.  Returns (parts, part ranks) pairs in restricted-growth
     order, the trivial one-part partition included.
     """
@@ -94,7 +107,7 @@ def independent_partitions(vectors, max_parts=None):
 
     @cache
     def rank(part):
-        return len(fraction_scan([rows[i] for i in part])[0])
+        return fraction_rank(rows[i] for i in part)
 
     total = rank(tuple(range(len(rows))))
     ranked = ((parts, tuple(map(rank, parts))) for parts in set_partitions(len(rows), max_parts))

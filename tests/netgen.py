@@ -6,8 +6,7 @@ crnkit, covers the sizes generated here, so coordinate-graph connectivity
 can be tested against it.
 """
 
-from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
 
 from crnkit import (
     Complex,
@@ -26,7 +25,7 @@ from crnkit import (
     subnetwork,
     verify_decomposition,
 )
-from ground_truth import independent_partitions, set_partitions
+from ground_truth import fraction_rank, independent_partitions, set_partitions
 
 
 def random_network(rng, max_species=4, max_reactions=6, max_coeff=2):
@@ -122,17 +121,10 @@ def coarsenings(finest, max_parts=None):
 
 
 def scalar_multiple_pairs(net):
-    """Pairs (i, j) of reactions whose vectors are nonzero scalar multiples."""
-    vectors = [tuple(Fraction(v) for v in net.reaction_vector(i)) for i in range(net.reaction_count)]
-    pairs = []
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            vi, vj = vectors[i], vectors[j]
-            k = next(c for c, v in enumerate(vj) if v)
-            scale = vi[k] / vj[k]
-            if scale != 0 and all(a == scale * b for a, b in zip(vi, vj)):
-                pairs.append((i, j))
-    return pairs
+    """Pairs (i, j) of reactions whose vectors are nonzero scalar multiples: of rank 1 together."""
+    rows = list(map(net.sparse_reaction_vector, range(net.reaction_count)))
+    pairs = combinations(range(len(rows)), 2)
+    return [(i, j) for i, j in pairs if fraction_rank([rows[i], rows[j]]) == 1]
 
 
 def check_network_properties(net):

@@ -11,12 +11,11 @@ import threading
 
 import pytest
 
-import crnkit
-from crnkit import network_numbers, parse_file, subnetwork, to_dsl
+from crnkit import network_numbers, parse_file, subnetwork
 from crnkit.cli import main
 from crnkit.report import format_numbers_table, numbers_to_dict, render_text
-from conftest import ALL_NETWORK_FILES, NETWORKS_DIR
-from netgen import random_network, random_sparse_network
+from conftest import ALL_NETWORK_FILES, NETWORKS_DIR, crn, outcomes
+from netgen import random_network
 
 FEEDFORWARD = "R1: 0 -> X1\nR2: X1 -> X2\nR3: X2 + X3 -> X1 + X3\nR4: X2 -> X3\n"
 
@@ -29,21 +28,6 @@ def run(capsys, *argv):
 
 def path(networks_dir, name):
     return str(networks_dir / name)
-
-
-def crn_child(*argv, unbuffered=False):
-    """``python -m crnkit.cli`` argv and environment for the crnkit under test, installed or not.
-
-    The child's stdout is buffered, as a console script's is, unless
-    ``unbuffered`` sets ``PYTHONUNBUFFERED``.
-    """
-    src = os.path.dirname(os.path.dirname(crnkit.__file__))
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=pythonpath)
-    env.pop("PYTHONUNBUFFERED", None)
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    return [sys.executable, "-m", "crnkit.cli", *argv], env
 
 
 class TestDecompose:
@@ -485,15 +469,10 @@ class TestAnalyze:
 
     def test_byte_identical_across_processes(self, networks_dir):
         # Different hash seeds must not leak into the output ordering.
-        outputs = []
-        for seed in ("0", "424242"):
-            for fmt in ("text", "json"):
-                argv, env = crn_child("analyze", path(networks_dir, "yeast.crn"), "--format", fmt)
-                env["PYTHONHASHSEED"] = seed
-                proc = subprocess.run(argv, capture_output=True, env=env, check=True)
-                outputs.append((fmt, proc.stdout))
-        assert outputs[0] == outputs[2]
-        assert outputs[1] == outputs[3]
+        yeast = path(networks_dir, "yeast.crn")
+        calls = [["analyze", yeast, "--format", fmt] for fmt in ("text", "json")]
+        first, second = (outcomes(calls, env={"PYTHONHASHSEED": seed}) for seed in ("0", "424242"))
+        assert first == second and [code for code, _, _ in first] == [0, 0]
 
     def test_json_round_trips_losslessly(self, capsys, networks_dir):
         from crnkit.report import AnalysisReport
@@ -681,24 +660,20 @@ def failed_write(code):
     return f"error: [Errno {code}] {os.strerror(code)}\n"
 
 
-@pytest.fixture(scope="module")
-def big_crn(tmp_path_factory):
-    """A seeded 1000-reaction network: both report formats far exceed a pipe's buffer."""
-    f = tmp_path_factory.mktemp("big") / "big.crn"
-    f.write_text(to_dsl(random_sparse_network(random.Random(1000), 1000, 500)))
-    return str(f)
+# The child's environment: stdout buffered, as a console script's is, or unbuffered.
+UNBUFFERED = [{}, {"PYTHONUNBUFFERED": "1"}]
 
 
 class TestWriteFailures:
     """A failed write to stdout exits 1 with one error line and no traceback."""
 
-    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("env", UNBUFFERED, ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("fmt", ["json", "text"])
-    def test_a_reader_that_closes_the_pipe_early(self, big_crn, fmt, unbuffered):
+    def test_a_reader_that_closes_the_pipe_early(self, big_crn, fmt, env):
         # Unbuffered, Python's text layer alone would drop the rest of the one
         # short write of a text report to the closed pipe and exit 0.
-        argv, env = crn_child("analyze", big_crn, "--format", fmt, unbuffered=unbuffered)
-        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+        proc = crn("analyze", big_crn, "--format", fmt, env=env, run=subprocess.Popen, **pipes)
         head = proc.stdout.read(100)
         proc.stdout.close()
         err = proc.stderr.read().decode()
@@ -726,16 +701,16 @@ class TestWriteFailures:
     )
     def test_a_full_disk(self, big_crn, words):
         files = {"PURINE": str(NETWORKS_DIR / "purine.crn"), "BIG": big_crn}
-        argv, env = crn_child(*(files.get(word, word) for word in words.split()))
+        argv = (files.get(word, word) for word in words.split())
         with open("/dev/full", "wb") as full:
-            proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, env=env, timeout=120)
+            proc = crn(*argv, stdout=full, stderr=subprocess.PIPE, timeout=120)
         err = proc.stderr.decode()
         assert proc.returncode == 1
         assert "Traceback" not in err and "Exception ignored" not in err
         assert err == failed_write(errno.ENOSPC)
 
     @pytest.mark.skipif(os.name != "posix", reason="closes the child's descriptor 1 before exec")
-    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("env", UNBUFFERED, ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize(
         "words",
         [
@@ -757,12 +732,11 @@ class TestWriteFailures:
         ],
         ids=" ".join,
     )
-    def test_a_closed_stdout(self, words, unbuffered):
+    def test_a_closed_stdout(self, words, env):
         # With descriptor 1 closed, Python sets sys.stdout to None and print writes nothing.
         words = [str(NETWORKS_DIR / w) if w.endswith(".crn") else w for w in words]
-        argv, env = crn_child(*words, unbuffered=unbuffered)
-        proc = subprocess.run(
-            argv, stderr=subprocess.PIPE, env=env, timeout=120, preexec_fn=lambda: os.close(1)
+        proc = crn(
+            *words, env=env, stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1), timeout=120
         )
         err = proc.stderr.decode()
         assert proc.returncode == 1

@@ -17,17 +17,14 @@ test (argparse's wording differs between Python versions), and check that
 
 import argparse
 import copy
-import os
-import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-import crnkit
 from crnkit import cli, parse_file
-from conftest import NETWORKS_DIR
+from conftest import NETWORKS_DIR, outcomes
 from test_one_elimination import callers
+from test_stdlib_only import fresh
 
 BACCAM = str(NETWORKS_DIR / "baccam.crn")
 STEADY = ["--rates", "R1=1,R2=1,R3=1,R4=1", "--point", "T=1,V=1,I=1"]
@@ -54,7 +51,7 @@ def top_level_only():
     return parser, {}
 
 
-# A ``crn`` process whose `main` takes the top-level route, for `fresh_outcome`.
+# A ``crn`` process whose `main` takes the top-level route, for `outcomes`.
 TOP_LEVEL_MAIN = (
     "import sys; from crnkit import cli; build = cli._build_parser.__wrapped__; "
     "cli._build_parser = lambda: (build()[0], {}); sys.exit(cli.main())"
@@ -187,9 +184,8 @@ def test_main_matches_the_top_level_route(capsys, monkeypatch, argv, columns):
 @pytest.mark.parametrize("columns", WIDTHS)
 def test_crn_processes_match_the_top_level_route(monkeypatch, columns):
     monkeypatch.setenv("COLUMNS", columns)
-    with ThreadPoolExecutor(2) as pool:
-        got = list(pool.map(fresh_outcome, ARGVS))
-        want = list(pool.map(lambda argv: fresh_outcome(argv, TOP_LEVEL_MAIN), ARGVS))
+    got = outcomes(ARGVS, text=True)
+    want = outcomes(ARGVS, TOP_LEVEL_MAIN, text=True)
     for argv, one, other in zip(ARGVS, got, want):
         assert one == other, argv
     assert {code for code, _, _ in got} == {0, 1, 3}
@@ -324,33 +320,12 @@ def stateless_sequence():
     return sequence
 
 
-def fresh_outcome(argv, program=None):
-    """The exit code, stdout and stderr of ``argv`` in a new ``crn`` process.
-
-    The child imports the crnkit under test, installed or not, and reads the
-    same terminal width and colour settings as this process.  It runs
-    ``python -m crnkit.cli``, or ``program`` with ``python -c`` if given.
-    """
-    src = os.path.dirname(os.path.dirname(crnkit.__file__))
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, *(["-m", "crnkit.cli"] if program is None else ["-c", program]), *argv],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=pythonpath),
-    )
-    return proc.returncode, proc.stdout, proc.stderr
-
-
 def test_main_keeps_no_state_between_calls(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.setenv("NO_COLOR", "1")
-    fresh = {}
     sequence = stateless_sequence()
-    for argv in sequence:
-        key = tuple(argv)
-        if key not in fresh:
-            fresh[key] = fresh_outcome(argv)
+    calls = list(dict.fromkeys(map(tuple, sequence)))
+    fresh = dict(zip(calls, outcomes(calls, text=True)))
     codes = set()
     for _ in range(2):
         for argv in sequence:
@@ -362,19 +337,22 @@ def test_main_keeps_no_state_between_calls(capsys, monkeypatch):
 
 def test_a_commands_help_follows_the_terminal_width_of_each_call(capsys, monkeypatch):
     # The one parser reads the terminal width each time it formats help, so
-    # a width set between in-process calls shows in the next help.
+    # a width set between in-process calls shows in the next help.  In new
+    # processes, "crn -x CMD -h", where the top-level parser hands "-h" to
+    # the command's parser, prints what "crn CMD -h" prints, at each width
+    # and with COLUMNS unset.
     monkeypatch.setenv("NO_COLOR", "1")
-    widths = ("40", "120")
+    monkeypatch.delenv("COLUMNS", raising=False)
+    argvs = [argv for name in ARGUMENTS for argv in ([name, "-h"], ["-x", name, "-h"])]
     fresh = {}
-    for columns in widths:
-        monkeypatch.setenv("COLUMNS", columns)
-        for name in ARGUMENTS:
-            code, out, err = fresh_outcome([name, "-h"])
-            assert code == 0
-            fresh[columns, name] = (("SystemExit", 0), out, err)
+    for columns in (None, "40", "120"):
+        runs = outcomes(argvs, env={} if columns is None else {"COLUMNS": columns}, text=True)
+        for name, direct, routed in zip(ARGUMENTS, runs[::2], runs[1::2]):
+            assert direct == routed and direct[0] == 0, (columns, name)
+            fresh[columns, name] = (("SystemExit", 0), *direct[1:])
     for name in ARGUMENTS:
         assert fresh["40", name] != fresh["120", name]
-    for columns in (*widths, *widths):
+    for columns in ("40", "120", "40", "120"):
         monkeypatch.setenv("COLUMNS", columns)
         for name in ARGUMENTS:
             assert outcome(capsys, [name, "-h"]) == fresh[columns, name], (columns, name)
@@ -474,17 +452,7 @@ def test_importing_the_cli_builds_no_argument_parser():
         "argparse.ArgumentParser.__init__ = counting\n"
         "import crnkit.cli; print(len(built))"
     )
-    src = os.path.dirname(os.path.dirname(crnkit.__file__))
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=pythonpath),
-        timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "0\n"
+    assert fresh(probe) == 0
 
 
 @pytest.mark.parametrize(

@@ -6,8 +6,8 @@ import random
 
 import pytest
 from conftest import ALL_NETWORK_FILES
-from ground_truth import set_partitions
-from netgen import all_independent_partitions, coarsenings, random_sparse_network
+from ground_truth import fraction_rank, fraction_scan, set_partitions
+from netgen import all_independent_partitions, coarsenings, random_network, random_sparse_network
 
 import crnkit.analysis
 import crnkit.decomposition
@@ -361,6 +361,15 @@ class TestVerify:
 
 
 class TestBruteForce:
+    def test_the_rank_only_scan_ranks_as_fraction_scan(self):
+        # On criterion 9's 500 networks, the search's rank and the scan that
+        # also carries coordinates agree.
+        rng = random.Random(123457)
+        for _ in range(500):
+            net = random_network(rng, max_species=4, max_reactions=6, max_coeff=2)
+            rows = [net.sparse_reaction_vector(i) for i in range(net.reaction_count)]
+            assert fraction_rank(rows) == len(fraction_scan(rows)[0]), net
+
     def test_reversible_pair_only_trivial(self):
         net = parse_network("R1: X1 -> X2\nR2: X2 -> X1\n")
         found = all_independent_partitions(net, max_parts=2)

@@ -3,18 +3,10 @@ exhaustive ground truth, partition propositions, and additivity of the
 species formation rate over partition blocks."""
 
 import random
-from fractions import Fraction
+from itertools import combinations
 
-from crnkit import (
-    Kinetics,
-    NotInSpanError,
-    coordinates,
-    find_independent_decomposition,
-    parse_network,
-    rank_of_rows,
-    sfrf,
-)
-from ground_truth import set_partitions
+from crnkit import Kinetics, find_independent_decomposition, parse_network, rank_of_rows, sfrf
+from ground_truth import fraction_scan, set_partitions
 from netgen import (
     all_independent_partitions,
     check_network_properties,
@@ -44,36 +36,31 @@ class TestTheoremOracle:
 class TestLinearCombinationProposition:
     def test_combination_witnesses_keep_their_generators_together(self):
         # Whenever v_k = a*v_i + b*v_j with a, b != 0 and {v_i, v_j}
-        # independent, no independent partition separates i from j.
+        # independent, no independent partition separates i from j: neither
+        # the ground truth's nor the finder's finest.  In the ground truth's
+        # scan of (v_i, v_j, v_k), k has both coordinates exactly then.
         rng = random.Random(77)
         checked = 0
         for _ in range(120):
             net = random_network(rng, max_species=3, max_reactions=5)
             r = net.reaction_count
-            vectors = [
-                tuple(Fraction(v) for v in net.reaction_vector(i)) for i in range(r)
+            rows = [net.sparse_reaction_vector(i) for i in range(r)]
+            witnesses = [
+                (i, j)
+                for i, j in combinations(range(r), 2)
+                for k in range(r)
+                if k not in (i, j)
+                and fraction_scan([rows[i], rows[j], rows[k]])[1].get(2, {}).keys() == {0, 1}
             ]
-            witnesses = []
-            for i in range(r):
-                for j in range(i + 1, r):
-                    if rank_of_rows([vectors[i], vectors[j]]) != 2:
-                        continue
-                    for k in range(r):
-                        if k in (i, j):
-                            continue
-                        try:
-                            a, b = coordinates(vectors[k], [vectors[i], vectors[j]])
-                        except NotInSpanError:
-                            continue
-                        if a != 0 and b != 0:
-                            witnesses.append((i, j))
             if not witnesses:
                 continue
             checked += 1
-            for parts, _ in all_independent_partitions(net):
+            found = find_independent_decomposition(net)
+            finest = (tuple(range(r)),) if found is None else found.parts
+            for parts in [finest, *(parts for parts, _ in all_independent_partitions(net))]:
                 owner = {x: p for p, part in enumerate(parts) for x in part}
                 for i, j in witnesses:
-                    assert owner[i] == owner[j]
+                    assert owner[i] == owner[j], (parts, i, j)
         assert checked > 10  # the sample must actually exercise the property
 
 

@@ -4,13 +4,13 @@ CLI's import leaves out the standard modules that only slow a cold start.
 The tests' exhaustive ground truth imports the standard library alone."""
 
 import ast
-import os
 import re
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import crn
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "crnkit"
@@ -75,11 +75,7 @@ SLOW_IMPORTS = ("dataclasses", "inspect", "json", "fractions", "decimal", "numbe
 def fresh(probe: str):
     """The value that ``probe`` prints in a fresh interpreter, where modules
     that other tests imported do not count."""
-    path = [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
-    )
+    done = crn(program=probe, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     return ast.literal_eval(done.stdout)
 
