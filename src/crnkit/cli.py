@@ -8,7 +8,9 @@ violation, 3 negative verdict.
 handler, set as the subparser's ``run`` default.  Each process builds that
 one parser on its first call.  A call whose first word names a command is
 parsed by that command's subparser alone; the top-level parser answers only
-the calls that name none.
+the calls that name none.  A handler writes nothing: it returns its exit code,
+then the pieces of its stdout text, which `main` hands to `_write`, the one
+function that touches ``sys.stdout``.  Help goes through `_write` too.
 """
 
 from __future__ import annotations
@@ -57,15 +59,12 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: D102 - argparse hook
         raise _UsageError(message)
 
-    # With stdout closed, argparse would print help to stderr instead; `exit` reports it.
+    # argparse would print help to stderr when stdout is closed, and would hide a failed write.
     def print_help(self, file=None):  # noqa: D102 - argparse hook
-        if file is not None or sys.stdout is not None:
+        if file is None:
+            _write(self.format_help())
+        else:
             super().print_help(file)
-
-    # Only help reaches this hook: its text is flushed while `main` can catch a failed write.
-    def exit(self, status: int = 0, message: str | None = None):  # noqa: D102 - argparse hook
-        _flush_stdout()
-        super().exit(status, message)
 
 
 def _parse_parts(spec: str, net: Network) -> list[list[int]]:
@@ -126,58 +125,52 @@ def _in_order(
     return [values[name] for name in names]
 
 
-def _cmd_analyze(args: argparse.Namespace, net: Network) -> int:
+def _cmd_analyze(args: argparse.Namespace, net: Network) -> tuple:
     report = build_report(net).to_dict()
     if args.format == "json":
-        print(json_dumps(report))
-    else:
-        print(render_text(report), end="")
-    return EXIT_OK
+        return EXIT_OK, json_dumps(report), "\n"
+    return EXIT_OK, render_text(report)
 
 
-def _cmd_decompose(args: argparse.Namespace, net: Network) -> int:
+def _cmd_decompose(args: argparse.Namespace, net: Network) -> tuple:
     if args.contains is not None:
         index = net.label_index()
         if args.contains not in index:
             raise _UsageError(f"unknown reaction label {args.contains!r}")
-        chosen = index[args.contains]
+        chosen, subset = index[args.contains], f"{{{args.contains}}}"
         rest = [i for i in range(net.reaction_count) if i != chosen]
         if not rest:
-            print(f"{{{args.contains}}} is the whole network (trivial decomposition)")
-            return EXIT_NEGATIVE
+            return EXIT_NEGATIVE, f"{subset} is the whole network (trivial decomposition)\n"
         rep = verify_decomposition(net, [[chosen], rest])
         eq = rank_equation(rep.network_rank, list(rep.part_ranks))
         verb = "form" if rep.independent else "do not form"
-        print(f"{{{args.contains}}} and its complement {verb} an independent decomposition ({eq})")
-        return EXIT_OK if rep.independent else EXIT_NEGATIVE
+        line = f"{subset} and its complement {verb} an independent decomposition ({eq})\n"
+        return (EXIT_OK if rep.independent else EXIT_NEGATIVE), line
 
     decomposition = find_independent_decomposition(net)
     if decomposition is None:
-        print("trivial only")
-        return EXIT_NEGATIVE
-    for k, part in enumerate(decomposition.labels(net), 1):
-        print(f"P{k}: {', '.join(part)}")
-    return EXIT_OK
+        return EXIT_NEGATIVE, "trivial only\n"
+    parts = decomposition.labels(net)
+    return EXIT_OK, "".join(f"P{k}: {', '.join(part)}\n" for k, part in enumerate(parts, 1))
 
 
-def _cmd_check(args: argparse.Namespace, net: Network) -> int:
+def _cmd_check(args: argparse.Namespace, net: Network) -> tuple:
     parts = _parse_parts(args.parts, net)
     rep = verify_decomposition(net, parts)
-    print("\n".join(rank_condition_lines(independence_to_dict(rep))))
-    return EXIT_OK if rep.independent else EXIT_NEGATIVE
+    lines = rank_condition_lines(independence_to_dict(rep))
+    return (EXIT_OK if rep.independent else EXIT_NEGATIVE), "\n".join(lines), "\n"
 
 
-def _cmd_numbers(args: argparse.Namespace, net: Network) -> int:
+def _cmd_numbers(args: argparse.Namespace, net: Network) -> tuple:
     # One elimination of the network; each part's column is read from it.
     parts = () if args.parts is None else _parse_parts(args.parts, net)
     whole, structures = _structures(net, parts)
     columns = [("N", numbers_to_dict(whole.numbers))]
     columns += [(f"N{k}", numbers_to_dict(st.numbers)) for k, st in enumerate(structures, 1)]
-    print(format_numbers_table(columns))
-    return EXIT_OK
+    return EXIT_OK, format_numbers_table(columns), "\n"
 
 
-def _cmd_steady_state(args: argparse.Namespace, net: Network) -> int:
+def _cmd_steady_state(args: argparse.Namespace, net: Network) -> tuple:
     rates_by_label = _parse_assignments(args.rates, "rates")
     point_by_name = _parse_assignments(args.point, "point")
     rates = _in_order(
@@ -201,9 +194,8 @@ def _cmd_steady_state(args: argparse.Namespace, net: Network) -> int:
     formatted = ", ".join(
         f"{name}: {value + 0.0:.12g}" for name, value in zip(names, f)
     )  # +0.0 folds negative zero into zero
-    print(f"f(x) = ({formatted})")
-    print("steady state" if steady else "not a steady state")
-    return EXIT_OK if steady else EXIT_NEGATIVE
+    verdict = "steady state\n" if steady else "not a steady state\n"
+    return (EXIT_OK if steady else EXIT_NEGATIVE), f"f(x) = ({formatted})\n", verdict
 
 
 @functools.cache
@@ -257,35 +249,39 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, sub.choices
 
 
-def _flush_stdout() -> None:
-    """Flush stdout; a closed stdout fails as a write to a closed descriptor does.
+def _write(*pieces: str) -> None:
+    """Write ``pieces`` to stdout, through to its file; the only code in crnkit that touches it.
 
     Python sets ``sys.stdout`` to None when file descriptor 1 is closed at
-    start-up, and `print` then writes nothing, so the failure is raised here.
+    start-up, and that fails as a write to a closed descriptor does.
+    Unbuffered, stdout's buffer is the raw file, and its text layer drops the
+    rest of a short write to a closed pipe without an error, so every byte is
+    written to the raw file here.  A failed write points stdout's descriptor
+    at ``os.devnull`` before the error propagates: what it left in the buffer
+    would fail again when the interpreter flushes stdout at exit, and print
+    "Exception ignored" (see the note on SIGPIPE in the `signal` documentation).
     """
-    if sys.stdout is None:
+    stdout = sys.stdout
+    if stdout is None:
         raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-    sys.stdout.flush()
-
-
-def _settle_stdout() -> None:
-    """Flush stdout, or else point its file descriptor at ``os.devnull``.
-
-    What a failed write leaves in the buffer would fail again when the
-    interpreter flushes stdout at exit, and print "Exception ignored" (see
-    the note on SIGPIPE in the `signal` documentation).  The ``sys.stdout``
-    object itself is kept, so an in-process caller gets back the one it had.
-    A closed stdout (None) holds nothing, and descriptor 1 may since belong
-    to another file, so it is left alone.
-    """
-    if sys.stdout is None:
-        return
+    raw = getattr(stdout, "buffer", None)
     try:
-        sys.stdout.flush()
+        if isinstance(raw, io.RawIOBase):
+            for piece in pieces:
+                if os.linesep != "\n":  # the text layer's newline translation, as on Windows
+                    piece = piece.replace("\n", os.linesep)
+                data = memoryview(piece.encode(stdout.encoding, stdout.errors))
+                while data:
+                    data = data[raw.write(data) :]
+        else:
+            for piece in pieces:
+                stdout.write(piece)
+            stdout.flush()
     except OSError:
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, stdout.fileno())
         os.close(devnull)
+        raise
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -294,43 +290,28 @@ def main(argv: Sequence[str] | None = None) -> int:
     A call whose first word names a command is parsed by that command's
     parser alone, with the words after it: the top-level parser would hand
     it the same words.  Any other call is parsed by the top-level parser.
-    Both come from the process's one `_build_parser`.
+    Both come from the process's one `_build_parser`.  The command's handler
+    returns its text, and `_write` writes it once.
     """
     if argv is None:
         argv = sys.argv[1:]
-    stdout = sys.stdout
-    # Unbuffered, stdout's buffer is the raw file, and its text layer drops the
-    # rest of a short write to a closed pipe without an error.  A buffered
-    # writer retries the rest, so the closed pipe raises EPIPE below.
-    if isinstance(getattr(stdout, "buffer", None), io.RawIOBase):
-        sys.stdout = io.TextIOWrapper(
-            io.BufferedWriter(stdout.buffer), stdout.encoding, stdout.errors
-        )
     try:
         parser, commands = _build_parser()
         if argv and argv[0] in commands:
             args = commands[argv[0]].parse_args(argv[1:])
         else:
             args = parser.parse_args(argv)
-        net = parse_file(args.file)
-        code = args.run(args, net)
+        code, *text = args.run(args, parse_file(args.file))
         # A write that fails here, not at interpreter exit, keeps the exit code.
-        _flush_stdout()
+        _write(*text)
         return code
     except (_UsageError, NetworkError, PartitionError, OSError) as exc:
         # OSError: the file cannot be read, or stdout cannot be written.
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, OSError):
-            _settle_stdout()
         return EXIT_USAGE
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    finally:
-        if sys.stdout is not stdout:
-            # Flushed, or pointed at os.devnull; the raw file stays stdout's.
-            sys.stdout.detach().detach()
-            sys.stdout = stdout
 
 
 if __name__ == "__main__":

@@ -60,7 +60,17 @@ class RationalMatrix:
     def __init__(self, rows: Iterable[Iterable[RationalLike]]):
         from fractions import Fraction
 
-        data = tuple(tuple(Fraction(v) for v in row) for row in rows)
+        made: dict[int, Fraction] = {}  # one Fraction per distinct int: dense rows are mostly 0
+
+        def exact(v: RationalLike) -> Fraction:
+            if type(v) is int:
+                f = made.get(v)
+                if f is None:
+                    f = made[v] = Fraction(v)
+                return f
+            return v if type(v) is Fraction else Fraction(v)
+
+        data = tuple(tuple(map(exact, row)) for row in rows)
         width = len(data[0]) if data else 0
         if any(len(r) != width for r in data):
             raise ValueError("all rows must have the same length")

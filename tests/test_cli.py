@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, and format consistency."""
 
+import ast
 import errno
 import io
 import json
@@ -11,11 +12,12 @@ import threading
 
 import pytest
 
-from crnkit import network_numbers, parse_file, subnetwork
+from crnkit import cli, network_numbers, parse_file, subnetwork
 from crnkit.cli import main
 from crnkit.report import format_numbers_table, numbers_to_dict, render_text
 from conftest import ALL_NETWORK_FILES, NETWORKS_DIR, crn, outcomes
 from netgen import random_network
+from test_one_elimination import SRC
 
 FEEDFORWARD = "R1: 0 -> X1\nR2: X1 -> X2\nR3: X2 + X3 -> X1 + X3\nR4: X2 -> X3\n"
 
@@ -694,7 +696,7 @@ class TestWriteFailures:
             "analyze PURINE --format json",
             "analyze BIG",
             "analyze BIG --format json",
-            # argparse prints help, then leaves through its own exit hook.
+            # Help is written by the same one writer, before argparse exits.
             "-h",
             "analyze -h",
         ],
@@ -784,3 +786,106 @@ class TestWriteFailures:
         code, out, err = run(capsys, "analyze", "does_not_exist.crn")
         assert (code, out) == (1, "")
         assert err == "error: [Errno 2] No such file or directory: 'does_not_exist.crn'\n"
+
+
+def stdout_sites(source):
+    """(qualified function, context) for each ``sys.stdout`` in ``source``.
+
+    The context is ``Load``, ``Store`` or ``Del``; ``setattr(sys, "stdout", ...)``,
+    ``redirect_stdout`` and ``from sys import stdout`` count as a ``Store``.
+    """
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = (*scope, node.name)
+        where = ".".join(scope) or "<module>"
+        if isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.stdout":
+            found.append((where, type(node.ctx).__name__))
+        elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+            if any(alias.name == "stdout" for alias in node.names):
+                found.append((where, "Store"))
+        elif isinstance(node, ast.Call):
+            words = [getattr(arg, "value", None) for arg in node.args[:2]]
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name == "redirect_stdout" or (name == "setattr" and words[1:] == ["stdout"]):
+                found.append((where, "Store"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+class TestOneWriter:
+    """`cli._write` is the one code in crnkit that touches stdout, and handlers write nothing."""
+
+    def test_only_write_touches_sys_stdout(self):
+        sites = {
+            module.stem: stdout_sites(module.read_text(encoding="utf-8"))
+            for module in sorted(SRC.glob("*.py"))
+        }
+        assert {stem: found for stem, found in sites.items() if found} == {
+            "cli": [("_write", "Load")]
+        }
+
+    def test_the_guard_sees_every_kind_of_access(self):
+        source = (
+            "import sys\nfrom sys import stdout\n"
+            "def f():\n    sys.stdout = None\n    del sys.stdout\n    return sys.stdout\n"
+            "class A:\n    def g(self):\n        setattr(sys, 'stdout', 1)\n"
+            "        with redirect_stdout(x): pass\n"
+        )
+        assert stdout_sites(source) == [
+            ("<module>", "Store"),
+            ("f", "Store"),
+            ("f", "Del"),
+            ("f", "Load"),
+            ("A.g", "Store"),
+            ("A.g", "Store"),
+        ]
+
+    def test_every_print_writes_to_stderr(self):
+        for module in sorted(SRC.glob("*.py")):
+            for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print":
+                    files = [ast.unparse(kw.value) for kw in node.keywords if kw.arg == "file"]
+                    assert files == ["sys.stderr"], (module.name, node.lineno)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--format", "text"],
+            ["analyze", "--format", "json"],
+            ["decompose"],
+            ["decompose", "--contains", "R1"],
+            ["check", "--parts", "R1,R2|R3,R4"],
+            ["numbers", "--parts", "R1,R2|R3,R4"],
+            ["steady-state", "--rates", "R1=1,R2=1,R3=1,R4=1", "--point", "T=1,V=1,I=1"],
+        ],
+        ids=" ".join,
+    )
+    def test_a_handler_returns_what_main_writes(self, capsys, argv):
+        # The handler returns its exit code, then its stdout text in pieces,
+        # and writes nothing itself; main writes the same text.
+        name, *options = argv
+        argv = [name, str(NETWORKS_DIR / "baccam.crn"), *options]
+        args = cli._build_parser()[1][name].parse_args(argv[1:])
+        code, *text = args.run(args, parse_file(args.file))
+        assert capsys.readouterr() == ("", "")
+        assert all(type(piece) is str for piece in text)
+        assert run(capsys, *argv) == (code, "".join(text), "")
+
+    @pytest.mark.parametrize("linesep", ["\n", "\r\n"], ids=["LF", "CRLF"])
+    def test_an_unbuffered_stdout_gets_the_platforms_line_ends(
+        self, capsys, monkeypatch, tmp_path, linesep
+    ):
+        # Written to the raw file, each line ends as the text layer would end it.
+        monkeypatch.setattr(os, "linesep", linesep)
+        out = tmp_path / "out"
+        with io.TextIOWrapper(io.FileIO(out, "w"), write_through=True) as stream:
+            monkeypatch.setattr(sys, "stdout", stream)
+            assert main(["decompose", str(NETWORKS_DIR / "yeast.crn")]) == 0
+        assert capsys.readouterr().err == ""
+        lines = ["P1: R1, R2, R4, R6, R8, R10, R11", "P2: R3, R5, R7, R9, R12, R13"]
+        assert out.read_bytes() == "".join(line + linesep for line in lines).encode()

@@ -17,6 +17,7 @@ test (argparse's wording differs between Python versions), and check that
 
 import argparse
 import copy
+import io
 import sys
 
 import pytest
@@ -179,6 +180,20 @@ def test_main_matches_the_top_level_route(capsys, monkeypatch, argv, columns):
     got = outcome(capsys, list(argv))
     assert got == reference_outcome(capsys, monkeypatch, list(argv))
     assert got[0] in (0, 1, 3, ("SystemExit", 0))
+
+
+@pytest.mark.parametrize("columns", WIDTHS)
+@pytest.mark.parametrize("name", [None, *ARGUMENTS], ids=lambda name: name or "crn")
+def test_help_is_argparses_own(capsys, monkeypatch, name, columns):
+    # The routes above share `cli._ArgumentParser.print_help`; here its text is
+    # checked against argparse's own, written to a stream of the caller's.
+    monkeypatch.setenv("COLUMNS", columns)
+    parser, commands = cli._build_parser()
+    own = io.StringIO()
+    argparse.ArgumentParser.print_help(parser if name is None else commands[name], file=own)
+    got = outcome(capsys, ["-h"] if name is None else [name, "-h"])
+    assert got == (("SystemExit", 0), own.getvalue(), "")
+    assert own.getvalue().startswith("usage: crn")
 
 
 @pytest.mark.parametrize("columns", WIDTHS)

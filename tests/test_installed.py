@@ -56,6 +56,8 @@ def test_analyze_prints_the_goldens(path, tmp_path):
     golden = [(GOLDEN_DIR / f"{path.stem}{suffix}").read_bytes() for suffix in (".txt", ".json")]
     assert runs == [(0, out, b"") for out in golden * 2]
     assert is_json_tool_output(runs[1][1])
+    # Unbuffered, `crn` writes each byte to stdout's raw file itself: the same bytes.
+    assert outcomes(calls[:2], env={"PYTHONUNBUFFERED": "1"}) == runs[:2]
 
 
 def test_help_and_usage_errors_name_every_command():

@@ -1,5 +1,7 @@
 """Network model and matrix construction."""
 
+from fractions import Fraction
+
 import pytest
 
 from crnkit import (
@@ -145,6 +147,41 @@ class TestStoichiometricMatrix:
             ]
         )
         assert stoichiometric_matrix(two_chains) == expected
+
+
+def cell_by_cell(columns, height):
+    """The matrix with these integer columns, one new `Fraction` made for each cell."""
+    return RationalMatrix([[Fraction(col[i]) for col in columns] for i in range(height)])
+
+
+class TestExactEntries:
+    def test_the_dense_builders_hold_a_fraction_in_every_cell(self, purine):
+        species, complexes = purine.species_count, purine.complex_count
+        incidence = []
+        for rx in purine.reactions:
+            column = [0] * complexes
+            column[rx.reactant], column[rx.product] = -1, 1
+            incidence.append(column)
+        built = {
+            molecularity_matrix: [c.vector(species) for c in purine.complexes],
+            incidence_matrix: incidence,
+            stoichiometric_matrix: [
+                purine.reaction_vector(j) for j in range(purine.reaction_count)
+            ],
+        }
+        for builder, columns in built.items():
+            m = builder(purine)
+            assert all(type(x) is Fraction for i in range(m.rows) for x in m.row(i)), builder
+            assert m == cell_by_cell(columns, m.rows), builder
+
+    def test_a_fraction_is_kept_and_any_other_value_is_converted(self):
+        half = Fraction(1, 2)
+        m = RationalMatrix([[half, 0, 3], [0.25, "3/4", 3]])
+        assert m.row(0)[0] is half
+        assert m.row(0) == (half, 0, 3) and m.row(1) == (Fraction(1, 4), Fraction(3, 4), 3)
+        assert all(type(x) is Fraction for i in range(m.rows) for x in m.row(i))
+        # One Fraction per distinct int.
+        assert m.row(0)[2] is m.row(1)[2]
 
 
 class TestStructuralIdentities:
